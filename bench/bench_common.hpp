@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -212,10 +213,21 @@ inline void emit(const Table& table, const std::string& csv_name) {
   const std::string path = data_dir() + "/" + csv_name;
   table.write_csv(path);
   std::cout << "\n[csv] " << path << "\n";
-  // Artifact parity: data/description.csv records every produced file
-  // (the original artifact keeps run metadata the same way).
-  std::ofstream desc(data_dir() + "/description.csv", std::ios::app);
-  if (desc) desc << csv_name << "," << table.rows() << " rows\n";
+  // Artifact parity: data/description.csv records every produced file (the
+  // original artifact keeps run metadata the same way), one line per CSV,
+  // sorted by name. The file is rewritten whole, so re-running a bench
+  // replaces its line instead of appending a duplicate.
+  const std::string desc_path = data_dir() + "/description.csv";
+  std::map<std::string, std::string> lines;  // CSV name -> its line
+  {
+    std::ifstream in(desc_path);
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty()) lines[line.substr(0, line.find(','))] = line;
+    }
+  }
+  lines[csv_name] = csv_name + "," + std::to_string(table.rows()) + " rows";
+  std::ofstream desc(desc_path, std::ios::trunc);
+  for (const auto& entry : lines) desc << entry.second << "\n";
 }
 
 inline void header(const std::string& figure, const std::string& description) {

@@ -1,7 +1,7 @@
 // Wall-clock performance tracking (not a paper figure).
 //
-// Two sections, both emitted through --json so CI can archive the trend
-// (BENCH_perf.json — informational, no gate):
+// Three sections, all emitted through --json so CI can archive the trend
+// (BENCH_perf.json):
 //
 //  1. solver: the progressive-filling allocator on randomized problems,
 //     reference maxmin_fair_rates vs the FairshareSolver fast path used by
@@ -21,21 +21,15 @@
 //     wall-clock ratio is the tracked speedup and must stay >= 2x on the
 //     largest row.
 //
-//  4. solver_v3: a +/-1-flow churn replay at the solver level -- the same
-//     problem family as section 1, but each event toggles one flow and
-//     re-solves, which is the reallocation hot path's real shape. Baseline is
-//     the PR 5 fast path (scalar filling, cold every event); candidate is the
-//     PR 10 path (vectorized filling, warm-started from the previous freeze
-//     plan). Rates must match bit-for-bit on every event; the speedup must
-//     stay >= 2x on the 4096-link row.
-//
 // Wall-clock numbers vary with the host; the speedup columns are the
 // quantity tracked across commits.
 //
-// Flags (beyond the common bench flags): --min-cpus N declares the minimum
-// host core count the invoker expects (CI passes it so a runner downgrade
-// fails the job loudly instead of silently emitting "skipped" rows).
+// Flags (beyond the common bench flags): --min-cpus N (a positive integer)
+// declares the minimum host core count the invoker expects (CI passes it so
+// a runner downgrade fails the job loudly instead of silently emitting
+// "skipped" rows).
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -342,166 +336,6 @@ void replay_section(Table& t) {
   }
 }
 
-// --- section 4: solver_v3 -- warm-start + vectorized churn replay -----------
-
-/// The churn replay's problem family. Section 1's random-capacity soup is the
-/// right stress for cold-solve correctness but the wrong shape for warm-start:
-/// with every link a different speed, removing any flow reorders the global
-/// filling sequence and the seed (correctly) falls back. The warm window's
-/// real target is the opposite regime, and the common one at scale: a fabric
-/// provisioned for full bisection (uncongested core, flows attached through
-/// lightly-shared edge links) where every flow is bound by a tiered
-/// application rate limit, not by a link. The filling order is then the tier
-/// ladder -- one round per tier, dozens of rounds -- and a +/-1-flow event
-/// never moves anyone else's freeze round, which is exactly the invariant the
-/// seed verification demands.
-FairshareProblem churn_problem(std::size_t links, std::size_t flows, std::uint64_t seed) {
-  constexpr int kTiers = 48;
-  std::mt19937_64 rng(seed);
-  const std::size_t edges = links * 7 / 8;  // the rest is fat core
-  std::uniform_int_distribution<std::size_t> core_dist(edges, links - 1);
-  std::uniform_int_distribution<int> core_len(1, 3);
-  std::uniform_int_distribution<int> tier(0, kTiers - 1);
-  std::uniform_int_distribution<int> pct(0, 99);
-
-  FairshareProblem p;
-  p.capacity.assign(links, 100e9);
-  for (std::size_t l = edges; l < links; ++l) p.capacity[l] = 2000e9;
-  p.flows.resize(flows);
-  p.caps.assign(flows, std::numeric_limits<Bandwidth>::infinity());
-  for (std::size_t i = 0; i < flows; ++i) {
-    // Tier caps top out at 17.7 GB/s; edge shares never drop below ~20 GB/s
-    // (round-robin keeps edge occupancy <= ceil(flows/edges)) and the core
-    // never binds, so the caps are always the binding constraint.
-    p.caps[i] = 2e9 + (2e9 / 6.0) * tier(rng);
-    if (pct(rng) < 3) continue;  // empty route: no network constraint
-    std::vector<LinkId>& route = p.flows[i];
-    route.push_back(static_cast<LinkId>(i % edges));
-    const int len = core_len(rng);
-    for (int k = 0; k < len; ++k) {
-      const LinkId l = static_cast<LinkId>(core_dist(rng));
-      if (std::find(route.begin(), route.end(), l) == route.end()) route.push_back(l);
-    }
-  }
-  return p;
-}
-
-/// Replay a +/-1-flow churn sequence through one solver configuration.
-/// Events toggle one flow at a time against the same base problem, so each
-/// solve differs from its predecessor by exactly one flow -- the shape the
-/// warm-start window covers. The warm pass rebuilds its seed per event from
-/// the previous event's freeze plan, exactly the way Network does (index
-/// remap + round compaction). Appends every event's full rate vector to
-/// `rates_out` so the two passes can be compared bit-for-bit.
-double run_churn_pass(const FairshareProblem& base, const std::vector<std::size_t>& toggles,
-                      bool vectorized, bool warm,
-                      std::vector<std::vector<Bandwidth>>& rates_out, int& warm_hits) {
-  constexpr std::uint32_t kNpos = UINT32_MAX;
-  FairshareSolver solver;
-  solver.set_vectorized(vectorized);
-
-  std::vector<char> live(base.flows.size(), 1);
-  std::vector<std::uint32_t> idx;           // live base indices, ascending
-  std::vector<const Route*> routes;
-  std::vector<Bandwidth> caps;
-  std::vector<std::uint32_t> prev_idx;      // previous event's live set
-  std::vector<std::uint32_t> prev_plan;     // ... and its freeze plan
-  std::uint32_t prev_rounds = 0;
-  std::vector<std::uint32_t> pos_of_base(base.flows.size(), kNpos);
-  std::vector<std::uint32_t> seed_rounds, round_remap;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const std::size_t toggle : toggles) {
-    live[toggle] = !live[toggle];
-    idx.clear();
-    routes.clear();
-    caps.clear();
-    for (std::uint32_t b = 0; b < base.flows.size(); ++b) {
-      if (!live[b]) continue;
-      idx.push_back(b);
-      routes.push_back(&base.flows[b]);
-      caps.push_back(base.caps[b]);
-    }
-
-    FairshareSolver::WarmSeed seed;
-    bool use_seed = false;
-    if (warm && !prev_idx.empty()) {
-      for (std::uint32_t j = 0; j < prev_idx.size(); ++j) pos_of_base[prev_idx[j]] = j;
-      seed_rounds.resize(idx.size());
-      round_remap.assign(prev_rounds, 0);
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        const std::uint32_t p = pos_of_base[idx[j]];
-        const std::uint32_t r = p == kNpos ? FairshareSolver::kNoPrediction : prev_plan[p];
-        seed_rounds[j] = r;
-        if (r != FairshareSolver::kNoPrediction) round_remap[r] = 1;
-      }
-      // Compact away rounds the removed flow solely occupied (Network does
-      // the same); the seed's round numbering must be gap-free.
-      std::uint32_t next = 0;
-      for (std::uint32_t r = 0; r < prev_rounds; ++r) {
-        const std::uint32_t mapped = next;
-        if (round_remap[r]) ++next;
-        round_remap[r] = mapped;
-      }
-      for (std::uint32_t& r : seed_rounds) {
-        if (r != FairshareSolver::kNoPrediction) r = round_remap[r];
-      }
-      seed.round_of_flow = seed_rounds.data();
-      seed.rounds = next;
-      use_seed = true;
-      for (const std::uint32_t b : prev_idx) pos_of_base[b] = kNpos;
-    }
-
-    const std::vector<Bandwidth>& got =
-        solver.solve(base.capacity, routes, caps, nullptr, use_seed ? &seed : nullptr);
-    if (solver.warm_outcome() == FairshareSolver::WarmOutcome::kHit) ++warm_hits;
-    if (warm) {
-      prev_idx = idx;
-      prev_plan.assign(solver.freeze_rounds().begin(),
-                       solver.freeze_rounds().begin() + static_cast<std::ptrdiff_t>(idx.size()));
-      prev_rounds = solver.freeze_round_count();
-    }
-    rates_out.push_back(got);
-  }
-  return ms_since(t0);
-}
-
-void solver_v3_section(Table& t) {
-  struct Scale {
-    std::size_t links, flows;
-    int events;
-  };
-  double gate_speedup = 0;
-  for (const Scale s : {Scale{256, 512, 300}, Scale{1024, 4096, 80}, Scale{4096, 16384, 24}}) {
-    const FairshareProblem base = churn_problem(s.links, s.flows, /*seed=*/0xbeef + s.flows);
-    std::mt19937_64 rng(0x5eed + s.flows);
-    std::vector<std::size_t> toggles(static_cast<std::size_t>(s.events));
-    for (std::size_t& x : toggles) x = rng() % s.flows;
-
-    std::vector<std::vector<Bandwidth>> cold_rates, warm_rates;
-    int cold_hits = 0, warm_hits = 0;
-    const double cold_ms =
-        run_churn_pass(base, toggles, /*vectorized=*/false, /*warm=*/false, cold_rates, cold_hits);
-    const double warm_ms =
-        run_churn_pass(base, toggles, /*vectorized=*/true, /*warm=*/true, warm_rates, warm_hits);
-
-    if (warm_rates != cold_rates) {
-      std::cerr << "error: warm+vectorized churn replay diverged from the scalar cold path\n";
-      std::exit(1);
-    }
-
-    const double speedup = cold_ms / warm_ms;
-    gate_speedup = speedup;
-    t.add_row({std::to_string(s.links), std::to_string(s.flows), std::to_string(s.events),
-               fmt(cold_ms, 1), fmt(warm_ms, 1), fmt(speedup, 2),
-               fmt(100.0 * warm_hits / s.events, 0)});
-  }
-  if (gate_speedup < 2.0) {
-    std::cerr << "error: warm+vectorized speedup below the 2x floor on the 4096-link churn row\n";
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -511,11 +345,21 @@ int main(int argc, char** argv) {
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-cpus") == 0 && i + 1 < argc) {
-      min_cpus = std::atoi(argv[++i]);
-    } else {
+    if (std::strcmp(argv[i], "--min-cpus") != 0) {
       args.push_back(argv[i]);
+      continue;
     }
+    const char* value = i + 1 < argc ? argv[++i] : "";
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || errno == ERANGE || n < 1 ||
+        n > std::numeric_limits<int>::max()) {
+      std::cerr << "perf_wallclock: --min-cpus requires a positive integer, got '" << value
+                << "'\n";
+      return 2;
+    }
+    min_cpus = static_cast<int>(n);
   }
   int rest = static_cast<int>(args.size());
   gpucomm::bench::init(rest, args.data(), gpucomm::bench::Parallel::kCells);
@@ -537,10 +381,5 @@ int main(int argc, char** argv) {
   replay_section(replay);
   emit(replay, "perf_incremental.csv");
 
-  std::cout << "\n--- solver_v3: +/-1-flow churn, scalar cold vs warm+vectorized "
-               "(identical rates) ---\n";
-  Table v3({"links", "flows", "events", "cold_ms", "warm_ms", "speedup", "warm_hit_pct"});
-  solver_v3_section(v3);
-  emit(v3, "perf_solver_v3.csv");
   return 0;
 }

@@ -116,54 +116,20 @@ std::vector<Bandwidth> maxmin_fair_rates(const FairshareProblem& problem,
   return rate;
 }
 
-void FairshareSolver::reserve(std::size_t links, std::size_t route_hops) {
-  if (slot_of_link_.size() < links) {
-    slot_of_link_.resize(links, 0);
-    slot_epoch_.resize(links, 0);
-  }
-  flow_slots_.reserve(route_hops);
-}
-
-std::size_t FairshareSolver::init_active(const std::vector<Bandwidth>& caps,
-                                         std::size_t n) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto cap_of = [&](std::size_t i) { return caps.empty() ? kInf : caps[i]; };
-  unfrozen_.clear();
-  cap_buf_.clear();
-  std::size_t frozen_total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (flow_offset_[i] == flow_offset_[i + 1]) {
-      // No link constraint: the flow runs at its cap (callers bound pure
-      // local transfers by device limits via the cap).
-      rate_[i] = std::isfinite(cap_of(i)) ? cap_of(i) : 0.0;
-      ++frozen_total;
-    } else {
-      unfrozen_.push_back(static_cast<std::uint32_t>(i));
-      cap_buf_.push_back(cap_of(i));
-    }
-  }
-  live_slots_.resize(remaining_.size());
-  for (std::size_t s = 0; s < live_slots_.size(); ++s) {
-    live_slots_[s] = static_cast<std::uint32_t>(s);
-  }
-  return frozen_total;
-}
-
 const std::vector<Bandwidth>& FairshareSolver::solve(
     const std::vector<Bandwidth>& capacity, const std::vector<const Route*>& flows,
-    const std::vector<Bandwidth>& caps, FairshareTrace* trace, const WarmSeed* seed) {
-  ++solves_;
+    const std::vector<Bandwidth>& caps, FairshareTrace* trace) {
   const std::size_t n = flows.size();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   rate_.assign(n, 0.0);
-  warm_outcome_ = WarmOutcome::kNone;
-  plan_round_.assign(n, kNoPrediction);
-  plan_rounds_ = 0;
   if (trace) {
     trace->bottleneck.assign(n, kInvalidLink);
     trace->saturated.clear();
   }
   if (n == 0) return rate_;
   assert(caps.empty() || caps.size() == n);
+
+  const auto cap_of = [&](std::size_t i) { return caps.empty() ? kInf : caps[i]; };
 
   // Translate routes to dense slots once. The epoch stamp makes the
   // link->slot array valid without clearing it between solves; slot
@@ -197,67 +163,27 @@ const std::vector<Bandwidth>& FairshareSolver::solve(
     flow_offset_.push_back(static_cast<std::uint32_t>(flow_slots_.size()));
   }
   if (trace) total_count_ = unfrozen_count_;
-  if (tight_.size() < remaining_.size()) tight_.resize(remaining_.size(), 0);
 
-  std::size_t frozen_total = init_active(caps, n);
-
-  if (seed != nullptr && seed->round_of_flow != nullptr && frozen_total < n) {
-    // Warm attempt. Snapshot the fill state first: the attempt mutates it,
-    // and a fallback must restart from exactly the cold initial conditions.
-    remaining0_ = remaining_;
-    count0_ = unfrozen_count_;
-    warm_outcome_ = run_warm(caps, trace, *seed, n, frozen_total);
-    if (warm_outcome_ == WarmOutcome::kHit) {
-      if (trace) {
-        for (std::size_t slot = 0; slot < remaining_.size(); ++slot) {
-          const Bandwidth cap = std::max(capacity[dense_link_[slot]], 0.0);
-          if (cap > 0 && remaining_[slot] <= cap * 1e-9) {
-            trace->saturated.emplace_back(dense_link_[slot], total_count_[slot]);
-          }
-        }
-      }
-      return rate_;
-    }
-    // Cold fallback, bit-identical to a seedless solve: restore the fill
-    // state and every output the attempt may have partially written.
-    remaining_ = remaining0_;
-    unfrozen_count_ = count0_;
-    rate_.assign(n, 0.0);
-    plan_round_.assign(n, kNoPrediction);
-    plan_rounds_ = 0;
-    if (trace) {
-      trace->bottleneck.assign(n, kInvalidLink);
-      trace->saturated.clear();
-    }
-    frozen_total = init_active(caps, n);
-  }
-
-  if (vectorized_) {
-    run_vectorized(caps, trace, n, frozen_total);
-  } else {
-    run_scalar(caps, trace, n, frozen_total);
-  }
-  if (trace) {
-    for (std::size_t slot = 0; slot < remaining_.size(); ++slot) {
-      const Bandwidth cap = std::max(capacity[dense_link_[slot]], 0.0);
-      if (cap > 0 && remaining_[slot] <= cap * 1e-9) {
-        trace->saturated.emplace_back(dense_link_[slot], total_count_[slot]);
-      }
+  unfrozen_.clear();
+  std::size_t frozen_total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (flow_offset_[i] == flow_offset_[i + 1]) {
+      // No link constraint: the flow runs at its cap (callers bound pure
+      // local transfers by device limits via the cap).
+      rate_[i] = std::isfinite(cap_of(i)) ? cap_of(i) : 0.0;
+      ++frozen_total;
+    } else {
+      unfrozen_.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  return rate_;
-}
-
-void FairshareSolver::run_scalar(const std::vector<Bandwidth>& caps,
-                                 FairshareTrace* trace, std::size_t n,
-                                 std::size_t frozen_total) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto cap_of = [&](std::size_t i) { return caps.empty() ? kInf : caps[i]; };
+  live_slots_.resize(remaining_.size());
+  for (std::size_t s = 0; s < live_slots_.size(); ++s) {
+    live_slots_[s] = static_cast<std::uint32_t>(s);
+  }
 
   // Progressive filling, as in maxmin_fair_rates, except that frozen flows
   // and fully-frozen links are compacted out of their scan lists (stable, so
   // the freeze order — and therefore every FP operation — is unchanged).
-  std::uint32_t round = 0;
   while (frozen_total < n) {
     double link_share = kInf;
     std::size_t live = 0;
@@ -297,7 +223,6 @@ void FairshareSolver::run_scalar(const std::vector<Bandwidth>& caps,
       if (trace) trace->bottleneck[i] = bottleneck;
       const double r = std::min(s, cap);
       rate_[i] = r;
-      plan_round_[i] = round;
       ++frozen_total;
       froze_any = true;
       for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
@@ -309,297 +234,16 @@ void FairshareSolver::run_scalar(const std::vector<Bandwidth>& caps,
     unfrozen_.resize(keep);
     assert(froze_any && "progressive filling must make progress");
     if (!froze_any) break;
-    ++round;
   }
-  plan_rounds_ = round;
-}
-
-void FairshareSolver::run_vectorized(const std::vector<Bandwidth>& /*caps: via cap_buf_*/,
-                                     FairshareTrace* trace, std::size_t n,
-                                     std::size_t frozen_total) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Identical FP sequence to run_scalar; see the class comment for how each
-  // round is restructured into contiguous passes. The tightness byte of a
-  // slot always equals the scalar loop's check `count > 0 && remaining/count
-  // <= s * (1 + 1e-12)` against the *current* fill state: pass B seeds it
-  // from the round-start shares and every freeze refreshes the slots it
-  // touched, which are the only ones whose state moved.
-  std::uint32_t round = 0;
-  while (frozen_total < n) {
-    // Pass A: compact the live slots and compute their fair shares into a
-    // dense buffer; the divisions and the min-reduction run over contiguous
-    // memory.
-    std::size_t live = 0;
-    share_buf_.resize(live_slots_.size());
-    for (const std::uint32_t slot : live_slots_) {
-      if (unfrozen_count_[slot] <= 0) continue;
-      share_buf_[live] = remaining_[slot] / unfrozen_count_[slot];
-      live_slots_[live] = slot;
-      ++live;
-    }
-    live_slots_.resize(live);
-    double link_share = kInf;
-    for (std::size_t k = 0; k < live; ++k) link_share = std::min(link_share, share_buf_[k]);
-    double cap_min = kInf;
-    const std::size_t active = unfrozen_.size();
-    for (std::size_t k = 0; k < active; ++k) cap_min = std::min(cap_min, cap_buf_[k]);
-    const double s = std::max(0.0, std::min(link_share, cap_min));
-    if (!std::isfinite(s)) break;  // remaining flows are unconstrained
-    const double th = s * (1.0 + 1e-12);
-
-    // Pass B: tightness mask from the round-start shares.
-    for (std::size_t k = 0; k < live; ++k) {
-      tight_[live_slots_[k]] = share_buf_[k] <= th ? 1 : 0;
-    }
-
-    // Freeze scan: byte-mask lookups instead of per-hop divisions.
-    bool froze_any = false;
-    std::size_t keep = 0;
-    for (std::size_t idx = 0; idx < active; ++idx) {
-      const std::uint32_t i = unfrozen_[idx];
-      const double cap = cap_buf_[idx];
-      LinkId bottleneck = kInvalidLink;
-      bool at_bottleneck = cap <= th;
-      if (!at_bottleneck) {
-        for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-          const std::uint32_t slot = flow_slots_[k];
-          if (tight_[slot]) {
-            at_bottleneck = true;
-            bottleneck = dense_link_[slot];
-            break;
-          }
-        }
+  if (trace) {
+    for (std::size_t slot = 0; slot < remaining_.size(); ++slot) {
+      const Bandwidth cap = std::max(capacity[dense_link_[slot]], 0.0);
+      if (cap > 0 && remaining_[slot] <= cap * 1e-9) {
+        trace->saturated.emplace_back(dense_link_[slot], total_count_[slot]);
       }
-      if (!at_bottleneck) {
-        unfrozen_[keep] = i;
-        cap_buf_[keep] = cap;
-        ++keep;
-        continue;
-      }
-      if (trace) trace->bottleneck[i] = bottleneck;
-      const double r = std::min(s, cap);
-      rate_[i] = r;
-      plan_round_[i] = round;
-      ++frozen_total;
-      froze_any = true;
-      for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-        const std::uint32_t slot = flow_slots_[k];
-        remaining_[slot] = std::max(0.0, remaining_[slot] - r);
-        const int c = --unfrozen_count_[slot];
-        tight_[slot] = (c > 0 && remaining_[slot] / c <= th) ? 1 : 0;
-      }
-    }
-    unfrozen_.resize(keep);
-    cap_buf_.resize(keep);
-    assert(froze_any && "progressive filling must make progress");
-    if (!froze_any) break;
-    ++round;
-  }
-  plan_rounds_ = round;
-}
-
-FairshareSolver::WarmOutcome FairshareSolver::run_warm(
-    const std::vector<Bandwidth>& caps, FairshareTrace* trace, const WarmSeed& seed,
-    std::size_t n, std::size_t frozen_total) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto cap_of = [&](std::size_t i) { return caps.empty() ? kInf : caps[i]; };
-  const std::size_t nslots = remaining_.size();
-
-  // Slot -> crossing flow positions (ascending), for the end-of-round
-  // verification. Built from the pristine counts; frozen_ filters as flows
-  // leave the scan.
-  slot_flow_off_.assign(nslots + 1, 0);
-  for (const std::uint32_t slot : flow_slots_) ++slot_flow_off_[slot + 1];
-  for (std::size_t s = 1; s <= nslots; ++s) slot_flow_off_[s] += slot_flow_off_[s - 1];
-  slot_flows_.resize(flow_slots_.size());
-  csr_cursor_.assign(slot_flow_off_.begin(), slot_flow_off_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-      slot_flows_[csr_cursor_[flow_slots_[k]]++] = static_cast<std::uint32_t>(i);
     }
   }
-  // frozen_ covers pre-frozen flows too (empty routes): they are not in
-  // unfrozen_ and must not feed cap_min.
-  frozen_.assign(n, 1);
-  for (const std::uint32_t i : unfrozen_) frozen_[i] = 0;
-  if (seen_stamp_.size() < nslots) seen_stamp_.resize(nslots, 0);
-  std::fill(seen_stamp_.begin(), seen_stamp_.begin() + static_cast<std::ptrdiff_t>(nslots), 0);
-  if (tight_from_.size() < nslots) tight_from_.resize(nslots, 0);
-
-  // Predicted candidates bucketed by round (ascending within a bucket, since
-  // unfrozen_ is ascending). Junk predictions (>= seed.rounds) are demoted to
-  // the no-prediction list: re-tested every round, which is conservative --
-  // any freeze still happens only at the flow's exact reference turn.
-  bucket_off_.assign(seed.rounds + 2, 0);
-  nopred_.clear();
-  for (const std::uint32_t i : unfrozen_) {
-    const std::uint32_t r = seed.round_of_flow[i];
-    if (r < seed.rounds) {
-      ++bucket_off_[r + 1];
-    } else {
-      nopred_.push_back(i);
-    }
-  }
-  for (std::uint32_t r = 1; r <= seed.rounds + 1; ++r) bucket_off_[r] += bucket_off_[r - 1];
-  bucket_flows_.resize(bucket_off_[seed.rounds + 1]);
-  {
-    std::vector<std::uint32_t>& cursor = csr_cursor_;  // slot CSR build is done with it
-    cursor.assign(bucket_off_.begin(), bucket_off_.end() - 1);
-    for (const std::uint32_t i : unfrozen_) {
-      const std::uint32_t r = seed.round_of_flow[i];
-      if (r < seed.rounds) bucket_flows_[cursor[r]++] = i;
-    }
-  }
-
-  // Suffix minima over the bucketed caps. On a clean run every bucket < r is
-  // fully frozen when round r starts (a predicted candidate that fails its
-  // re-check aborts the run), so the unfrozen set at round r is exactly
-  // buckets r.. plus the surviving no-prediction flows, and
-  // min(bucket_cap_min_[r], <no-prediction min>) is the reference's cap_min.
-  // The same quantity, evaluated after the round's freezes against the
-  // round's threshold, proves no cap-bound freeze was missed.
-  bucket_cap_min_.assign(seed.rounds + 2, kInf);
-  for (std::uint32_t r = seed.rounds; r-- > 0;) {
-    double m = bucket_cap_min_[r + 1];
-    for (std::uint32_t e = bucket_off_[r]; e < bucket_off_[r + 1]; ++e) {
-      m = std::min(m, cap_of(bucket_flows_[e]));
-    }
-    bucket_cap_min_[r] = m;
-  }
-  double nopred_cap_min = kInf;
-  for (const std::uint32_t i : nopred_) nopred_cap_min = std::min(nopred_cap_min, cap_of(i));
-
-  // Each round: compute the exact fair-share level, then process only the
-  // predicted freezers of this round and the unpredicted flows. Every
-  // candidate is re-verified against the current fill state at its
-  // ascending-order turn, so a freeze that happens is exactly the
-  // reference's freeze. Two end-of-round sweeps then prove no non-candidate
-  // would have frozen: a link-bound miss requires crossing a slot that was
-  // tight at some point after the flow's scan position, and every such
-  // (slot, position) pair is in tight_seen_/tight_from_; a cap-bound miss
-  // (cap freezes touch no slots) is exactly "some unfrozen cap <= th",
-  // which the next-round cap_min answers in O(no-prediction list). Any
-  // doubt -> fall back to the cold solve.
-  std::uint32_t round = 0;
-  double cap_min = std::min(bucket_cap_min_[0], nopred_cap_min);
-  while (frozen_total < n) {
-    std::size_t live = 0;
-    share_buf_.resize(live_slots_.size());
-    for (const std::uint32_t slot : live_slots_) {
-      if (unfrozen_count_[slot] <= 0) continue;
-      share_buf_[live] = remaining_[slot] / unfrozen_count_[slot];
-      live_slots_[live] = slot;
-      ++live;
-    }
-    live_slots_.resize(live);
-    double link_share = kInf;
-    for (std::size_t k = 0; k < live; ++k) link_share = std::min(link_share, share_buf_[k]);
-    const double s = std::max(0.0, std::min(link_share, cap_min));
-    if (!std::isfinite(s)) break;  // remaining flows are unconstrained
-    const double th = s * (1.0 + 1e-12);
-
-    tight_seen_.clear();
-    const std::uint32_t stamp = round + 1;
-    for (std::size_t k = 0; k < live; ++k) {
-      const std::uint32_t slot = live_slots_[k];
-      const std::uint8_t t = share_buf_[k] <= th ? 1 : 0;
-      tight_[slot] = t;
-      if (t && seen_stamp_[slot] != stamp) {
-        seen_stamp_[slot] = stamp;
-        tight_from_[slot] = 0;  // tight at round start: every crosser must freeze
-        tight_seen_.push_back(slot);
-      }
-    }
-
-    // Candidates: the flows predicted for this round merged with the
-    // unpredicted ones (both ascending and disjoint, so the merge keeps the
-    // reference scan order and each exact re-check happens at the same turn
-    // the reference would reach the flow). A cap that binds earlier than its
-    // flow's predicted round is NOT a candidate here -- the end-of-round
-    // cap_min check below detects that exact situation and falls back.
-    cand_.clear();
-    const std::uint32_t* bkt_begin = bucket_flows_.data();
-    const std::uint32_t* bkt_end = bkt_begin;
-    if (round + 1 < bucket_off_.size()) {
-      bkt_begin = bucket_flows_.data() + bucket_off_[round];
-      bkt_end = bucket_flows_.data() + bucket_off_[round + 1];
-    }
-    cand_.resize(static_cast<std::size_t>(bkt_end - bkt_begin) + nopred_.size());
-    std::merge(bkt_begin, bkt_end, nopred_.begin(), nopred_.end(), cand_.begin());
-
-    bool froze_any = false;
-    for (const std::uint32_t i : cand_) {
-      if (frozen_[i]) continue;  // froze in an earlier round than predicted
-      const double cap = cap_of(i);
-      LinkId bottleneck = kInvalidLink;
-      bool at_bottleneck = cap <= th;
-      if (!at_bottleneck) {
-        for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-          const std::uint32_t slot = flow_slots_[k];
-          if (tight_[slot]) {
-            at_bottleneck = true;
-            bottleneck = dense_link_[slot];
-            break;
-          }
-        }
-      }
-      if (!at_bottleneck) {
-        // A flow predicted for this exact round must freeze in it; anything
-        // else means the seed's order no longer holds.
-        if (seed.round_of_flow[i] == round) return WarmOutcome::kOrderChanged;
-        continue;
-      }
-      if (trace) trace->bottleneck[i] = bottleneck;
-      const double r = std::min(s, cap);
-      rate_[i] = r;
-      plan_round_[i] = round;
-      frozen_[i] = 1;
-      ++frozen_total;
-      froze_any = true;
-      for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-        const std::uint32_t slot = flow_slots_[k];
-        remaining_[slot] = std::max(0.0, remaining_[slot] - r);
-        const int c = --unfrozen_count_[slot];
-        const std::uint8_t t = (c > 0 && remaining_[slot] / c <= th) ? 1 : 0;
-        tight_[slot] = t;
-        if (t && seen_stamp_[slot] != stamp) {
-          seen_stamp_[slot] = stamp;
-          tight_from_[slot] = i + 1;  // only crossers scanned after flow i matter
-          tight_seen_.push_back(slot);
-        }
-      }
-    }
-    if (!froze_any) return WarmOutcome::kNoProgress;
-
-    for (const std::uint32_t slot : tight_seen_) {
-      const std::uint32_t from = tight_from_[slot];
-      for (std::uint32_t e = slot_flow_off_[slot]; e < slot_flow_off_[slot + 1]; ++e) {
-        const std::uint32_t f = slot_flows_[e];
-        if (!frozen_[f] && f >= from) return WarmOutcome::kMissedFreeze;
-      }
-    }
-
-    // Next round's cap_min over the surviving unfrozen set: buckets round+1..
-    // (the suffix lookup -- exact, since bucket[j <= round] is fully frozen on
-    // a clean run) plus the compacted no-prediction list. Checking it against
-    // THIS round's threshold catches the one freeze kind candidates cannot:
-    // an unfrozen flow whose private cap already binds (cap freezes touch no
-    // slots, so the tight_seen_ walk above is blind to them).
-    std::size_t keep = 0;
-    nopred_cap_min = kInf;
-    for (const std::uint32_t i : nopred_) {
-      if (frozen_[i]) continue;
-      nopred_[keep++] = i;
-      nopred_cap_min = std::min(nopred_cap_min, cap_of(i));
-    }
-    nopred_.resize(keep);
-    const std::size_t next = std::min<std::size_t>(round + 1, bucket_cap_min_.size() - 1);
-    cap_min = std::min(bucket_cap_min_[next], nopred_cap_min);
-    if (cap_min <= th) return WarmOutcome::kMissedFreeze;
-    ++round;
-  }
-  plan_rounds_ = round;
-  return WarmOutcome::kHit;
+  return rate_;
 }
 
 }  // namespace gpucomm

@@ -57,101 +57,25 @@ std::vector<Bandwidth> maxmin_fair_rates(const FairshareProblem& problem,
 /// floating-point operation sequence — but:
 ///  - routes are taken by pointer (no per-call copies),
 ///  - the LinkId -> dense-slot map is an epoch-stamped array instead of a
-///    per-call unordered_map, so no hashing in the filling loops and no
+///    per-call unordered_map, so no hashing in the filling loop and no
 ///    O(links) clear between solves,
 ///  - routes are translated to dense slots once up front (flat array),
 ///  - frozen flows leave the scan entirely (ordered compaction) instead of
 ///    being skipped by an O(n) rescan every filling round, and likewise
 ///    saturated links leave the per-round share scan,
 ///  - every vector is owned by the solver and reused across solves.
-///
-/// Two bit-identical filling implementations exist (PR 10). The vectorized
-/// path restructures each round into branch-light passes over contiguous
-/// spans -- compact live slots and compute their fair shares into a dense
-/// buffer (one min-reduction the compiler auto-vectorizes), compare-store a
-/// per-slot tightness byte mask, then test flows against the mask instead of
-/// re-dividing per route hop -- while performing the exact same FP operation
-/// sequence as the scalar loop. Building with -DGPUCOMM_NO_VECTORIZE (CMake
-/// option of the same name) flips the default back to the scalar loop;
-/// set_vectorized() overrides per instance so differential tests hold the
-/// two paths together in one binary.
 class FairshareSolver {
  public:
-  /// Sentinel round: "no prediction for this flow" (warm-start seeds).
-  static constexpr std::uint32_t kNoPrediction = UINT32_MAX;
-
-  /// Warm-start seed: the freeze plan of a previous converged solve of a
-  /// nearly-identical problem (the caller maps old flow positions to new
-  /// ones; see freeze_rounds()). round_of_flow[i] predicts the filling round
-  /// flow i freezes in, kNoPrediction for flows with no prediction (e.g. the
-  /// one flow added since the seeding solve) -- those are re-tested every
-  /// round. The seed is advisory: the solver verifies round by round that the
-  /// prediction reproduces the reference freeze order against the exact
-  /// current fill state and falls back to a cold solve (bit-identically) the
-  /// moment it cannot.
-  struct WarmSeed {
-    const std::uint32_t* round_of_flow = nullptr;  // size = flow count
-    std::uint32_t rounds = 0;                      // predicted round count
-  };
-
-  /// What happened to the last solve()'s seed (kNone when none was passed).
-  enum class WarmOutcome : std::uint8_t {
-    kNone,          // no seed: plain cold solve
-    kHit,           // seed verified through every round; no cold work done
-    kOrderChanged,  // a predicted freeze failed its exact re-check
-    kMissedFreeze,  // an unpredicted flow crossed a filled link (conservative)
-    kNoProgress,    // a predicted round froze nothing
-  };
-
   /// `capacity` is indexed by LinkId (entries for links not used by any flow
   /// are ignored); `flows[i]` points at flow i's route; `caps` follows
   /// FairshareProblem::caps semantics. The returned reference is owned by
-  /// the solver and valid until the next solve(). `seed` (optional) warm-
-  /// starts the filling loop from a previous freeze plan; the result is
-  /// bit-identical with or without it (verified seed or cold fallback).
+  /// the solver and valid until the next solve().
   const std::vector<Bandwidth>& solve(const std::vector<Bandwidth>& capacity,
                                       const std::vector<const Route*>& flows,
                                       const std::vector<Bandwidth>& caps,
-                                      FairshareTrace* trace = nullptr,
-                                      const WarmSeed* seed = nullptr);
-
-  /// Pre-size the translation tables for a problem universe of `links` links
-  /// and flows of `route_hops` total hops, so the first big solve doesn't
-  /// pay vector growth inside the filling loops.
-  void reserve(std::size_t links, std::size_t route_hops);
-
-  /// Number of solve() calls over the solver's lifetime (observability: the
-  /// partitioned network core counts per-shard solver work with this).
-  std::uint64_t solves() const { return solves_; }
-
-  /// Select the filling implementation (default: vectorized unless compiled
-  /// with GPUCOMM_NO_VECTORIZE). Both produce bit-identical rates.
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
-
-  /// Seed bookkeeping of the last solve (kNone / kHit / fallback cause).
-  WarmOutcome warm_outcome() const { return warm_outcome_; }
-
-  /// The freeze plan of the last solve: freeze_rounds()[i] is the filling
-  /// round flow i froze in (kNoPrediction for flows that never entered the
-  /// loop: empty routes, or unconstrained leftovers), freeze_round_count()
-  /// the number of rounds. This is what callers feed back as a WarmSeed for
-  /// the next solve of an adjacent problem.
-  const std::vector<std::uint32_t>& freeze_rounds() const { return plan_round_; }
-  std::uint32_t freeze_round_count() const { return plan_rounds_; }
+                                      FairshareTrace* trace = nullptr);
 
  private:
-  /// One filling loop to convergence; all three share the dense-slot state
-  /// set up by solve() and must perform identical FP operation sequences.
-  void run_scalar(const std::vector<Bandwidth>& caps, FairshareTrace* trace,
-                  std::size_t n, std::size_t frozen_total);
-  void run_vectorized(const std::vector<Bandwidth>& caps, FairshareTrace* trace,
-                      std::size_t n, std::size_t frozen_total);
-  WarmOutcome run_warm(const std::vector<Bandwidth>& caps, FairshareTrace* trace,
-                       const WarmSeed& seed, std::size_t n, std::size_t frozen_total);
-  /// (Re)build unfrozen_ / cap_buf_ / live_slots_ and pre-freeze empty-route
-  /// flows; returns the pre-frozen count. Used by setup and warm fallback.
-  std::size_t init_active(const std::vector<Bandwidth>& caps, std::size_t n);
   // LinkId -> dense slot, valid only when slot_epoch_[link] == epoch_.
   std::vector<std::uint32_t> slot_of_link_;
   std::vector<std::uint64_t> slot_epoch_;
@@ -168,46 +92,6 @@ class FairshareSolver {
   std::vector<std::uint32_t> flow_offset_;
   std::vector<std::uint32_t> unfrozen_;  // unfrozen flow ids, ascending
   std::vector<Bandwidth> rate_;
-  std::uint64_t solves_ = 0;
-
-  // Vectorized-path scratch: per-live-slot fair shares (contiguous, so the
-  // min-reduction vectorizes), per-unfrozen-flow caps (compacted alongside
-  // unfrozen_), and the per-slot tightness byte mask the freeze scan reads
-  // instead of re-dividing remaining/count per route hop.
-  std::vector<double> share_buf_;
-  std::vector<Bandwidth> cap_buf_;
-  std::vector<std::uint8_t> tight_;
-
-  // Warm-start scratch: pristine copies for the cold fallback, the
-  // slot -> crossing-flow CSR the end-of-round verification walks, per-flow
-  // frozen bytes, the candidate list of one round, and the ever-tight slot
-  // set with the flow position each slot tightened at.
-  std::vector<Bandwidth> remaining0_;
-  std::vector<int> count0_;
-  std::vector<std::uint32_t> slot_flow_off_, slot_flows_, csr_cursor_;
-  std::vector<std::uint8_t> frozen_;
-  std::vector<std::uint32_t> cand_;
-  std::vector<std::uint32_t> tight_seen_, seen_stamp_, tight_from_;
-  // Predicted candidates bucketed by seed round (CSR, built once per warm
-  // attempt), the always-retested no-prediction list, and per-round suffix
-  // minima over the bucketed caps (bucket_cap_min_[r] = min cap over flows
-  // predicted in rounds >= r). On a clean run the unfrozen set at round r is
-  // exactly buckets r.. plus the surviving no-prediction flows, so cap_min
-  // is a constant-time lookup plus a scan of the short no-prediction list --
-  // no per-round pass over the unfrozen flows at all. min over doubles is
-  // order-independent in value, so the round's threshold is bit-identical.
-  std::vector<std::uint32_t> bucket_off_, bucket_flows_, nopred_;
-  std::vector<double> bucket_cap_min_;
-
-  // Freeze plan of the last solve (warm-start seeding source).
-  std::vector<std::uint32_t> plan_round_;
-  std::uint32_t plan_rounds_ = 0;
-  WarmOutcome warm_outcome_ = WarmOutcome::kNone;
-#ifdef GPUCOMM_NO_VECTORIZE
-  bool vectorized_ = false;
-#else
-  bool vectorized_ = true;
-#endif
 };
 
 }  // namespace gpucomm

@@ -7,29 +7,9 @@
 #include <limits>
 #include <utility>
 
-#include "gpucomm/net/arena.hpp"
 #include "gpucomm/net/shard_pool.hpp"
 
 namespace gpucomm {
-
-namespace net {
-/// Freeze plan of one solved component, kept for exactly one generation as a
-/// warm-start seed. All arrays live in the writing shard's bump arena
-/// (trivially destructible, reclaimed wholesale at the arena's safe point).
-/// `ids` lists the member FlowIds ascending; `round_of[j]` is the filling
-/// round ids[j] froze in (FairshareSolver::kNoPrediction if it never froze);
-/// `seg`/`seg_off` hold each flow's exact-key segment (its (link, capacity)
-/// pairs, delimiter, vl, cap words) so the consumer can prove a matched flow
-/// poses the identical subproblem row before trusting the prediction.
-struct WarmRecord {
-  std::uint32_t n = 0;
-  std::uint32_t rounds = 0;
-  const FlowId* ids = nullptr;
-  const std::uint32_t* round_of = nullptr;
-  const std::uint64_t* seg = nullptr;
-  const std::uint32_t* seg_off = nullptr;  // n + 1 offsets into seg
-};
-}  // namespace net
 
 namespace {
 // Residuals below this are treated as complete (guards FP rounding).
@@ -68,52 +48,17 @@ struct Network::ShardCtx {
   std::vector<Bandwidth> caps;
   std::vector<std::uint64_t> key;
 
-  // Structural keying (PR 10): when no congestion pass runs, the component's
-  // rates are a pure function of its shape -- routes over first-occurrence
-  // link indices, capacities, vls, caps -- not of which LinkIds realize it.
-  // skey mirrors key with every LinkId replaced by its first-occurrence local
-  // id; dense_links inverts that (local id -> real link, which is also the
-  // solver's dense-slot order), so a cached entry from an isomorphic
-  // component serves this one after remapping its trace links. The link ->
-  // local-id map is epoch-stamped like the solver's.
-  std::vector<std::uint64_t> skey;
-  std::vector<LinkId> dense_links;
-  std::vector<std::uint32_t> sk_local_of_link;
-  std::vector<std::uint64_t> sk_epoch;
-  std::uint64_t sk_cur = 0;
-
-  // Warm-start scratch and storage: per-flow exact-key segment offsets
-  // (filled during assembly), the seed built from a previous record, the
-  // round-compaction scratch, and the ping-pong arenas the records live in
-  // (arena[gen % 2] is reset when generation gen starts; records written
-  // into it during gen stay readable through gen + 1).
-  std::vector<std::uint32_t> key_flow_off;
-  std::vector<std::uint32_t> seed_round;
-  std::vector<std::uint32_t> round_remap;
-  net::BumpArena warm_arena[2];
-
   struct CacheEntry {
     std::uint64_t hash = 0;
-    // Hash of the exact key, to classify a structural-keyed hit as exact vs
-    // structural (counters only; correctness never depends on it).
-    std::uint64_t exact_hash = 0;
     std::vector<std::uint64_t> key;
     std::vector<Bandwidth> rates;  // post-congestion
     // Telemetry trace of the cached allocation; filled only when the key's
     // trace bit is set (so untraced entries never serve a traced lookup).
-    // Under structural keying the links are stored as local ids and remapped
-    // through the lookup's dense_links on a hit.
     std::vector<LinkId> bottleneck;
     std::vector<std::pair<LinkId, int>> saturated;
-    // Freeze plan of the cached allocation (positional, like rates), so a
-    // cache hit can still publish a warm-start record for the next
-    // generation.
-    std::vector<std::uint32_t> plan_round;
-    std::uint32_t plan_rounds = 0;
 
     std::size_t words() const {
-      return key.size() + 2 * rates.size() + bottleneck.size() + 2 * saturated.size() +
-             plan_round.size() + 8;
+      return key.size() + 2 * rates.size() + bottleneck.size() + 2 * saturated.size() + 8;
     }
   };
   std::vector<CacheEntry> cache;  // FIFO ring, capacity kCacheEntries
@@ -178,18 +123,9 @@ void Network::set_telemetry(telemetry::Sink* sink) {
 void Network::set_shards(int shards) {
   shards_ = std::clamp(shards, 1, 64);
   while (shard_ctx_.size() < static_cast<std::size_t>(shards_)) {
-    auto ctx = std::make_unique<ShardCtx>();
-    ctx->solver.set_vectorized(solver_vectorized_);
-    shard_ctx_.push_back(std::move(ctx));
+    shard_ctx_.push_back(std::make_unique<ShardCtx>());
   }
   if (pool_ != nullptr && pool_->workers() < shards_ - 1) pool_.reset();
-}
-
-void Network::set_solver_vectorized(bool on) {
-  solver_vectorized_ = on;
-  for (const auto& ctx : shard_ctx_) {
-    if (ctx != nullptr) ctx->solver.set_vectorized(on);
-  }
 }
 
 const net::SolverStats& Network::solver_stats() const {
@@ -272,10 +208,6 @@ std::uint32_t Network::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    // A recycled slot must not resurrect the dead flow's freeze-plan record:
-    // the new flow has no prediction until its component solves again.
-    warm_rec_[slot] = nullptr;
-    warm_gen_of_[slot] = 0;
     return slot;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(id_.size());
@@ -292,8 +224,6 @@ std::uint32_t Network::acquire_slot() {
   on_delivered_.emplace_back();
   on_interrupted_.emplace_back();
   slot_mark_.push_back(0);
-  warm_rec_.push_back(nullptr);
-  warm_gen_of_.push_back(0);
   return slot;
 }
 
@@ -625,13 +555,6 @@ void Network::reallocate_and_schedule() {
 void Network::solve_components() {
   const std::size_t ncomp = comp_offset_.size() - 1;
   if (ncomp == 0) return;
-  // New solving generation: records written now seed generation warm_gen_+1.
-  // Resetting arena[warm_gen_ % 2] reclaims generation warm_gen_-2's records
-  // (their seeding window closed last generation) -- the arenas' safe point.
-  ++warm_gen_;
-  for (const auto& ctx : shard_ctx_) {
-    if (ctx != nullptr) ctx->warm_arena[warm_gen_ % 2].reset();
-  }
   if (shards_ <= 1 || ncomp <= 1) {
     for (std::size_t i = 0; i < ncomp; ++i) {
       solve_component(*shard_ctx_[0], 0, comp_offset_[i], comp_offset_[i + 1]);
@@ -659,14 +582,6 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   const std::uint32_t* slots = comp_slots_.data() + begin;
   const std::uint32_t n = end - begin;
   const bool tracing = telemetry_ != nullptr;
-  // Structural keying is sound only when the rates are a pure function of
-  // the component's shape; the congestion pass reads device identity off the
-  // real links, so it forces exact keying. The two key kinds can never match
-  // each other: the rate_factor header word pins the kind.
-  const bool structural = congestion_.rate_factor >= 1.0;
-  // Warm-start records are consumed and produced only by the incremental
-  // cost model; kFullResolve stays the pure reference.
-  const bool warm = warm_start_ && mode_ == SolverMode::kIncremental;
 
   ++ctx.stats.component_solves;
   if (ctx.stats.shard_solves.size() <= static_cast<std::size_t>(shard)) {
@@ -679,29 +594,16 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   // Assemble the subproblem; the key records the exact solver input (routes,
   // vl, caps, per-occurrence effective capacities, congestion config,
   // whether a trace is being filled) in the same unambiguous word encoding
-  // the pre-PR-7 solver used for its whole-problem epoch cache. skey mirrors
-  // it with links renamed to first-occurrence local ids (the solver's dense
-  // slot order), which is what makes isomorphic components compare equal.
+  // the pre-PR-7 solver used for its whole-problem epoch cache.
   ctx.routes.clear();
   ctx.caps.clear();
   ctx.key.clear();
-  ctx.key_flow_off.clear();
   ctx.key.push_back(n);
   ctx.key.push_back(tracing ? 1 : 0);
   ctx.key.push_back(static_cast<std::uint64_t>(congestion_.flow_threshold));
   ctx.key.push_back(std::bit_cast<std::uint64_t>(congestion_.rate_factor));
-  if (structural) {
-    if (ctx.sk_local_of_link.size() < graph_.link_count()) {
-      ctx.sk_local_of_link.resize(graph_.link_count(), 0);
-      ctx.sk_epoch.resize(graph_.link_count(), 0);
-    }
-    ++ctx.sk_cur;
-    ctx.dense_links.clear();
-    ctx.skey.assign(ctx.key.begin(), ctx.key.end());
-  }
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t slot = slots[i];
-    ctx.key_flow_off.push_back(static_cast<std::uint32_t>(ctx.key.size()));
     // When flows on different VLs share a link each sees the full
     // (noise-adjusted) capacity in the problem, and the max-min allocator
     // shares it across all of them -- a work-conserving approximation of
@@ -711,178 +613,40 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
       capacity_[l] = cap;
       ctx.key.push_back(l);
       ctx.key.push_back(std::bit_cast<std::uint64_t>(cap));
-      if (structural) {
-        if (ctx.sk_epoch[l] != ctx.sk_cur) {
-          ctx.sk_epoch[l] = ctx.sk_cur;
-          ctx.sk_local_of_link[l] = static_cast<std::uint32_t>(ctx.dense_links.size());
-          ctx.dense_links.push_back(l);
-        }
-        ctx.skey.push_back(ctx.sk_local_of_link[l]);
-        ctx.skey.push_back(std::bit_cast<std::uint64_t>(cap));
-      }
     }
     const Bandwidth flow_cap =
         rate_cap_[slot] > 0 ? rate_cap_[slot] : std::numeric_limits<double>::infinity();
     ctx.key.push_back(kKeyDelimiter);
     ctx.key.push_back(static_cast<std::uint64_t>(vl_[slot]));
     ctx.key.push_back(std::bit_cast<std::uint64_t>(flow_cap));
-    if (structural) {
-      ctx.skey.push_back(kKeyDelimiter);
-      ctx.skey.push_back(static_cast<std::uint64_t>(vl_[slot]));
-      ctx.skey.push_back(std::bit_cast<std::uint64_t>(flow_cap));
-    }
     ctx.routes.push_back(&route_[slot]);
     ctx.caps.push_back(flow_cap);
   }
-  ctx.key_flow_off.push_back(static_cast<std::uint32_t>(ctx.key.size()));
-
-  const std::vector<std::uint64_t>& lookup = structural ? ctx.skey : ctx.key;
-  const std::uint64_t h = hash_key(lookup);
-  const std::uint64_t h_exact = structural ? hash_key(ctx.key) : h;
-
-  // Publish this component's freeze plan as next generation's seed. The
-  // record and its arrays live in this shard's current-generation arena;
-  // component slots are disjoint across shards, so the per-slot stores never
-  // race.
-  const auto publish_record = [&](const std::uint32_t* plan, std::uint32_t rounds) {
-    net::BumpArena& arena = ctx.warm_arena[warm_gen_ % 2];
-    net::WarmRecord* rec = arena.alloc_array<net::WarmRecord>(1);
-    FlowId* ids = arena.alloc_array<FlowId>(n);
-    std::uint32_t* round_of = arena.alloc_array<std::uint32_t>(n);
-    std::uint32_t* seg_off = arena.alloc_array<std::uint32_t>(n + 1);
-    const std::uint32_t base = ctx.key_flow_off[0];
-    const std::uint32_t segw = ctx.key_flow_off[n] - base;
-    std::uint64_t* seg = arena.alloc_array<std::uint64_t>(segw);
-    std::copy(ctx.key.begin() + base, ctx.key.end(), seg);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ids[i] = id_[slots[i]];
-      round_of[i] = plan[i];
-      seg_off[i] = ctx.key_flow_off[i] - base;
-    }
-    seg_off[n] = segw;
-    *rec = net::WarmRecord{n, rounds, ids, round_of, seg, seg_off};
-    for (std::uint32_t i = 0; i < n; ++i) {
-      warm_rec_[slots[i]] = rec;
-      warm_gen_of_[slots[i]] = warm_gen_;
-    }
-  };
+  const std::uint64_t h = hash_key(ctx.key);
 
   for (const ShardCtx::CacheEntry& e : ctx.cache) {
-    if (e.hash != h || e.key != lookup) continue;
-    // Matching subproblem: reapply the cached post-congestion rates (and
-    // trace state, remapped to this component's links under structural
-    // keying). Exact comparison of the lookup key, so a stale hit is
-    // impossible; hits whose exact key also matches are classified apart
-    // from true structural (renamed-id) hits.
-    if (!structural || e.exact_hash == h_exact) {
-      ++ctx.stats.cache_hits;
-    } else {
-      ++ctx.stats.cache_structural_hits;
-    }
+    if (e.hash != h || e.key != ctx.key) continue;
+    // Identical subproblem: reapply the cached post-congestion rates (and
+    // trace state). Exact comparison of the whole key, so a stale hit is
+    // impossible.
+    ++ctx.stats.cache_hits;
     for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = e.rates[i];
     if (tracing) {
       for (std::uint32_t i = 0; i < n; ++i) {
-        const LinkId b = e.bottleneck[i];
-        bottleneck_[slots[i]] = structural && b != kInvalidLink ? ctx.dense_links[b] : b;
+        bottleneck_[slots[i]] = e.bottleneck[i];
         for (const LinkId l : route_[slots[i]]) link_sat_[l] = 0;
       }
       for (const auto& [l, flows] : e.saturated) {
-        const LinkId real = structural ? ctx.dense_links[l] : l;
-        link_sat_[real] = 1;
-        link_sat_count_[real] = flows;
+        link_sat_[l] = 1;
+        link_sat_count_[l] = flows;
       }
     }
-    if (warm) publish_record(e.plan_round.data(), e.plan_rounds);
     return;
   }
   ++ctx.stats.cache_misses;
 
-  // Warm seed from the previous generation's record, usable when the flow
-  // set moved by at most one flow and every matched flow poses the word-
-  // identical subproblem row (same links, capacities, vl, cap).
-  FairshareSolver::WarmSeed seed;
-  bool use_seed = false;
-  if (warm) {
-    const net::WarmRecord* rec = nullptr;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (warm_gen_of_[slots[i]] + 1 == warm_gen_ && warm_rec_[slots[i]] != nullptr) {
-        rec = warm_rec_[slots[i]];
-        break;
-      }
-    }
-    bool ok = rec != nullptr;
-    if (ok) {
-      ctx.seed_round.assign(n, FairshareSolver::kNoPrediction);
-      std::uint32_t changes = 0;
-      std::uint32_t oi = 0;
-      for (std::uint32_t i = 0; i < n && ok; ++i) {
-        const FlowId fid = id_[slots[i]];
-        while (oi < rec->n && rec->ids[oi] < fid) {  // a flow left the set
-          ++changes;
-          ++oi;
-        }
-        if (oi < rec->n && rec->ids[oi] == fid) {
-          const std::uint32_t a0 = ctx.key_flow_off[i];
-          const std::uint32_t alen = ctx.key_flow_off[i + 1] - a0;
-          const std::uint32_t b0 = rec->seg_off[oi];
-          if (alen != rec->seg_off[oi + 1] - b0 ||
-              !std::equal(ctx.key.begin() + a0, ctx.key.begin() + a0 + alen,
-                          rec->seg + b0)) {
-            ok = false;  // same flow, different row (a capacity moved)
-            break;
-          }
-          ctx.seed_round[i] = rec->round_of[oi];
-          ++oi;
-        } else {
-          ++changes;  // a flow joined the set: it gets no prediction
-        }
-        if (changes > 1) ok = false;
-      }
-      if (ok) {
-        changes += rec->n - oi;  // flows that left after the last match
-        if (changes > 1) ok = false;
-      }
-    }
-    if (ok) {
-      // Removing a flow can empty a predicted round; compact the surviving
-      // round numbers so the solver's counter still walks 0..k-1.
-      ctx.round_remap.assign(rec->rounds, 0);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (ctx.seed_round[i] != FairshareSolver::kNoPrediction) {
-          ctx.round_remap[ctx.seed_round[i]] = 1;
-        }
-      }
-      std::uint32_t used = 0;
-      for (std::uint32_t r = 0; r < rec->rounds; ++r) {
-        const std::uint32_t mark = ctx.round_remap[r];
-        ctx.round_remap[r] = used;
-        used += mark;
-      }
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (ctx.seed_round[i] != FairshareSolver::kNoPrediction) {
-          ctx.seed_round[i] = ctx.round_remap[ctx.seed_round[i]];
-        }
-      }
-      seed.round_of_flow = ctx.seed_round.data();
-      seed.rounds = used;
-      use_seed = true;
-    } else {
-      ++ctx.stats.warm_misses;
-    }
-  }
-
   const std::vector<Bandwidth>& rates =
-      ctx.solver.solve(capacity_, ctx.routes, ctx.caps, tracing ? &ctx.trace : nullptr,
-                       use_seed ? &seed : nullptr);
-  if (use_seed) {
-    switch (ctx.solver.warm_outcome()) {
-      case FairshareSolver::WarmOutcome::kHit: ++ctx.stats.warm_hits; break;
-      case FairshareSolver::WarmOutcome::kOrderChanged: ++ctx.stats.warm_fallback_order; break;
-      case FairshareSolver::WarmOutcome::kMissedFreeze: ++ctx.stats.warm_fallback_tight; break;
-      case FairshareSolver::WarmOutcome::kNoProgress: ++ctx.stats.warm_fallback_progress; break;
-      case FairshareSolver::WarmOutcome::kNone: break;
-    }
-  }
+      ctx.solver.solve(capacity_, ctx.routes, ctx.caps, tracing ? &ctx.trace : nullptr);
   for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = rates[i];
   if (congestion_.rate_factor < 1.0) apply_congestion_component(ctx, slots, n);
   if (tracing) {
@@ -895,35 +659,16 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
       link_sat_count_[l] = flows;
     }
   }
-  if (warm) {
-    publish_record(ctx.solver.freeze_rounds().data(), ctx.solver.freeze_round_count());
-  }
 
   ShardCtx::CacheEntry fresh;
   fresh.hash = h;
-  fresh.exact_hash = h_exact;
-  fresh.key = lookup;
+  fresh.key = ctx.key;
   fresh.rates.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) fresh.rates[i] = rate_[slots[i]];
   if (tracing) {
-    fresh.bottleneck.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const LinkId b = ctx.trace.bottleneck[i];
-      fresh.bottleneck[i] =
-          structural && b != kInvalidLink ? ctx.sk_local_of_link[b] : b;
-    }
-    if (structural) {
-      fresh.saturated.reserve(ctx.trace.saturated.size());
-      for (const auto& [l, flows] : ctx.trace.saturated) {
-        fresh.saturated.emplace_back(ctx.sk_local_of_link[l], flows);
-      }
-    } else {
-      fresh.saturated = ctx.trace.saturated;
-    }
+    fresh.bottleneck = ctx.trace.bottleneck;
+    fresh.saturated = ctx.trace.saturated;
   }
-  fresh.plan_round.assign(ctx.solver.freeze_rounds().begin(),
-                          ctx.solver.freeze_rounds().begin() + n);
-  fresh.plan_rounds = ctx.solver.freeze_round_count();
   const std::size_t w = fresh.words();
   if (w > kCacheMaxEntryWords) return;
   if (ctx.cache.size() < kCacheEntries) {

@@ -43,7 +43,6 @@ namespace gpucomm {
 
 namespace net {
 class ShardPool;
-struct WarmRecord;  // arena-backed freeze-plan record (network.cpp)
 }  // namespace net
 
 using FlowId = std::uint64_t;
@@ -154,20 +153,6 @@ class Network {
   /// order; rates are byte-identical at any shard count.
   void set_shards(int shards);
   int shards() const { return shards_; }
-
-  /// Select the fairshare filling implementation for every shard's solver
-  /// (default: vectorized unless built with GPUCOMM_NO_VECTORIZE). Both paths
-  /// produce bit-identical rates; the differential tests flip this at runtime
-  /// to hold them together in one binary.
-  void set_solver_vectorized(bool on);
-  bool solver_vectorized() const { return solver_vectorized_; }
-
-  /// Enable/disable warm-start seeding of component solves from the previous
-  /// generation's freeze plans (consumed in kIncremental mode only; default
-  /// on). Rates are bit-identical either way: a verified seed reproduces the
-  /// cold trajectory exactly and an unverified one falls back to it.
-  void set_warm_start(bool on) { warm_start_ = on; }
-  bool warm_start() const { return warm_start_; }
 
   /// Live solver counters for this network (see solver_stats.hpp). The
   /// returned reference is invalidated by the next call.
@@ -355,23 +340,6 @@ class Network {
   std::vector<int> link_sat_count_;
   std::vector<std::uint64_t> link_vis_;  // emission first-visit dedupe
   std::uint64_t vis_epoch_ = 0;
-
-  // --- warm-start records (PR 10) ---
-  // Per-slot pointer to the freeze-plan record written when the slot's
-  // component was last solved, and the solving generation that wrote it. A
-  // record may seed exactly the next generation (warm_gen_of_ + 1 ==
-  // warm_gen_); its backing memory lives in the writing shard's ping-pong
-  // bump arenas, reclaimed when the window closes. Stale pointers are never
-  // dereferenced: the generation check runs first.
-  std::vector<const net::WarmRecord*> warm_rec_;
-  std::vector<std::uint64_t> warm_gen_of_;
-  std::uint64_t warm_gen_ = 0;
-  bool warm_start_ = true;
-#ifdef GPUCOMM_NO_VECTORIZE
-  bool solver_vectorized_ = false;
-#else
-  bool solver_vectorized_ = true;
-#endif
 
   SwitchCongestion congestion_;
   FlowId next_id_ = 1;

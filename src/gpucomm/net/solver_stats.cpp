@@ -11,12 +11,6 @@ void SolverStats::merge(const SolverStats& other) {
   component_solves += other.component_solves;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
-  cache_structural_hits += other.cache_structural_hits;
-  warm_hits += other.warm_hits;
-  warm_misses += other.warm_misses;
-  warm_fallback_order += other.warm_fallback_order;
-  warm_fallback_tight += other.warm_fallback_tight;
-  warm_fallback_progress += other.warm_fallback_progress;
   fallback_first += other.fallback_first;
   fallback_link_state += other.fallback_link_state;
   fallback_noise += other.fallback_noise;

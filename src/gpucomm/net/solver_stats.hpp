@@ -47,24 +47,16 @@ struct SolverStats {
   /// differ); the resulting rates never do.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Cache hits served by structural keying (PR 10): the component matched a
-  /// cached entry in shape and capacities but not in the exact flow segments
-  /// (different link/flow ids), so the cached rates were remapped instead of
-  /// re-solved. Disjoint from cache_hits; like it, shard-count dependent.
+  /// Counters of the removed structural cache keying and warm-start solving.
+  /// Nothing writes them and merge() skips them, so they always read 0. They
+  /// stay declared only because perfbench/main.cpp reads them, and the
+  /// benchmark may only change in a change of its own.
   std::uint64_t cache_structural_hits = 0;
-  // Warm-start seeding of component solves (kIncremental only; counts cover
-  // solver-invoked solves, i.e. cache misses). Each solve increments exactly
-  // one of: warm_hits (seed verified through every filling round), one
-  // warm_fallback_* (seed abandoned mid-verification, cold re-solve), or
-  // warm_misses (no usable seed: no prior record, or the flow set changed by
-  // more than +-1 flow, or capacities moved under a matched flow).
   std::uint64_t warm_hits = 0;
   std::uint64_t warm_misses = 0;
-  std::uint64_t warm_fallback_order = 0;     // a predicted freeze failed re-check
-  std::uint64_t warm_fallback_tight = 0;     // missed freeze: an unpredicted flow
-                                             // crossed a filled link, or an unfrozen
-                                             // private cap bound below the round level
-  std::uint64_t warm_fallback_progress = 0;  // a predicted round froze nothing
+  std::uint64_t warm_fallback_order = 0;
+  std::uint64_t warm_fallback_tight = 0;
+  std::uint64_t warm_fallback_progress = 0;
   // Why full solves happened (each full solve increments exactly one):
   std::uint64_t fallback_first = 0;       // no prior allocation state
   std::uint64_t fallback_link_state = 0;  // fault flip / degradation (routing)

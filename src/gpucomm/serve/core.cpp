@@ -189,15 +189,6 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.kv("component_solves", solver.component_solves);
   w.kv("cache_hits", solver.cache_hits);
   w.kv("cache_misses", solver.cache_misses);
-  w.kv("cache_structural_hits", solver.cache_structural_hits);
-  w.kv("warm_hits", solver.warm_hits);
-  w.kv("warm_misses", solver.warm_misses);
-  w.key("warm_fallbacks");
-  w.begin_object();
-  w.kv("order", solver.warm_fallback_order);
-  w.kv("tight", solver.warm_fallback_tight);
-  w.kv("progress", solver.warm_fallback_progress);
-  w.end_object();
   w.key("fallbacks");
   w.begin_object();
   w.kv("first", solver.fallback_first);
@@ -307,17 +298,7 @@ std::string ServerCore::prometheus_text() const {
      << "gpucomm_solver_full_solves_total " << solver.full_solves << "\n"
      << "gpucomm_solver_reallocations_total " << solver.reallocations << "\n"
      << "gpucomm_solver_cache_hits_total " << solver.cache_hits << "\n"
-     << "gpucomm_solver_cache_misses_total " << solver.cache_misses << "\n"
-     << "gpucomm_solver_cache_structural_hits_total " << solver.cache_structural_hits
-     << "\n"
-     << "gpucomm_solver_warm_hits_total " << solver.warm_hits << "\n"
-     << "gpucomm_solver_warm_misses_total " << solver.warm_misses << "\n"
-     << "gpucomm_solver_warm_fallbacks_total{cause=\"order\"} "
-     << solver.warm_fallback_order << "\n"
-     << "gpucomm_solver_warm_fallbacks_total{cause=\"tight\"} "
-     << solver.warm_fallback_tight << "\n"
-     << "gpucomm_solver_warm_fallbacks_total{cause=\"progress\"} "
-     << solver.warm_fallback_progress << "\n";
+     << "gpucomm_solver_cache_misses_total " << solver.cache_misses << "\n";
   if (obs_ != nullptr) {
     os << "# TYPE gpucomm_serve_latency_us summary\n";
     for (int st = 0; st < kStageCount; ++st) {

@@ -27,46 +27,14 @@ std::vector<const Route*> route_ptrs(const FairshareProblem& p) {
 
 /// Exact (==, not near) comparison of rates and traces: the solver contract
 /// is the same floating-point operation sequence, not just the same values.
-/// Both filling implementations (vectorized and scalar) are held against the
-/// reference on every problem.
 void expect_identical(const FairshareProblem& p, FairshareSolver& solver) {
   FairshareTrace want_trace;
   const std::vector<Bandwidth> want = maxmin_fair_rates(p, &want_trace);
-  for (const bool vectorized : {true, false}) {
-    solver.set_vectorized(vectorized);
-    FairshareTrace got_trace;
-    const std::vector<Bandwidth> got =
-        solver.solve(p.capacity, route_ptrs(p), p.caps, &got_trace);
-    EXPECT_EQ(got, want) << "vectorized=" << vectorized;
-    EXPECT_EQ(got_trace.bottleneck, want_trace.bottleneck) << "vectorized=" << vectorized;
-    EXPECT_EQ(got_trace.saturated, want_trace.saturated) << "vectorized=" << vectorized;
-  }
-}
-
-/// Generator shared by the warm-start tests: the randomized problem family of
-/// MatchesReferenceOnRandomizedProblems.
-FairshareProblem random_problem(std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> cap_dist(1e9, 400e9);
-  std::uniform_int_distribution<int> pct(0, 99);
-  const std::size_t links = 1 + rng() % 64;
-  const std::size_t flows = rng() % 96;
-  FairshareProblem p;
-  p.capacity.resize(links);
-  for (Bandwidth& c : p.capacity) c = pct(rng) < 5 ? 0.0 : cap_dist(rng);
-  p.flows.resize(flows);
-  p.caps.assign(flows, kInf);
-  std::uniform_int_distribution<std::size_t> link_dist(0, links - 1);
-  for (std::size_t i = 0; i < flows; ++i) {
-    if (pct(rng) < 5) continue;  // empty route
-    const int len = 1 + static_cast<int>(rng() % 6);
-    for (int k = 0; k < len; ++k) {
-      const LinkId l = static_cast<LinkId>(link_dist(rng));
-      auto& route = p.flows[i];
-      if (std::find(route.begin(), route.end(), l) == route.end()) route.push_back(l);
-    }
-    if (pct(rng) < 25) p.caps[i] = cap_dist(rng) / 8;
-  }
-  return p;
+  FairshareTrace got_trace;
+  const std::vector<Bandwidth> got = solver.solve(p.capacity, route_ptrs(p), p.caps, &got_trace);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_trace.bottleneck, want_trace.bottleneck);
+  EXPECT_EQ(got_trace.saturated, want_trace.saturated);
 }
 
 TEST(FairshareFastpath, MatchesReferenceOnRandomizedProblems) {
@@ -128,119 +96,6 @@ TEST(FairshareFastpath, EdgeCasesMatchReference) {
   p.flows = {{0, 1}, {0}, {1}};
   p.caps.clear();
   expect_identical(p, solver);
-}
-
-// --- Warm-start seeding -----------------------------------------------------
-
-/// Solve `p` cold, derive a +-1-flow neighbor, and solve the neighbor both
-/// cold and seeded with the first solve's freeze plan. The seeded result must
-/// equal the cold one bit for bit whether the seed verifies or falls back.
-/// Returns true when the seed verified (a warm hit).
-bool warm_roundtrip_identical(const FairshareProblem& p, std::mt19937_64& rng,
-                              FairshareSolver& solver) {
-  solver.solve(p.capacity, route_ptrs(p), p.caps, nullptr);
-  std::vector<std::uint32_t> plan(solver.freeze_rounds().begin(),
-                                  solver.freeze_rounds().begin() +
-                                      static_cast<std::ptrdiff_t>(p.flows.size()));
-  const std::uint32_t rounds = solver.freeze_round_count();
-
-  // Neighbor problem: remove one flow (and its plan entry) or append one.
-  FairshareProblem q = p;
-  std::vector<std::uint32_t> seed_round = plan;
-  if (!q.flows.empty() && rng() % 2 == 0) {
-    const std::size_t victim = rng() % q.flows.size();
-    q.flows.erase(q.flows.begin() + static_cast<std::ptrdiff_t>(victim));
-    q.caps.erase(q.caps.begin() + static_cast<std::ptrdiff_t>(victim));
-    seed_round.erase(seed_round.begin() + static_cast<std::ptrdiff_t>(victim));
-  } else {
-    Route extra;
-    const std::size_t links = q.capacity.size();
-    const int len = 1 + static_cast<int>(rng() % 4);
-    for (int k = 0; k < len; ++k) {
-      const LinkId l = static_cast<LinkId>(rng() % links);
-      if (std::find(extra.begin(), extra.end(), l) == extra.end()) extra.push_back(l);
-    }
-    q.flows.push_back(std::move(extra));
-    q.caps.push_back(kInf);
-    seed_round.push_back(FairshareSolver::kNoPrediction);
-  }
-
-  FairshareTrace cold_trace, warm_trace;
-  // Declared as a value, not a reference: the seeded solve reuses the
-  // solver's internal rate buffer.
-  const std::vector<Bandwidth> cold =
-      solver.solve(q.capacity, route_ptrs(q), q.caps, &cold_trace);
-  const FairshareSolver::WarmSeed seed{seed_round.data(), rounds};
-  const std::vector<Bandwidth>& warm =
-      solver.solve(q.capacity, route_ptrs(q), q.caps, &warm_trace, &seed);
-  EXPECT_EQ(warm, cold);
-  EXPECT_EQ(warm_trace.bottleneck, cold_trace.bottleneck);
-  EXPECT_EQ(warm_trace.saturated, cold_trace.saturated);
-  return solver.warm_outcome() == FairshareSolver::WarmOutcome::kHit;
-}
-
-TEST(FairshareWarmStart, PlusMinusOneFlowSeedsAreBitIdentical) {
-  std::mt19937_64 rng(0x77a7);
-  FairshareSolver solver;
-  int hits = 0;
-  for (int trial = 0; trial < 150; ++trial) {
-    const FairshareProblem p = random_problem(rng);
-    if (p.flows.empty()) continue;
-    if (warm_roundtrip_identical(p, rng, solver)) ++hits;
-  }
-  // The seed is advisory, but it must actually pay off a solid fraction of
-  // the time -- otherwise the warm path is dead weight. This random family
-  // is adversarial (dense random sharing, random caps, and no round
-  // compaction after deletions, which the network-level consumer does), so
-  // the floor here is deliberately below the real-churn hit rate.
-  EXPECT_GT(hits, 40);
-}
-
-TEST(FairshareWarmStart, AdversarialSeedsFallBackBitIdentically) {
-  // Seeds bearing no relation to the problem (random rounds, all-zero, all
-  // predicted in round 0) must never change the result -- only the outcome.
-  std::mt19937_64 rng(0xbad5eed);
-  FairshareSolver solver;
-  for (int trial = 0; trial < 60; ++trial) {
-    const FairshareProblem p = random_problem(rng);
-    const std::size_t n = p.flows.size();
-    FairshareTrace cold_trace;
-    const std::vector<Bandwidth> cold_copy = [&] {
-      return solver.solve(p.capacity, route_ptrs(p), p.caps, &cold_trace);
-    }();
-    std::vector<std::uint32_t> junk(n);
-    const std::uint32_t rounds = 1 + static_cast<std::uint32_t>(rng() % 4);
-    for (auto& r : junk) {
-      r = rng() % 3 == 0 ? FairshareSolver::kNoPrediction
-                         : static_cast<std::uint32_t>(rng() % rounds);
-    }
-    FairshareTrace warm_trace;
-    const FairshareSolver::WarmSeed seed{junk.data(), rounds};
-    const std::vector<Bandwidth>& warm =
-        solver.solve(p.capacity, route_ptrs(p), p.caps, &warm_trace, &seed);
-    EXPECT_EQ(warm, cold_copy);
-    EXPECT_EQ(warm_trace.bottleneck, cold_trace.bottleneck);
-    EXPECT_EQ(warm_trace.saturated, cold_trace.saturated);
-  }
-}
-
-TEST(FairshareWarmStart, IdenticalReplaySeedVerifies) {
-  // Re-solving the exact same problem with its own freeze plan must verify
-  // every round (no fallback) and reproduce the rates bit for bit.
-  FairshareSolver solver;
-  FairshareProblem p;
-  p.capacity = {gbps(100), gbps(300), gbps(50)};
-  p.flows = {{0, 1}, {0}, {1, 2}, {2}};
-  const std::vector<Bandwidth> first =
-      solver.solve(p.capacity, route_ptrs(p), p.caps, nullptr);
-  const std::vector<Bandwidth> want = first;
-  std::vector<std::uint32_t> plan(solver.freeze_rounds().begin(),
-                                  solver.freeze_rounds().begin() + 4);
-  const FairshareSolver::WarmSeed seed{plan.data(), solver.freeze_round_count()};
-  const std::vector<Bandwidth>& again =
-      solver.solve(p.capacity, route_ptrs(p), p.caps, nullptr, &seed);
-  EXPECT_EQ(again, want);
-  EXPECT_EQ(solver.warm_outcome(), FairshareSolver::WarmOutcome::kHit);
 }
 
 // --- Network-level fast paths ----------------------------------------------
@@ -316,78 +171,6 @@ TEST(FairshareFastpath, UnrelatedLinkFlapIsBitInvisible) {
     f.engine.run();
   }
   EXPECT_EQ(flapped.ps, baseline.ps);
-}
-
-TEST(FairshareFastpath, StructuralCacheServesIsomorphicComponents) {
-  // Two disjoint GPU pairs with identically-shaped traffic: the second
-  // component is isomorphic to the first (same shape and capacities,
-  // different LinkIds), so its solve must be served by a structural cache
-  // hit with the correct rates.
-  Graph g;
-  const DeviceId a = g.add_device({DeviceKind::kGpu, 0, 0, "a"});
-  const DeviceId b = g.add_device({DeviceKind::kGpu, 0, 1, "b"});
-  const DeviceId c = g.add_device({DeviceKind::kGpu, 1, 0, "c"});
-  const DeviceId d = g.add_device({DeviceKind::kGpu, 1, 1, "d"});
-  const LinkId ab = g.add_duplex_link(a, b, gbps(100), microseconds(1), LinkType::kNvLink);
-  const LinkId cd = g.add_duplex_link(c, d, gbps(100), microseconds(1), LinkType::kNvLink);
-  Engine engine;
-  Network net(engine, g);
-  FlowId f1 = 0, f2 = 0, g1 = 0, g2 = 0;
-  // First event: two flows sharing ab. Second event (later, so it is its own
-  // reallocation): the isomorphic pair on cd.
-  f1 = net.start_flow({{ab}, 64_MiB, 0, 0}, nullptr);
-  f2 = net.start_flow({{ab}, 64_MiB, 0, 0}, nullptr);
-  engine.after(microseconds(10), [&] {
-    g1 = net.start_flow({{cd}, 64_MiB, 0, 0}, nullptr);
-    g2 = net.start_flow({{cd}, 64_MiB, 0, 0}, nullptr);
-  });
-  engine.after(microseconds(20), [&] {
-    EXPECT_DOUBLE_EQ(net.flow_rate(f1), gbps(50));
-    EXPECT_DOUBLE_EQ(net.flow_rate(f2), gbps(50));
-    EXPECT_DOUBLE_EQ(net.flow_rate(g1), gbps(50));
-    EXPECT_DOUBLE_EQ(net.flow_rate(g2), gbps(50));
-    EXPECT_GE(net.solver_stats().cache_structural_hits, 1u);
-  });
-  engine.run_for(microseconds(25));
-}
-
-TEST(FairshareFastpath, WarmStartSeedsConsecutiveChurnEvents) {
-  // +1-flow churn on one link: each event's component is last event's plus
-  // one flow, exactly the warm-start window. The seeds must verify (warm
-  // hits), and disabling warm-start must not change any rate.
-  const auto run = [](bool warm, net::SolverStats* stats) {
-    Graph g;
-    const DeviceId a = g.add_device({DeviceKind::kGpu, 0, 0, "a"});
-    const DeviceId b = g.add_device({DeviceKind::kGpu, 0, 1, "b"});
-    const LinkId ab = g.add_duplex_link(a, b, gbps(100), microseconds(1), LinkType::kNvLink);
-    Engine engine;
-    Network net(engine, g);
-    net.set_warm_start(warm);
-    std::vector<std::uint64_t> rate_bits;
-    for (int i = 0; i < 6; ++i) {
-      engine.at(microseconds(10.0 * i), [&net, ab] {
-        net.start_flow({{ab}, 256_MiB, 0, 0}, nullptr);
-      });
-    }
-    engine.at(microseconds(70), [&] {
-      for (FlowId id = 1; id <= 6; ++id) {
-        rate_bits.push_back(std::bit_cast<std::uint64_t>(net.flow_rate(id)));
-      }
-      if (stats != nullptr) *stats = net.solver_stats();
-    });
-    engine.run_for(microseconds(80));
-    return rate_bits;
-  };
-  net::SolverStats stats;
-  const std::vector<std::uint64_t> with_warm = run(true, &stats);
-  const std::vector<std::uint64_t> without = run(false, nullptr);
-  EXPECT_EQ(with_warm, without);
-  // Events 2..6 add one flow each to the previous component: all five can
-  // seed, and on this single-link problem every seed verifies.
-  EXPECT_GE(stats.warm_hits, 4u);
-  EXPECT_EQ(stats.warm_fallback_order + stats.warm_fallback_tight +
-                stats.warm_fallback_progress,
-            0u);
 }
 
 TEST(FairshareFastpath, UsedLinkDegradationStillReRates) {

@@ -6,6 +6,7 @@
 
 #include "gpucomm/net/network.hpp"
 #include "gpucomm/sim/random.hpp"
+#include "gpucomm/telemetry/sink.hpp"
 
 namespace gpucomm {
 namespace {
@@ -184,6 +185,32 @@ class ChurnNoise final : public NoiseField {
   std::uint64_t version_ = 1;
 };
 
+/// Records the allocation stream a Network reports to its telemetry sink --
+/// flow_rate, flow_throttled and link_saturated, in emission order, doubles
+/// as raw bits. Unaffected components keep the trace state of their last
+/// solve and allocation-cache hits restore a cached one, so this stream is
+/// what catches either path restoring the wrong state.
+class AllocationRecorder final : public telemetry::Sink {
+ public:
+  /// (kind, token or link, field, field, ps): kind 'r' = flow_rate (rate,
+  /// standalone), 't' = flow_throttled (bottleneck link), 's' =
+  /// link_saturated (flow count).
+  using Event = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t, std::int64_t>;
+  std::vector<Event> events;
+
+  void flow_rate(telemetry::FlowToken token, const Route&, Bandwidth rate, Bandwidth standalone,
+                 SimTime now) override {
+    events.emplace_back('r', token, std::bit_cast<std::uint64_t>(rate),
+                        std::bit_cast<std::uint64_t>(standalone), now.ps);
+  }
+  void flow_throttled(telemetry::FlowToken token, LinkId bottleneck, SimTime now) override {
+    events.emplace_back('t', token, bottleneck, 0, now.ps);
+  }
+  void link_saturated(LinkId link, int flows, SimTime now) override {
+    events.emplace_back('s', link, static_cast<std::uint64_t>(flows), 0, now.ps);
+  }
+};
+
 /// Scripted link flaps: at most one directed link down at a time.
 class FlapFaults final : public fault::FaultModel {
  public:
@@ -198,6 +225,7 @@ struct DiffReplay {
     std::vector<std::pair<FlowId, std::int64_t>> delivered;  // (id, ps)
     std::vector<std::tuple<FlowId, Bytes, std::int64_t>> interrupted;
     std::vector<std::uint64_t> rate_bits;  // flow_rate samples, raw doubles
+    std::vector<AllocationRecorder::Event> telemetry;  // only with Options::telemetry
     double bits_delivered = 0;
     bool operator==(const Result&) const = default;
   };
@@ -208,10 +236,8 @@ struct DiffReplay {
     bool faults = false;
     bool congestion = false;
     bool noise = false;
-    /// Run the scalar filling loop instead of the vectorized default.
-    bool scalar_fill = false;
-    /// Disable warm-start seeding (kIncremental only; the default exercises it).
-    bool no_warm = false;
+    /// Attach an AllocationRecorder and return its stream in Result::telemetry.
+    bool telemetry = false;
     /// When set, receives the network's final solver counters.
     net::SolverStats* stats_out = nullptr;
     std::uint64_t seed = 1;
@@ -257,12 +283,12 @@ struct DiffReplay {
       return r;
     };
 
+    AllocationRecorder recorder;  // outlives the network that points at it
     Engine engine;
     Network net(engine, g);
     net.set_solver_mode(o.mode);
     net.set_shards(o.shards);
-    net.set_solver_vectorized(!o.scalar_fill);
-    net.set_warm_start(!o.no_warm);
+    if (o.telemetry) net.set_telemetry(&recorder);
     if (o.congestion) net.set_congestion({/*flow_threshold=*/2, /*rate_factor=*/0.5});
     ChurnNoise noise;
     if (o.noise) net.set_noise(&noise);
@@ -353,6 +379,7 @@ struct DiffReplay {
 
     engine.run();
     r.bits_delivered = net.total_bits_delivered();
+    r.telemetry = std::move(recorder.events);
     if (o.stats_out != nullptr) *o.stats_out = net.solver_stats();
     return r;
   }
@@ -425,65 +452,32 @@ TEST(NetworkDifferential, CombinedChurnFaultsCongestionNoise) {
   expect_differential_identity(o, {1, 4});
 }
 
-TEST(NetworkDifferential, ScalarFillBitIdentity) {
-  // The scalar and vectorized filling loops must be interchangeable at every
-  // level: scalar reference vs vectorized reference, and scalar incremental
-  // vs the vectorized reference, at several shard counts.
-  DiffReplay::Options o;
-  o.seed = 321;
-  o.mode = SolverMode::kFullResolve;
-  const DiffReplay::Result ref = DiffReplay::run(o);
-  EXPECT_FALSE(ref.delivered.empty());
-  o.scalar_fill = true;
-  const DiffReplay::Result scalar_ref = DiffReplay::run(o);
-  EXPECT_EQ(ref.delivered, scalar_ref.delivered);
-  EXPECT_EQ(ref.rate_bits, scalar_ref.rate_bits);
-  o.mode = SolverMode::kIncremental;
-  for (const int shards : {1, 4}) {
-    o.shards = shards;
-    const DiffReplay::Result got = DiffReplay::run(o);
-    EXPECT_EQ(ref.delivered, got.delivered) << "shards=" << shards;
-    EXPECT_EQ(ref.rate_bits, got.rate_bits) << "shards=" << shards;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.bits_delivered),
-              std::bit_cast<std::uint64_t>(got.bits_delivered))
-        << "shards=" << shards;
+TEST(NetworkDifferential, CacheHitsRestoreTraceState) {
+  // The traced allocation stream must be the same whether a component was
+  // re-solved, served from the allocation cache, or left untouched by an
+  // incremental event -- plain, and with faults, congestion and noise.
+  for (const bool stressed : {false, true}) {
+    DiffReplay::Options o;
+    o.seed = 77;
+    o.faults = o.congestion = o.noise = stressed;
+    o.mode = SolverMode::kFullResolve;
+    const DiffReplay::Result untraced = DiffReplay::run(o);
+    o.telemetry = true;
+    const DiffReplay::Result ref = DiffReplay::run(o);
+    EXPECT_FALSE(ref.telemetry.empty()) << "stressed=" << stressed;
+    // Attaching the sink never changes a rate.
+    EXPECT_EQ(ref.rate_bits, untraced.rate_bits) << "stressed=" << stressed;
+    o.mode = SolverMode::kIncremental;
+    for (const int shards : {1, 4}) {
+      net::SolverStats stats;
+      o.shards = shards;
+      o.stats_out = &stats;
+      const DiffReplay::Result got = DiffReplay::run(o);
+      EXPECT_GT(stats.cache_hits, 0u) << "stressed=" << stressed << " shards=" << shards;
+      EXPECT_EQ(ref.telemetry, got.telemetry) << "stressed=" << stressed << " shards=" << shards;
+      EXPECT_EQ(ref.rate_bits, got.rate_bits) << "stressed=" << stressed << " shards=" << shards;
+    }
   }
-}
-
-TEST(NetworkDifferential, WarmStartInvisibleInRatesButCounted) {
-  // Warm-start on vs off must be rate-invisible; and across a churny replay
-  // the seeds must actually verify some of the time (the counters prove the
-  // path runs, the equality proves it never changes an answer).
-  net::SolverStats stats;
-  DiffReplay::Options o;
-  o.seed = 1234;
-  o.stats_out = &stats;
-  const DiffReplay::Result warm = DiffReplay::run(o);
-  o.stats_out = nullptr;
-  o.no_warm = true;
-  const DiffReplay::Result cold = DiffReplay::run(o);
-  EXPECT_EQ(warm.delivered, cold.delivered);
-  EXPECT_EQ(warm.interrupted, cold.interrupted);
-  EXPECT_EQ(warm.rate_bits, cold.rate_bits);
-  EXPECT_GT(stats.warm_hits, 0u);
-  // Every solver-level solve either warmed, missed, or fell back; the three
-  // counters partition the cache misses.
-  EXPECT_EQ(stats.warm_hits + stats.warm_misses + stats.warm_fallback_order +
-                stats.warm_fallback_tight + stats.warm_fallback_progress,
-            stats.cache_misses);
-}
-
-TEST(NetworkDifferential, StructuralCacheInvisibleAtAnyShardCount) {
-  // The leaf-spine fabric is full of isomorphic components (intra-leaf GPU
-  // pairs); structural hits must occur and stay rate-invisible (the shard
-  // sweep in the tests above already pins equality; this pins the counter so
-  // the feature cannot silently die).
-  net::SolverStats stats;
-  DiffReplay::Options o;
-  o.seed = 42;
-  o.stats_out = &stats;
-  (void)DiffReplay::run(o);
-  EXPECT_GT(stats.cache_structural_hits, 0u);
 }
 
 TEST(NetworkTest, ManySequentialFlowsDeterministic) {

@@ -163,16 +163,9 @@ void print_solver_stats(const net::SolverStats& s) {
               (unsigned long long)s.fallback_config, (unsigned long long)s.fallback_threshold);
   std::printf("  reference     %10llu\n", (unsigned long long)s.reference_solves);
   std::printf("  no-work       %10llu\n", (unsigned long long)s.no_work_events);
-  std::printf("component solves %9llu  (cache hits %llu, structural %llu, misses %llu)\n",
+  std::printf("component solves %9llu  (cache hits %llu, misses %llu)\n",
               (unsigned long long)s.component_solves, (unsigned long long)s.cache_hits,
-              (unsigned long long)s.cache_structural_hits,
               (unsigned long long)s.cache_misses);
-  std::printf("warm starts      %9llu  (misses %llu; fallbacks: order %llu, "
-              "tight %llu, progress %llu)\n",
-              (unsigned long long)s.warm_hits, (unsigned long long)s.warm_misses,
-              (unsigned long long)s.warm_fallback_order,
-              (unsigned long long)s.warm_fallback_tight,
-              (unsigned long long)s.warm_fallback_progress);
   std::printf("component sizes (log2 flows):");
   std::size_t last = 0;
   for (std::size_t b = 0; b < s.component_size_log2.size(); ++b) {
