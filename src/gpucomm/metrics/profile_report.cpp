@@ -18,8 +18,15 @@ std::string pct(SimTime part, SimTime whole) {
 
 std::string stage_label(const SpanProfile& s) {
   std::string label = s.kind;
-  if (s.round >= 0) label += " " + std::to_string(s.round);
-  if (!s.algorithm.empty()) label += " (" + s.algorithm + ")";
+  if (s.round >= 0) {
+    label += ' ';
+    label += std::to_string(s.round);
+  }
+  if (!s.algorithm.empty()) {
+    label += " (";
+    label += s.algorithm;
+    label += ')';
+  }
   return label;
 }
 
@@ -64,8 +71,9 @@ void print_profile(std::ostream& os, const std::vector<OpProfile>& ops, const Gr
           const Link& link = graph->link(h.link);
           span = graph->device(link.src).label + ">" + graph->device(link.dst).label;
         }
-        hot.add_row({"L" + std::to_string(h.link), span, us(h.contention),
-                     std::to_string(h.throttles)});
+        std::string name = "L";
+        name += std::to_string(h.link);
+        hot.add_row({name, span, us(h.contention), std::to_string(h.throttles)});
       }
       hot.print(os);
     }

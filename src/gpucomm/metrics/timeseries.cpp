@@ -158,9 +158,14 @@ void TimeSeries::render_heatmap(std::ostream& os, int max_links) const {
   std::vector<std::string> labels(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Link& link = graph_.link(rows[i].link);
-    labels[i] = "L" + std::to_string(rows[i].link) + " " +
-                graph_.device(link.src).label + ">" + graph_.device(link.dst).label;
-    label_width = std::max(label_width, labels[i].size());
+    std::string label = "L";
+    label += std::to_string(rows[i].link);
+    label += ' ';
+    label += graph_.device(link.src).label;
+    label += '>';
+    label += graph_.device(link.dst).label;
+    label_width = std::max(label_width, label.size());
+    labels[i] = std::move(label);
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << "  " << labels[i] << std::string(label_width - labels[i].size(), ' ') << " |";

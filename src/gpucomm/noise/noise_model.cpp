@@ -6,52 +6,97 @@
 
 namespace gpucomm {
 
-ProductionNoise::ProductionNoise(const Graph& graph, NoiseParams params, Rng rng)
-    : graph_(graph), params_(params), rng_(rng) {
-  util_.assign(graph_.link_count(), 0.0);
-  resample();
-}
+namespace {
+// util_ of a noisy link whose value resample() has not drawn yet.
+constexpr double kHotPending = -1.0;
+constexpr double kCalmPending = -2.0;
+}  // namespace
 
-bool ProductionNoise::noisy_link(LinkId link) const {
-  // Only shared fabric links carry other jobs' traffic; edge (NIC) links are
-  // dedicated to the measured job's nodes.
-  const LinkType t = graph_.link(link).type;
-  return t == LinkType::kGlobal || t == LinkType::kLeafSpine || t == LinkType::kIntraGroup;
+ProductionNoise::ProductionNoise(const Graph& graph, NoiseParams params, Rng rng)
+    : params_(params), rng_(rng), epoch_start_(rng) {
+  const std::size_t links = graph.link_count();
+  class_.resize(links);
+  for (LinkId l = 0; l < links; ++l) {
+    // Only shared fabric links carry other jobs' traffic; edge (NIC) links
+    // are dedicated to the measured job's nodes.
+    switch (graph.link(l).type) {
+      case LinkType::kGlobal:
+        class_[l] = LinkClass::kGlobal;
+        break;
+      case LinkType::kLeafSpine:
+      case LinkType::kIntraGroup:
+        class_[l] = LinkClass::kLocal;
+        break;
+      default:
+        class_[l] = LinkClass::kQuiet;
+    }
+  }
+  offset_.assign(links, 0);
+  util_.assign(links, 0.0);
+  resample();
 }
 
 void ProductionNoise::resample() {
   if (!params_.production_noise) return;  // utilization stays 0: same version
   ++version_;
-  for (LinkId l = 0; l < util_.size(); ++l) {
-    if (!noisy_link(l)) continue;
-    const bool global = graph_.link(l).type == LinkType::kGlobal;
+  epoch_start_ = rng_;
+  // Per noisy link the stream holds a hot/calm coin (when hot_prob > 0),
+  // then the value: one uniform when hot, a lognormal (two uniforms) when
+  // calm, nothing when the calm mean is 0. Draw the coin, skip the value.
+  std::uint32_t pos = 0;
+  for (LinkId l = 0; l < class_.size(); ++l) {
+    if (class_[l] == LinkClass::kQuiet) continue;
+    const bool global = class_[l] == LinkClass::kGlobal;
     const double mean = global ? params_.mean_global_util : params_.mean_local_util;
     const double hot_prob = global ? params_.hot_prob_global : params_.hot_prob_local;
-    if (hot_prob > 0 && rng_.bernoulli(hot_prob)) {
-      // A bursty production job is riding this link right now. Intra-group
-      // (leaf-spine) links see milder bursts than the thin global links.
-      if (global) {
-        util_[l] = rng_.uniform(params_.hot_util_min, params_.hot_util_max);
-      } else {
-        util_[l] = rng_.uniform(0.5 * params_.hot_util_min, 0.65 * params_.hot_util_max);
-      }
-      continue;
+    bool hot = false;
+    if (hot_prob > 0) {
+      hot = rng_.bernoulli(hot_prob);
+      ++pos;
     }
-    if (mean <= 0) {
+    offset_[l] = pos;
+    std::uint32_t values = 0;
+    if (hot) {
+      util_[l] = kHotPending;
+      values = 1;
+    } else if (mean > 0) {
+      util_[l] = kCalmPending;
+      values = 2;
+    } else {
       util_[l] = 0;
-      continue;
     }
-    // Calm state: lognormal with the requested mean (mu = ln(mean) - s^2/2).
-    const double sigma = params_.util_sigma;
-    const double mu = std::log(mean) - 0.5 * sigma * sigma;
-    util_[l] = std::clamp(rng_.lognormal(mu, sigma), 0.0, 0.9);
+    rng_.discard(values);
+    pos += values;
   }
 }
 
-double ProductionNoise::background_utilization(LinkId link) const { return util_[link]; }
+double ProductionNoise::utilization(LinkId link) const {
+  const double memo = util_[link];
+  if (memo >= 0) return memo;
+  const bool global = class_[link] == LinkClass::kGlobal;
+  Rng rng = epoch_start_;
+  rng.discard(offset_[link]);
+  double u;
+  if (memo == kHotPending) {
+    // A bursty production job is riding this link right now. Intra-group
+    // (leaf-spine) links see milder bursts than the thin global links.
+    u = global ? rng.uniform(params_.hot_util_min, params_.hot_util_max)
+               : rng.uniform(0.5 * params_.hot_util_min, 0.65 * params_.hot_util_max);
+  } else {
+    // Calm state: lognormal with the requested mean (mu = ln(mean) - s^2/2).
+    const double mean = global ? params_.mean_global_util : params_.mean_local_util;
+    const double sigma = params_.util_sigma;
+    const double mu = std::log(mean) - 0.5 * sigma * sigma;
+    u = std::clamp(rng.lognormal(mu, sigma), 0.0, 0.9);
+  }
+  util_[link] = u;
+  return u;
+}
+
+double ProductionNoise::background_utilization(LinkId link) const { return utilization(link); }
 
 SimTime ProductionNoise::queueing_delay(LinkId link) {
-  const double u = util_[link];
+  const double u = utilization(link);
   if (u <= 0 || params_.delay_median_us <= 0) return SimTime::zero();
   // Body: lognormal around the calibrated median, scaled by how loaded this
   // link currently is relative to the mean global load.
@@ -69,9 +114,9 @@ SimTime ProductionNoise::queueing_delay(LinkId link) {
 double ProductionNoise::mean_utilization() const {
   double total = 0;
   std::size_t count = 0;
-  for (LinkId l = 0; l < util_.size(); ++l) {
-    if (noisy_link(l)) {
-      total += util_[l];
+  for (LinkId l = 0; l < class_.size(); ++l) {
+    if (class_[l] != LinkClass::kQuiet) {
+      total += utilization(l);
       ++count;
     }
   }

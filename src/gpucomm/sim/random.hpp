@@ -19,6 +19,10 @@ class Rng {
 
   std::uint64_t next_u64();
 
+  /// Skip the next n outputs in O(1): the stream continues exactly as after
+  /// n calls to next_u64(), because splitmix64's state is a counter.
+  void discard(std::uint64_t n);
+
   /// Uniform in [0, 1).
   double uniform();
   /// Uniform in [lo, hi).

@@ -1,55 +1,70 @@
 #include "gpucomm/topology/routing.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <queue>
 #include <vector>
 
 namespace gpucomm {
 
 namespace {
-// In-links view (reverse adjacency) under the filter, built once per query.
-std::vector<std::vector<LinkId>> in_links(const Graph& g, const RouteOptions& opts) {
-  std::vector<std::vector<LinkId>> in(g.device_count());
-  for (LinkId id = 0; id < g.link_count(); ++id) {
-    const Link& l = g.link(id);
-    if (opts.link_filter && !opts.link_filter(id, l)) continue;
-    in[l.dst].push_back(id);
-  }
-  return in;
+bool usable(const RouteOptions& opts, LinkId id, const Link& l) {
+  return !opts.link_filter || opts.link_filter(id, l);
 }
 
-// Breadth-first distances from every device to `dst` (reverse search), so the
-// forward greedy walk can follow the shortest-path DAG. Exploration stops at
-// `max_hops` links.
-std::vector<int> distances_to(const Graph& g, DeviceId dst,
-                              const std::vector<std::vector<LinkId>>& in, int max_hops) {
-  std::vector<int> dist(g.device_count(), -1);
-  std::queue<DeviceId> q;
-  dist[dst] = 0;
-  q.push(dst);
-  while (!q.empty()) {
-    const DeviceId cur = q.front();
-    q.pop();
-    if (dist[cur] >= max_hops) continue;
-    for (const LinkId id : in[cur]) {
-      const DeviceId prev = g.link(id).src;
-      if (dist[prev] < 0) {
-        dist[prev] = dist[cur] + 1;
-        q.push(prev);
+// Minimal-hop search from src to dst that touches only the devices closer to
+// src than dst is, not the whole graph.
+struct ShortestPaths {
+  /// Hop count of the shortest src->dst path; -1 when dst is unreachable.
+  int hops = -1;
+  /// After mark(): hops from src for every device lying on some shortest
+  /// src->dst path, -1 for every other device.
+  std::vector<int> level;
+  /// Reached devices in breadth-first (nondecreasing level) order.
+  std::vector<DeviceId> order;
+};
+
+// Breadth-first search from src over the filtered out-links. It stops as
+// soon as dst is reached: every device of dst's predecessor level is known by
+// then. Without a path it visits src's whole reachable set.
+ShortestPaths search(const Graph& g, DeviceId src, DeviceId dst, const RouteOptions& opts) {
+  ShortestPaths sp;
+  sp.level.assign(g.device_count(), -1);
+  sp.level[src] = 0;
+  sp.order.push_back(src);
+  for (std::size_t head = 0; head < sp.order.size(); ++head) {
+    const DeviceId cur = sp.order[head];
+    for (const LinkId id : g.out_links(cur)) {
+      const Link& l = g.link(id);
+      if (sp.level[l.dst] >= 0 || !usable(opts, id, l)) continue;
+      sp.level[l.dst] = sp.level[cur] + 1;
+      sp.order.push_back(l.dst);
+      if (l.dst == dst) {
+        sp.hops = sp.level[dst];
+        return sp;
       }
     }
   }
-  return dist;
+  return sp;
 }
 
-// When the bounded search failed, decide whether src is truly disconnected
-// from dst or merely beyond the hop budget (an unbounded BFS reaches it).
-RouteFailure classify_failure(const Graph& g, DeviceId src, DeviceId dst,
-                              const std::vector<std::vector<LinkId>>& in) {
-  const std::vector<int> full =
-      distances_to(g, dst, in, std::numeric_limits<int>::max());
-  return full[src] < 0 ? RouteFailure::kUnreachable : RouteFailure::kHopBudget;
+// Back pass from dst, level by level: a device stays on a shortest path iff
+// one of its filtered out-links reaches a device of the next level that is
+// on one. Reverse breadth-first order finishes each level before the one
+// below it, so only out-links are needed.
+void mark(const Graph& g, DeviceId dst, const RouteOptions& opts, ShortestPaths& sp) {
+  for (auto it = sp.order.rbegin(); it != sp.order.rend(); ++it) {
+    const DeviceId cur = *it;
+    if (cur == dst) continue;
+    bool on_path = false;
+    if (sp.level[cur] < sp.hops) {
+      for (const LinkId id : g.out_links(cur)) {
+        const Link& l = g.link(id);
+        if (sp.level[l.dst] == sp.level[cur] + 1 && usable(opts, id, l)) {
+          on_path = true;
+          break;
+        }
+      }
+    }
+    if (!on_path) sp.level[cur] = -1;
+  }
 }
 }  // namespace
 
@@ -57,12 +72,14 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
                                     const RouteOptions& opts, RouteDiag* diag) {
   if (diag != nullptr) diag->failure = RouteFailure::kNone;
   if (src == dst) return Route{};
-  const std::vector<std::vector<LinkId>> in = in_links(g, opts);
-  const std::vector<int> dist = distances_to(g, dst, in, opts.max_hops);
-  if (dist[src] < 0) {
-    if (diag != nullptr) diag->failure = classify_failure(g, src, dst, in);
+  ShortestPaths sp = search(g, src, dst, opts);
+  if (sp.hops < 0 || sp.hops > opts.max_hops) {
+    if (diag != nullptr) {
+      diag->failure = sp.hops < 0 ? RouteFailure::kUnreachable : RouteFailure::kHopBudget;
+    }
     return std::nullopt;
   }
+  mark(g, dst, opts, sp);
 
   Route route;
   DeviceId cur = src;
@@ -73,8 +90,7 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
     DeviceId best_next = kInvalidDevice;
     for (const LinkId id : g.out_links(cur)) {
       const Link& l = g.link(id);
-      if (opts.link_filter && !opts.link_filter(id, l)) continue;
-      if (dist[l.dst] != dist[cur] - 1) continue;
+      if (sp.level[l.dst] != sp.level[cur] + 1 || !usable(opts, id, l)) continue;
       if (best_next == kInvalidDevice || l.dst < best_next ||
           (l.dst == best_next && id < best_link)) {
         best_next = l.dst;
@@ -90,12 +106,9 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
 
 int hop_distance(const Graph& g, DeviceId src, DeviceId dst, const RouteOptions& opts) {
   if (src == dst) return 0;
-  const std::vector<std::vector<LinkId>> in = in_links(g, opts);
-  const std::vector<int> dist = distances_to(g, dst, in, opts.max_hops);
-  if (dist[src] >= 0) return dist[src];
-  return classify_failure(g, src, dst, in) == RouteFailure::kUnreachable
-             ? kHopsUnreachable
-             : kHopsBudgetExceeded;
+  const ShortestPaths sp = search(g, src, dst, opts);
+  if (sp.hops < 0) return kHopsUnreachable;
+  return sp.hops <= opts.max_hops ? sp.hops : kHopsBudgetExceeded;
 }
 
 Route filtered_fabric_route(const Graph& g, DeviceId src_nic, DeviceId dst_nic,

@@ -42,6 +42,8 @@ struct RouteDiag {
 /// Minimal-hop route src -> dst, lexicographic tie-break on device ids.
 /// Returns std::nullopt when no route within opts.max_hops exists; `diag`
 /// (if given) reports whether that was disconnection or budget exhaustion.
+/// The search runs forward from src and stops at dst's level, so a query
+/// touches the links near src, not the whole graph.
 std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
                                     const RouteOptions& opts = {}, RouteDiag* diag = nullptr);
 

@@ -1,7 +1,15 @@
 // Production-noise field behaviour (Sec. VI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <numeric>
+
 #include "gpucomm/cluster/cluster.hpp"
+#include "gpucomm/cluster/placement.hpp"
+#include "gpucomm/comm/ccl/ccl_comm.hpp"
+#include "gpucomm/comm/mpi/mpi_comm.hpp"
 #include "gpucomm/noise/noise_model.hpp"
 #include "gpucomm/systems/registry.hpp"
 
@@ -154,6 +162,168 @@ TEST(NoiseTest, DisabledParamsProduceSilence) {
   noise.resample();
   EXPECT_EQ(noise.background_utilization(l), 0.0);
   EXPECT_EQ(noise.queueing_delay(l), SimTime::zero());
+}
+
+// The reference field: resample() draws every noisy link's value eagerly,
+// in link order, and reads are plain array loads. ProductionNoise must
+// produce the same bits and advance the shared stream the same way.
+class EagerNoise {
+ public:
+  EagerNoise(const Graph& graph, NoiseParams params, Rng rng)
+      : graph_(graph), params_(params), rng_(rng) {
+    util_.assign(graph_.link_count(), 0.0);
+    resample();
+  }
+
+  void resample() {
+    if (!params_.production_noise) return;
+    ++version_;
+    for (LinkId l = 0; l < util_.size(); ++l) {
+      const LinkType t = graph_.link(l).type;
+      if (t != LinkType::kGlobal && t != LinkType::kLeafSpine && t != LinkType::kIntraGroup)
+        continue;
+      const bool global = t == LinkType::kGlobal;
+      const double mean = global ? params_.mean_global_util : params_.mean_local_util;
+      const double hot_prob = global ? params_.hot_prob_global : params_.hot_prob_local;
+      if (hot_prob > 0 && rng_.bernoulli(hot_prob)) {
+        if (global) {
+          util_[l] = rng_.uniform(params_.hot_util_min, params_.hot_util_max);
+        } else {
+          util_[l] = rng_.uniform(0.5 * params_.hot_util_min, 0.65 * params_.hot_util_max);
+        }
+        continue;
+      }
+      if (mean <= 0) {
+        util_[l] = 0;
+        continue;
+      }
+      const double sigma = params_.util_sigma;
+      const double mu = std::log(mean) - 0.5 * sigma * sigma;
+      util_[l] = std::clamp(rng_.lognormal(mu, sigma), 0.0, 0.9);
+    }
+  }
+
+  double background_utilization(LinkId link) const { return util_[link]; }
+
+  SimTime queueing_delay(LinkId link) {
+    const double u = util_[link];
+    if (u <= 0 || params_.delay_median_us <= 0) return SimTime::zero();
+    const double scale = std::min(3.0, u / std::max(params_.mean_global_util, 1e-6));
+    const double median_us = params_.delay_median_us * scale;
+    double delay_us = rng_.lognormal(std::log(median_us), params_.delay_sigma);
+    if (params_.tail_probability > 0 && rng_.bernoulli(params_.tail_probability)) {
+      delay_us += rng_.bounded_pareto(1.0, params_.tail_max_us, 1.2);
+    }
+    delay_us = std::min(delay_us, params_.tail_max_us);
+    return microseconds(delay_us);
+  }
+
+  std::uint64_t version() const { return version_; }
+
+ private:
+  const Graph& graph_;
+  NoiseParams params_;
+  Rng rng_;
+  std::vector<double> util_;
+  std::uint64_t version_ = 1;
+};
+
+enum class ReadPattern { kFull, kSparseShuffled, kInterleavedDelays };
+
+/// Runs ProductionNoise and the eager oracle side by side over 24 resamples,
+/// reading each epoch's field in `pattern`, and requires bit-equal answers.
+void expect_matches_eager(const NoiseParams& params, ReadPattern pattern) {
+  const Cluster cluster(leonardo_config(), {.nodes = 4, .placement = Placement::kScatterGroups});
+  const Graph& g = cluster.graph();
+  ProductionNoise lazy(g, params, Rng(99));
+  EagerNoise eager(g, params, Rng(99));
+  std::vector<LinkId> links(g.link_count());
+  std::iota(links.begin(), links.end(), LinkId{0});
+  Rng order(5);
+  std::uint64_t nonzero = 0;
+  for (int epoch = 0; epoch < 24; ++epoch) {
+    if (epoch > 0) {
+      lazy.resample();
+      eager.resample();
+    }
+    ASSERT_EQ(lazy.version(), eager.version());
+    // Sparse reads touch one link in 50, in random order.
+    order.shuffle(links);
+    const std::size_t reads =
+        pattern == ReadPattern::kFull ? links.size() : links.size() / 50;
+    for (std::size_t i = 0; i < reads; ++i) {
+      const LinkId l = pattern == ReadPattern::kFull ? static_cast<LinkId>(i) : links[i];
+      const double want = eager.background_utilization(l);
+      // The second read is served from the memo.
+      for (int read = 0; read < 2; ++read) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy.background_utilization(l)),
+                  std::bit_cast<std::uint64_t>(want))
+            << "link " << l << " epoch " << epoch;
+      }
+      if (want != 0) ++nonzero;
+      // Queueing delays draw from the shared stream mid-epoch.
+      if (pattern == ReadPattern::kInterleavedDelays && i % 3 == 0) {
+        const LinkId d = links[links.size() - 1 - i];
+        ASSERT_EQ(lazy.queueing_delay(d).ps, eager.queueing_delay(d).ps)
+            << "link " << d << " epoch " << epoch;
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 100u);
+}
+
+TEST(NoiseOracle, FullReadsMatchEagerField) {
+  expect_matches_eager(leonardo_config().noise, ReadPattern::kFull);
+}
+
+TEST(NoiseOracle, SparseShuffledReadsMatchEagerField) {
+  expect_matches_eager(leonardo_config().noise, ReadPattern::kSparseShuffled);
+}
+
+TEST(NoiseOracle, ReadsInterleavedWithDelaysMatchEagerField) {
+  expect_matches_eager(leonardo_config().noise, ReadPattern::kInterleavedDelays);
+}
+
+TEST(NoiseOracle, CoinlessAndZeroMeanLinksMatchEagerField) {
+  // No coin on global links, no calm draw on local ones: the stream skips
+  // differ per link type.
+  NoiseParams params = leonardo_config().noise;
+  params.hot_prob_global = 0;
+  params.mean_local_util = 0;
+  expect_matches_eager(params, ReadPattern::kFull);
+  expect_matches_eager(params, ReadPattern::kInterleavedDelays);
+}
+
+TEST(NoiseOracle, ShardWorkersReadTheFieldDeterministically) {
+  // Shard workers draw link values on first read while solving disjoint
+  // components concurrently; completions must not depend on the shard count.
+  const SystemConfig cfg = leonardo_config();
+  auto run = [&cfg](int shards) {
+    Cluster cluster(cfg,
+                    {.nodes = 4, .placement = Placement::kScatterGroups, .net_shards = shards});
+    CommOptions opt;
+    opt.env = cfg.tuned_env();
+    const std::vector<int> gpus = first_n_gpus(cluster, cluster.total_gpus());
+    MpiComm mpi(cluster, gpus, opt);
+    CclComm ccl(cluster, gpus, opt);
+    std::vector<std::int64_t> ps;
+    for (int iter = 0; iter < 2; ++iter) {
+      cluster.noise_field()->resample();
+      ps.push_back(mpi.time_alltoall(2_MiB).ps);
+      cluster.noise_field()->resample();
+      ps.push_back(ccl.time_alltoall(2_MiB).ps);
+    }
+    const std::vector<std::uint64_t>& per_shard = cluster.network().solver_stats().shard_solves;
+    const std::uint64_t on_workers =
+        std::accumulate(per_shard.begin() + std::min<std::size_t>(1, per_shard.size()),
+                        per_shard.end(), std::uint64_t{0});
+    return std::make_pair(ps, on_workers);
+  };
+  const auto [serial, serial_workers] = run(1);
+  const auto [sharded, sharded_workers] = run(4);
+  EXPECT_EQ(serial, sharded);
+  EXPECT_EQ(serial_workers, 0u);
+  EXPECT_GT(sharded_workers, 0u) << "no component was solved on a worker";
 }
 
 }  // namespace

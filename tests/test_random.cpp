@@ -22,6 +22,16 @@ TEST(RngTest, DifferentSeedsDiffer) {
   EXPECT_EQ(same, 0);
 }
 
+TEST(RngTest, DiscardEqualsRepeatedDraws) {
+  for (const std::uint64_t n : {0ull, 1ull, 2ull, 3ull, 17ull, 1000ull, 123457ull}) {
+    Rng skipped(11);
+    Rng stepped(11);
+    skipped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) stepped.next_u64();
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(skipped.next_u64(), stepped.next_u64()) << n;
+  }
+}
+
 TEST(RngTest, ForkProducesIndependentStreams) {
   Rng base(7);
   Rng a = base.fork("noise");
