@@ -2,17 +2,19 @@
 //
 // Drives serve_loop in-process with a 1,000-query near-identical sweep
 // (same scenario, single-size sweeps stepping 1 KiB apart) twice over one
-// cache set: the first pass is all cold misses, the second all response-
-// cache hits. The two response streams must be byte-identical — that is
-// the server's determinism contract — and the tracked quantity is the
-// warm/cold queries-per-second ratio (the tentpole target is >= 10x).
+// cache set: the first pass is all response-cache misses that share one
+// cached topology, the second all response-cache hits. The two response
+// streams must be byte-identical — that is the server's determinism
+// contract — and the tracked quantity is the warm/cold queries-per-second
+// ratio.
 //
 // A third pass (POSIX only) soaks the concurrent unix-socket transport:
 // 8 connections each replay the full warm stream against the same caches,
 // and every connection's response stream must be byte-identical to the
 // stdio warm pass — the soak row tracks transport + concurrency overhead,
-// not simulation cost. Emitted through --json so CI can archive the trend
-// (BENCH_perf.json — informational, no gate).
+// not simulation cost. Every pass also reports the end-to-end latency
+// percentiles of the server's always-on histograms. Emitted through --json
+// so CI can archive the trend (BENCH_perf.json — informational, no gate).
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -124,11 +126,6 @@ int main(int argc, char** argv) {
   serve::ServeOptions opts;
   opts.jobs = 1;
   opts.caches = &caches;
-  // Cold/warm run with latency histograms on (serve/obs.hpp) so the bench
-  // also tracks e2e percentiles; warm_off repeats the warm pass with
-  // observability fully disabled — its responses must stay byte-identical
-  // and its throughput row is the no-overhead baseline for the warm row.
-  opts.obs.latency = true;
 
   std::istringstream cold_in(queries);
   std::ostringstream cold_out;
@@ -142,21 +139,12 @@ int main(int argc, char** argv) {
   const serve::ServeResult warm_result = serve::serve_loop(warm_in, warm_out, opts);
   const double warm_ms = ms_since(t_warm);
 
-  serve::ServeOptions off_opts = opts;
-  off_opts.obs = serve::ObsOptions();
-  std::istringstream off_in(queries);
-  std::ostringstream off_out;
-  const auto t_off = std::chrono::steady_clock::now();
-  const std::size_t off_answered = serve::serve_loop(off_in, off_out, off_opts).answered;
-  const double off_ms = ms_since(t_off);
-
-  if (cold_result.answered != kQueries || warm_result.answered != kQueries ||
-      off_answered != kQueries) {
+  if (cold_result.answered != kQueries || warm_result.answered != kQueries) {
     std::cerr << "error: expected " << kQueries << " answers per pass\n";
     return 1;
   }
-  if (warm_out.str() != cold_out.str() || off_out.str() != cold_out.str()) {
-    std::cerr << "error: warm/warm_off responses diverged from cold responses\n";
+  if (warm_out.str() != cold_out.str()) {
+    std::cerr << "error: warm responses diverged from cold responses\n";
     return 1;
   }
   const auto hits = caches.responses.stats().hits;
@@ -171,8 +159,6 @@ int main(int argc, char** argv) {
              fmt(1000.0 * kQueries / cold_ms, 0), "1.00"});
   t.add_row({"warm", std::to_string(kQueries), fmt(warm_ms, 0),
              fmt(1000.0 * kQueries / warm_ms, 0), fmt(cold_ms / warm_ms, 2)});
-  t.add_row({"warm_off", std::to_string(kQueries), fmt(off_ms, 0),
-             fmt(1000.0 * kQueries / off_ms, 0), fmt(cold_ms / off_ms, 2)});
 
 #if defined(__unix__) || defined(__APPLE__)
   // Socket soak: 8 connections replay the warm stream concurrently against
@@ -246,8 +232,7 @@ int main(int argc, char** argv) {
 #endif
 
   // End-to-end latency percentiles from the server's own histograms
-  // (ServeResult::latency), recorded per pass while obs.latency is on. The
-  // warm_off pass has no row by construction — observability was disabled.
+  // (ServeResult::latency), recorded per pass.
   const auto e2e = [](const serve::ServeResult& r) {
     return r.latency.stage[static_cast<int>(serve::Stage::kE2e)];
   };

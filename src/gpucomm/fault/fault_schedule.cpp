@@ -1,6 +1,7 @@
 #include "gpucomm/fault/fault_schedule.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -29,31 +30,40 @@ std::vector<std::string> tokenize(const std::string& line) {
   return out;
 }
 
+/// A finite, non-negative time with a ps/ns/us/ms/s unit that fits SimTime
+/// (below SimTime::infinity(), which means "never"). strtod also accepts
+/// "nan"/"inf", and converting those or an out-of-range double to int64 is
+/// undefined, so both are rejected before the cast.
 bool parse_time(const std::string& tok, SimTime& out) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || v < 0) return false;
+  if (end == tok.c_str() || !std::isfinite(v) || v < 0) return false;
   const std::string unit(end);
+  double ps_per_unit = 0.0;
   if (unit == "ps") {
-    out = SimTime{static_cast<std::int64_t>(v)};
+    ps_per_unit = 1.0;
   } else if (unit == "ns") {
-    out = nanoseconds(v);
+    ps_per_unit = 1e3;
   } else if (unit == "us") {
-    out = microseconds(v);
+    ps_per_unit = 1e6;
   } else if (unit == "ms") {
-    out = milliseconds(v);
+    ps_per_unit = 1e9;
   } else if (unit == "s") {
-    out = seconds(v);
+    ps_per_unit = 1e12;
   } else {
     return false;
   }
+  const double ps = v * ps_per_unit;
+  if (ps >= static_cast<double>(SimTime::infinity().ps)) return false;
+  out = SimTime{static_cast<std::int64_t>(ps)};
   return true;
 }
 
+/// A finite number; "nan" and "inf" would slip through every range check.
 bool parse_number(const std::string& tok, double& out) {
   char* end = nullptr;
   out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
+  return end != tok.c_str() && *end == '\0' && std::isfinite(out);
 }
 
 bool parse_id(const std::string& tok, std::uint32_t& out) {
@@ -105,6 +115,8 @@ std::optional<FaultSchedule> parse_fault_schedule(const std::string& text, std::
       if (verb == "down" && tok.size() == 7 && tok[5] == "for") {
         if (!parse_time(tok[6], e.duration) || e.duration <= SimTime::zero())
           return fail(line_no, "bad duration '" + tok[6] + "'");
+        if (e.duration.ps >= SimTime::infinity().ps - e.time.ps)
+          return fail(line_no, "restore time past the end of simulated time");
       } else if (tok.size() != 5) {
         return fail(line_no, "trailing tokens after link target");
       }

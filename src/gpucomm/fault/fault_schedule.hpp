@@ -15,8 +15,10 @@
 //   at 50us  fail switch 7
 //   at 0s    straggle gpu 3 2.5     # GPU 3's launch delays inflated 2.5x
 //
-// Times accept ps/ns/us/ms/s suffixes. The parser validates syntax only;
-// ids are checked against the actual graph when the injector is armed.
+// Times accept ps/ns/us/ms/s suffixes and must be finite and fit SimTime
+// (as must time + duration); factors must be finite. The parser validates
+// syntax and ranges only; ids are checked against the actual graph when the
+// injector is armed.
 #pragma once
 
 #include <cstdint>

@@ -49,6 +49,15 @@ bool parse_placement_name(const std::string& name, Placement& out) {
   return true;
 }
 
+std::vector<Bytes> sweep_sizes(Bytes min_bytes, Bytes max_bytes) {
+  std::vector<Bytes> sizes;
+  for (Bytes b = min_bytes; b <= max_bytes; b *= 4) {
+    sizes.push_back(b);
+    if (b == 0 || b > max_bytes / 4) break;  // the next step would pass max (or wrap)
+  }
+  return sizes;
+}
+
 const char* placement_name(Placement p) {
   switch (p) {
     case Placement::kPacked: return "packed";
@@ -109,13 +118,15 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
       }
       a.gpus = static_cast<int>(n);
     } else if (flag == "--min") {
-      if (!need(v) || !parse_int(v, 1, INT64_MAX, n)) {
-        return fail(flag + " requires a positive byte count");
+      if (!need(v) || !parse_int(v, 1, static_cast<long long>(kMaxSweepBytes), n)) {
+        return fail(flag + " requires a byte count in [1, " +
+                    std::to_string(kMaxSweepBytes) + "]");
       }
       a.min_bytes = static_cast<Bytes>(n);
     } else if (flag == "--max") {
-      if (!need(v) || !parse_int(v, 1, INT64_MAX, n)) {
-        return fail(flag + " requires a positive byte count");
+      if (!need(v) || !parse_int(v, 1, static_cast<long long>(kMaxSweepBytes), n)) {
+        return fail(flag + " requires a byte count in [1, " +
+                    std::to_string(kMaxSweepBytes) + "]");
       }
       a.max_bytes = static_cast<Bytes>(n);
     } else if (flag == "--space") {
@@ -222,27 +233,6 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
         return fail(flag + " requires a query cadence in [0, 1000000000]");
       }
       a.serve_snapshot_every = static_cast<int>(n);
-    } else if (flag == "--serve-log") {
-      if (!need(a.serve_log)) return fail(flag + " requires an output path");
-    } else if (flag == "--serve-log-max-mb") {
-      if (!need(v) || !parse_int(v, 1, 1 << 20, n)) {
-        return fail(flag + " requires a rotation bound in MiB in [1, 1048576]");
-      }
-      a.serve_log_max_mb = static_cast<int>(n);
-    } else if (flag == "--serve-trace") {
-      if (!need(a.serve_trace)) return fail(flag + " requires an output path");
-    } else if (flag == "--serve-metrics-file") {
-      if (!need(a.serve_metrics_file)) return fail(flag + " requires an output path");
-    } else if (flag == "--serve-metrics-every") {
-      if (!need(v) || !parse_int(v, 0, 1'000'000'000, n)) {
-        return fail(flag + " requires a query cadence in [0, 1000000000]");
-      }
-      a.serve_metrics_every = static_cast<int>(n);
-    } else if (flag == "--serve-slow-ms") {
-      if (!need(v) || !parse_int(v, 0, 86'400'000, n)) {
-        return fail(flag + " requires a threshold in ms in [0, 86400000]");
-      }
-      a.serve_slow_ms = static_cast<int>(n);
     } else {
       return fail("unknown flag '" + flag + "'");
     }
@@ -256,10 +246,7 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
       (a.serve_jobs != 1 || a.serve_cache_mb != 256 || !a.serve_socket.empty() ||
        a.serve_deadline_ms != 0 || a.serve_max_queue != 1024 ||
        a.serve_max_line_bytes != (1u << 20) || !a.serve_cache_file.empty() ||
-       a.serve_snapshot_every != 256 || !a.serve_log.empty() ||
-       a.serve_log_max_mb != 64 || !a.serve_trace.empty() ||
-       !a.serve_metrics_file.empty() || a.serve_metrics_every != 0 ||
-       a.serve_slow_ms != 0)) {
+       a.serve_snapshot_every != 256)) {
     return fail("--serve-* flags require --serve");
   }
   // Cell mode runs every (size, rep) on its own cluster; flags that hold

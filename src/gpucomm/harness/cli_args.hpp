@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "gpucomm/cluster/cluster.hpp"
 #include "gpucomm/comm/communicator.hpp"
@@ -25,6 +26,14 @@ bool known_mechanism(const std::string& name);
 /// packed|switches|groups. Returns false on an unknown name.
 bool parse_placement_name(const std::string& name, Placement& out);
 const char* placement_name(Placement p);
+
+/// Upper bound on the --min/--max (and query "min"/"max") sweep bounds,
+/// shared by both parsers. The paper tops out at 1 GiB; 1 TiB leaves room
+/// while keeping the x4 sweep step far from wrapping Bytes.
+inline constexpr Bytes kMaxSweepBytes = 1024_GiB;
+
+/// The transfer sizes of a sweep: min, 4*min, 16*min, ... up to max.
+std::vector<Bytes> sweep_sizes(Bytes min_bytes, Bytes max_bytes);
 
 struct CliArgs {
   std::string system = "leonardo";
@@ -87,7 +96,7 @@ struct CliArgs {
   /// Worker threads answering scenario queries in --serve mode.
   int serve_jobs = 1;
   /// Total cross-query cache budget in MiB, split across the server's
-  /// topology/plan/result/response caches.
+  /// response and topology caches.
   int serve_cache_mb = 256;
   /// Unix-domain socket path to listen on instead of stdin/stdout.
   std::string serve_socket;
@@ -104,20 +113,6 @@ struct CliArgs {
   std::string serve_cache_file;
   /// Answered-query cadence between snapshots (0 = only at shutdown).
   int serve_snapshot_every = 256;
-  /// --serve-log: structured JSON-lines event log (serve/obs.hpp); empty =
-  /// off.
-  std::string serve_log;
-  /// --serve-log-max-mb: event-log rotation bound in MiB.
-  int serve_log_max_mb = 64;
-  /// --serve-trace: Chrome-trace span export path; empty = off.
-  std::string serve_trace;
-  /// --serve-metrics-file: Prometheus text snapshot path; empty = off.
-  std::string serve_metrics_file;
-  /// --serve-metrics-every: metrics snapshot cadence in answered queries
-  /// (0 = only at shutdown).
-  int serve_metrics_every = 0;
-  /// --serve-slow-ms: slow-query record threshold in ms (0 = off).
-  int serve_slow_ms = 0;
   bool help = false;  // --help/-h seen; caller prints usage, exits 0
 };
 

@@ -62,8 +62,8 @@ std::string error_line(std::int64_t id, const std::string& message) {
 namespace {
 
 /// Render the response line for a finished (or failed) scenario run. The
-/// bytes are a pure function of the run result — observability never touches
-/// this path, which is half of the on-vs-off byte-identity guarantee.
+/// bytes are a pure function of the run result; no counter or histogram
+/// ever reaches them.
 std::string render_response(const ScenarioQuery& q,
                             const std::shared_ptr<const ScenarioOutput>& out,
                             const std::string& err) {
@@ -77,59 +77,10 @@ std::string render_response(const ScenarioQuery& q,
          out->manifest_compact + "}";
 }
 
-/// Answer one scenario query (run, optional artifact file, response line).
-/// `obs`/`sobs` are null when observability is off; when on they record the
-/// run and render stages, the trace spans, and the per-cache lookup events.
-std::string answer(const ScenarioQuery& q, ServerCaches& caches, Obs* obs, int lane,
-                   std::uint64_t seq, ScenarioObs* sobs) {
-  std::string err;
-  if (obs != nullptr && obs->want_events()) {
-    obs->event(EventRecord(obs->ts_us(), "run_start")
-                   .field("id", q.id)
-                   .field("seq", seq)
-                   .str());
-  }
-  const std::uint64_t t_run0 = obs != nullptr ? obs->now_ns() : 0;
-  const std::shared_ptr<const ScenarioOutput> out =
-      run_scenario(q, &caches, /*want_manifest=*/true, err, sobs);
-  const std::uint64_t t_run1 = obs != nullptr ? obs->now_ns() : 0;
-  if (obs != nullptr) {
-    obs->record(lane, Stage::kRun, t_run1 - t_run0);
-    if (obs->want_spans()) obs->span("run", lane, q.id, seq, t_run0, t_run1);
-    if (obs->want_events()) {
-      if (sobs != nullptr) {
-        for (const ScenarioObs::Lookup& l : sobs->lookups) {
-          obs->event(EventRecord(obs->ts_us(), "cache")
-                         .field("id", q.id)
-                         .field("seq", seq)
-                         .field("cache", std::string(l.cache))
-                         .field_bool("hit", l.hit)
-                         .str());
-        }
-      }
-      obs->event(EventRecord(obs->ts_us(), "run_finish")
-                     .field("id", q.id)
-                     .field("seq", seq)
-                     .field_bool("ok", out != nullptr)
-                     .field("run_ms", static_cast<double>(t_run1 - t_run0) / 1e6)
-                     .str());
-    }
-  }
-  const std::uint64_t t_r0 = obs != nullptr ? obs->now_ns() : 0;
-  std::string line = render_response(q, out, err);
-  if (obs != nullptr) {
-    const std::uint64_t t_r1 = obs->now_ns();
-    obs->record(lane, Stage::kRender, t_r1 - t_r0);
-    if (obs->want_spans()) obs->span("render", lane, q.id, seq, t_r0, t_r1);
-    if (obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "render")
-                     .field("id", q.id)
-                     .field("seq", seq)
-                     .field("bytes", static_cast<std::uint64_t>(line.size()))
-                     .str());
-    }
-  }
-  return line;
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
+  return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
 std::string ping_line(std::int64_t id) {
@@ -140,6 +91,11 @@ std::string overloaded_line(std::int64_t id, std::int64_t retry_after_ms) {
   return "{\"id\":" + std::to_string(id) +
          ",\"ok\":false,\"error\":\"overloaded\",\"retry_after_ms\":" +
          std::to_string(retry_after_ms) + "}";
+}
+
+/// Worker-pool size under ServerCore's `always_pool` rule (core.hpp).
+int pool_size(const ServeOptions& options, bool always_pool) {
+  return always_pool ? std::max(1, options.jobs) : (options.jobs > 1 ? options.jobs : 0);
 }
 
 /// Best-effort id echo for requests that fail before query parsing.
@@ -224,29 +180,21 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.kv("snapshot_entries", c.snapshot_entries);
   if (!c.snapshot_error.empty()) w.kv("snapshot_error", c.snapshot_error);
   w.end_object();
-  // Merged latency histograms, present only when observability is on (the
-  // stats document is load-dependent either way, so this breaks nothing).
-  if (obs_ != nullptr) {
-    const LatencyStats ls = obs_->latency();
-    w.key("latency");
+  // Merged latency histograms (the stats document is load-dependent anyway).
+  const LatencyStats ls = latency_.snapshot();
+  w.key("latency");
+  w.begin_object();
+  for (int st = 0; st < kStageCount; ++st) {
+    w.key((std::string(stage_name(static_cast<Stage>(st))) + "_us").c_str());
     w.begin_object();
-    for (int st = 0; st < kStageCount; ++st) {
-      w.key((std::string(stage_name(static_cast<Stage>(st))) + "_us").c_str());
-      w.begin_object();
-      w.kv("count", ls.stage[st].count);
-      w.kv("p50", ls.stage[st].p50_us);
-      w.kv("p90", ls.stage[st].p90_us);
-      w.kv("p99", ls.stage[st].p99_us);
-      w.kv("max", ls.stage[st].max_us);
-      w.end_object();
-    }
-    w.kv("log_records", ls.log_records);
-    w.kv("log_dropped", ls.log_dropped);
-    w.kv("log_rotations", ls.log_rotations);
-    w.kv("spans", ls.spans);
-    w.kv("spans_dropped", ls.spans_dropped);
+    w.kv("count", ls.stage[st].count);
+    w.kv("p50", ls.stage[st].p50_us);
+    w.kv("p90", ls.stage[st].p90_us);
+    w.kv("p99", ls.stage[st].p99_us);
+    w.kv("max", ls.stage[st].max_us);
     w.end_object();
   }
+  w.end_object();
   w.end_object();
   return os.str();
 }
@@ -254,7 +202,7 @@ std::string ServerCore::stats_line(std::int64_t id) const {
 std::string ServerCore::metrics_line(std::int64_t id) const {
   // The Prometheus document rides inside the JSON-lines protocol as one
   // escaped string field; tools/gpucomm_jsonv --prom validates the unescaped
-  // text, and --serve-metrics-file writes the same bytes to disk.
+  // text.
   return "{\"id\":" + std::to_string(id) +
          ",\"ok\":true,\"control\":\"metrics\",\"prometheus\":\"" +
          metrics::json_escape(prometheus_text()) + "\"}";
@@ -299,28 +247,20 @@ std::string ServerCore::prometheus_text() const {
      << "gpucomm_solver_reallocations_total " << solver.reallocations << "\n"
      << "gpucomm_solver_cache_hits_total " << solver.cache_hits << "\n"
      << "gpucomm_solver_cache_misses_total " << solver.cache_misses << "\n";
-  if (obs_ != nullptr) {
-    os << "# TYPE gpucomm_serve_latency_us summary\n";
-    for (int st = 0; st < kStageCount; ++st) {
-      const metrics::Log2Histogram h = obs_->merged(static_cast<Stage>(st));
-      const char* stage = stage_name(static_cast<Stage>(st));
-      const double qs[] = {0.5, 0.9, 0.99};
-      const char* qn[] = {"0.5", "0.9", "0.99"};
-      for (int i = 0; i < 3; ++i) {
-        os << "gpucomm_serve_latency_us{stage=\"" << stage << "\",quantile=\"" << qn[i]
-           << "\"} " << metrics::json_number(h.quantile(qs[i]) / 1000.0) << "\n";
-      }
-      os << "gpucomm_serve_latency_us_sum{stage=\"" << stage << "\"} "
-         << metrics::json_number(static_cast<double>(h.sum()) / 1000.0) << "\n"
-         << "gpucomm_serve_latency_us_count{stage=\"" << stage << "\"} " << h.count()
-         << "\n";
+  os << "# TYPE gpucomm_serve_latency_us summary\n";
+  for (int st = 0; st < kStageCount; ++st) {
+    const metrics::Log2Histogram h = latency_.merged(static_cast<Stage>(st));
+    const char* stage = stage_name(static_cast<Stage>(st));
+    const double qs[] = {0.5, 0.9, 0.99};
+    const char* qn[] = {"0.5", "0.9", "0.99"};
+    for (int i = 0; i < 3; ++i) {
+      os << "gpucomm_serve_latency_us{stage=\"" << stage << "\",quantile=\"" << qn[i]
+         << "\"} " << metrics::json_number(h.quantile(qs[i]) / 1000.0) << "\n";
     }
-    const LatencyStats ls = obs_->latency();
-    os << "# TYPE gpucomm_serve_log_records_total counter\n"
-       << "gpucomm_serve_log_records_total " << ls.log_records << "\n"
-       << "gpucomm_serve_log_dropped_total " << ls.log_dropped << "\n"
-       << "gpucomm_serve_spans_total " << ls.spans << "\n"
-       << "gpucomm_serve_spans_dropped_total " << ls.spans_dropped << "\n";
+    os << "gpucomm_serve_latency_us_sum{stage=\"" << stage << "\"} "
+       << metrics::json_number(static_cast<double>(h.sum()) / 1000.0) << "\n"
+       << "gpucomm_serve_latency_us_count{stage=\"" << stage << "\"} " << h.count()
+       << "\n";
   }
   return os.str();
 }
@@ -339,7 +279,7 @@ std::string ServerCore::shutdown_line(std::int64_t id) const {
 // --- ServerCore -------------------------------------------------------------
 
 ServerCore::ServerCore(const ServeOptions& options, bool always_pool)
-    : options_(options) {
+    : options_(options), latency_(pool_size(options, always_pool) + 1) {
   if (options_.caches != nullptr) {
     caches_ = options_.caches;
   } else {
@@ -350,24 +290,12 @@ ServerCore::ServerCore(const ServeOptions& options, bool always_pool)
     const SnapshotInfo info = load_cache_snapshot(options_.cache_file, *caches_);
     const std::lock_guard<std::mutex> lock(counters_mu_);
     counters_.snapshot_loaded = info.ok;
-    counters_.snapshot_entries = info.responses + info.cells;
+    counters_.snapshot_entries = info.responses;
     if (!info.ok && info.error != "missing") counters_.snapshot_error = info.error;
   }
-  const int pool_size = always_pool ? std::max(1, options_.jobs)
-                                    : (options_.jobs > 1 ? options_.jobs : 0);
-  if (options_.obs.enabled()) {
-    // Lane layout: workers 0..pool_size-1, transport thread (also the
-    // inline-execution path) on the last lane.
-    obs_ = std::make_unique<Obs>(options_.obs, pool_size + 1);
-    if (obs_->want_events() && !options_.cache_file.empty()) {
-      const ServerCounters c = counters();
-      obs_->event(EventRecord(obs_->ts_us(), "snapshot_load")
-                      .field_bool("ok", c.snapshot_loaded)
-                      .field("entries", c.snapshot_entries)
-                      .str());
-    }
-  }
-  for (int i = 0; i < pool_size; ++i) {
+  // Lane layout: workers 0..n-1, transport thread (also the inline-execution
+  // path) on the last lane.
+  for (int i = 0; i < pool_size(options_, always_pool); ++i) {
     threads_.emplace_back([this, i] { worker(i); });
   }
 }
@@ -384,31 +312,9 @@ void ServerCore::drain() {
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   if (!options_.cache_file.empty()) save_snapshot_now();
-  if (obs_ != nullptr) {
-    // Structured final tally (the machine-readable sibling of the stderr
-    // "serve drained" line), then flush the ring, write the trace, and
-    // refresh the metrics snapshot. This runs on every exit path — EOF,
-    // shutdown control, and the socket transport's SIGTERM drain — so a
-    // terminated server still flushes its observability artifacts.
-    const ServerCounters c = counters();
-    std::string final_record;
-    if (obs_->want_events()) {
-      final_record = EventRecord(obs_->ts_us(), "serve_drained")
-                         .field("answered", c.answered)
-                         .field("shed", c.shed_overload + c.shed_deadline)
-                         .field("parse_errors", c.parse_errors)
-                         .field("line_overflows", c.line_overflows)
-                         .field("log_dropped", obs_->latency().log_dropped)
-                         .str();
-    }
-    obs_->finalize(final_record,
-                   obs_->want_metrics_file() ? prometheus_text() : std::string());
-  }
 }
 
-LatencyStats ServerCore::latency_stats() const {
-  return obs_ != nullptr ? obs_->latency() : LatencyStats{};
-}
+LatencyStats ServerCore::latency_stats() const { return latency_.snapshot(); }
 
 ServerCounters ServerCore::counters() const {
   const std::lock_guard<std::mutex> lock(counters_mu_);
@@ -418,17 +324,12 @@ ServerCounters ServerCore::counters() const {
 ServerCore::LineAction ServerCore::handle_line(
     const std::shared_ptr<OrderedWriter>& writer, std::uint64_t seq,
     const std::string& line, bool deferred_controls) {
-  Obs* obs = obs_.get();
-  const std::uint64_t t_parse0 = obs != nullptr ? obs->now_ns() : 0;
   // Parse-stage accounting on the transport lane: every request line is
   // parsed exactly once, success or not.
-  const auto note_parse = [&](std::int64_t id) {
-    if (obs == nullptr) return;
-    const std::uint64_t t1 = obs->now_ns();
-    obs->record(obs->transport_lane(), Stage::kParse, t1 - t_parse0);
-    if (obs->want_spans()) {
-      obs->span("parse", obs->transport_lane(), id, seq, t_parse0, t1);
-    }
+  const auto t_parse = std::chrono::steady_clock::now();
+  const auto note_parse = [&] {
+    latency_.record(latency_.transport_lane(), Stage::kParse,
+                    elapsed_ns(t_parse, std::chrono::steady_clock::now()));
   };
   std::string perr;
   const std::optional<JsonValue> doc = parse_json(line, perr);
@@ -437,13 +338,7 @@ ServerCore::LineAction ServerCore::handle_line(
       const std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.parse_errors;
     }
-    note_parse(0);
-    if (obs != nullptr && obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "parse_error")
-                     .field("seq", seq)
-                     .field("error", perr)
-                     .str());
-    }
+    note_parse();
     writer->deliver(seq, error_line(0, perr));
     return LineAction::kContinue;
   }
@@ -451,7 +346,7 @@ ServerCore::LineAction ServerCore::handle_line(
   if (control != nullptr) {
     const std::int64_t id = id_of(&*doc);
     const std::string kind = control->is_string() ? control->as_string() : "";
-    note_parse(id);
+    note_parse();
     if (kind != "ping" && kind != "stats" && kind != "metrics" && kind != "shutdown") {
       writer->deliver(seq,
                       error_line(id, "unknown control (ping|stats|metrics|shutdown)"));
@@ -503,19 +398,12 @@ ServerCore::LineAction ServerCore::handle_line(
       const std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.parse_errors;
     }
-    note_parse(id_of(&*doc));
-    if (obs != nullptr && obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "parse_error")
-                     .field("id", id_of(&*doc))
-                     .field("seq", seq)
-                     .field("error", qerr)
-                     .str());
-    }
+    note_parse();
     writer->deliver(seq, error_line(id_of(&*doc), qerr));
     return LineAction::kContinue;
   }
-  note_parse(q->id);
-  submit(writer, seq, std::move(*q), line);
+  note_parse();
+  submit(writer, seq, std::move(*q));
   return LineAction::kContinue;
 }
 
@@ -535,18 +423,12 @@ void ServerCore::note_connection_accepted() {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_accepted;
   }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "conn_open").str());
-  }
 }
 
 void ServerCore::note_connection_closed() {
   {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_closed;
-  }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "conn_close").str());
   }
 }
 
@@ -555,35 +437,20 @@ void ServerCore::note_connection_dropped() {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_dropped;
   }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "conn_drop").str());
-  }
 }
 
 void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
-                        std::uint64_t seq, ScenarioQuery query,
-                        const std::string& line) {
-  Obs* obs = obs_.get();
+                        std::uint64_t seq, ScenarioQuery query) {
   Job job;
   job.writer = writer;
   job.seq = seq;
   job.deadline_ms = query.deadline_ms > 0 ? query.deadline_ms : options_.deadline_ms;
   job.query = std::move(query);
   job.admitted = std::chrono::steady_clock::now();
-  if (obs != nullptr) {
-    job.obs_admit_ns = obs->now_ns();
-    if (obs->want_slow_queries()) job.raw_line = line;
-    if (obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "admit")
-                     .field("id", job.query.id)
-                     .field("seq", seq)
-                     .str());
-    }
-  }
   if (threads_.empty()) {
     // Inline mode (stdio, jobs <= 1): no queue, so nothing to bound and no
     // queue wait to budget — run immediately on the transport lane.
-    run_job(job, obs != nullptr ? obs->transport_lane() : 0);
+    run_job(job, latency_.transport_lane());
     return;
   }
   {
@@ -596,16 +463,7 @@ void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
         const std::lock_guard<std::mutex> clock(counters_mu_);
         ++counters_.shed_overload;
       }
-      const std::int64_t hint = retry_hint_ms(depth);
-      if (obs != nullptr && obs->want_events()) {
-        obs->event(EventRecord(obs->ts_us(), "shed_overload")
-                       .field("id", job.query.id)
-                       .field("seq", seq)
-                       .field("depth", static_cast<std::uint64_t>(depth))
-                       .field("retry_after_ms", hint)
-                       .str());
-      }
-      writer->deliver(seq, overloaded_line(job.query.id, hint));
+      writer->deliver(seq, overloaded_line(job.query.id, retry_hint_ms(depth)));
       return;
     }
     queue_.push_back(std::move(job));
@@ -614,98 +472,35 @@ void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
 }
 
 void ServerCore::run_job(const Job& job, int lane) {
-  Obs* obs = obs_.get();
-  if (obs != nullptr) {
-    const std::uint64_t now = obs->now_ns();
-    const std::uint64_t waited =
-        now > job.obs_admit_ns ? now - job.obs_admit_ns : 0;
-    obs->record(lane, Stage::kQueueWait, waited);
-    if (obs->want_spans()) {
-      obs->span("queue_wait", lane, job.query.id, job.seq, job.obs_admit_ns, now);
-    }
-  }
-  if (job.deadline_ms > 0) {
-    const auto waited = std::chrono::steady_clock::now() - job.admitted;
-    if (waited >= std::chrono::milliseconds(job.deadline_ms)) {
-      {
-        const std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.shed_deadline;
-      }
-      if (obs != nullptr && obs->want_events()) {
-        obs->event(
-            EventRecord(obs->ts_us(), "deadline_miss")
-                .field("id", job.query.id)
-                .field("seq", job.seq)
-                .field("waited_ms",
-                       std::chrono::duration<double, std::milli>(waited).count())
-                .str());
-      }
-      job.writer->deliver(job.seq, error_line(job.query.id, "deadline"));
-      return;
-    }
-  }
   const auto started = std::chrono::steady_clock::now();
-  ScenarioObs sobs;
-  net::SolverStats solver_before;
-  const bool slow_on = obs != nullptr && obs->want_slow_queries();
-  if (slow_on) solver_before = net::SolverStatsRegistry::global().snapshot();
-  std::string line =
-      answer(job.query, *caches_, obs, lane, job.seq, obs != nullptr ? &sobs : nullptr);
-  const std::chrono::duration<double, std::milli> took =
-      std::chrono::steady_clock::now() - started;
-  note_job_ms(took.count());
+  latency_.record(lane, Stage::kQueueWait, elapsed_ns(job.admitted, started));
+  if (job.deadline_ms > 0 &&
+      started - job.admitted >= std::chrono::milliseconds(job.deadline_ms)) {
+    {
+      const std::lock_guard<std::mutex> lock(counters_mu_);
+      ++counters_.shed_deadline;
+    }
+    job.writer->deliver(job.seq, error_line(job.query.id, "deadline"));
+    return;
+  }
+  std::string err;
+  const std::shared_ptr<const ScenarioOutput> out =
+      run_scenario(job.query, caches_, /*want_manifest=*/true, err);
+  const auto rendering = std::chrono::steady_clock::now();
+  std::string line = render_response(job.query, out, err);
+  const auto finished = std::chrono::steady_clock::now();
+  latency_.record(lane, Stage::kRun, elapsed_ns(started, rendering));
+  latency_.record(lane, Stage::kRender, elapsed_ns(rendering, finished));
+  note_job_ms(std::chrono::duration<double, std::milli>(finished - started).count());
+  // Recorded and counted before delivery: a deferred stats or shutdown right
+  // behind this response renders inside deliver() and must already see it.
+  latency_.record(lane, Stage::kE2e, elapsed_ns(job.admitted, finished));
   {
-    // Counted before delivery: a deferred shutdown directly behind this
-    // response renders inside the deliver() call and reads the tally.
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.answered;
   }
-  const std::uint64_t t_flush0 = obs != nullptr ? obs->now_ns() : 0;
   job.writer->deliver(job.seq, std::move(line));
-  if (obs != nullptr) {
-    const std::uint64_t t_flush1 = obs->now_ns();
-    const std::uint64_t e2e_ns =
-        t_flush1 > job.obs_admit_ns ? t_flush1 - job.obs_admit_ns : 0;
-    obs->record(lane, Stage::kE2e, e2e_ns);
-    if (obs->want_spans()) {
-      obs->span("flush", lane, job.query.id, job.seq, t_flush0, t_flush1);
-      obs->span("e2e", lane, job.query.id, job.seq, job.obs_admit_ns, t_flush1);
-    }
-    const double e2e_ms = static_cast<double>(e2e_ns) / 1e6;
-    if (obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "flush")
-                     .field("id", job.query.id)
-                     .field("seq", job.seq)
-                     .field("e2e_ms", e2e_ms)
-                     .str());
-      if (slow_on && obs->slow(e2e_ms)) {
-        // Everything needed to explain the tail: the verbatim query, which
-        // cache layers hit, and what the solver did. The SolverStats delta
-        // is process-wide, so under concurrency it can include work from
-        // overlapping queries — an attribution hint, not an exact ledger.
-        const net::SolverStats after = net::SolverStatsRegistry::global().snapshot();
-        obs->event(
-            EventRecord(obs->ts_us(), "slow_query")
-                .field("id", job.query.id)
-                .field("seq", job.seq)
-                .field("e2e_ms", e2e_ms)
-                .field("line", job.raw_line)
-                .field("caches", sobs.chain())
-                .field("full_solves", after.full_solves - solver_before.full_solves)
-                .field("reference_solves",
-                       after.reference_solves - solver_before.reference_solves)
-                .field("reallocations",
-                       after.reallocations - solver_before.reallocations)
-                .field("solver_cache_hits",
-                       after.cache_hits - solver_before.cache_hits)
-                .field("solver_cache_misses",
-                       after.cache_misses - solver_before.cache_misses)
-                .str());
-      }
-    }
-  }
   maybe_snapshot();
-  maybe_metrics_file();
 }
 
 void ServerCore::worker(int lane) {
@@ -765,24 +560,6 @@ void ServerCore::save_snapshot_now() {
       counters_.snapshot_error = info.error;
     }
   }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "snapshot_save")
-                    .field_bool("ok", info.ok)
-                    .field("responses", info.responses)
-                    .field("cells", info.cells)
-                    .str());
-  }
-}
-
-void ServerCore::maybe_metrics_file() {
-  if (obs_ == nullptr || !obs_->want_metrics_file() || obs_->metrics_every() <= 0) return;
-  std::uint64_t answered;
-  {
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    answered = counters_.answered;
-  }
-  if (answered % static_cast<std::uint64_t>(obs_->metrics_every()) != 0) return;
-  obs_->write_metrics_file(prometheus_text());
 }
 
 }  // namespace gpucomm::serve

@@ -130,12 +130,11 @@ class ServerCore {
   /// Counter snapshot (post-drain() it is the final tally).
   ServerCounters counters() const;
 
-  /// Merged latency snapshot; all zeros when observability is off.
+  /// Merged latency snapshot.
   LatencyStats latency_stats() const;
 
-  /// Prometheus text exposition of the cache/server/solver counters plus
-  /// (when observability is on) the merged latency summaries. Rendered for
-  /// the `metrics` control query and the --serve-metrics-file snapshots.
+  /// Prometheus text exposition of the cache/server/solver counters and the
+  /// merged latency summaries, rendered for the `metrics` control query.
   std::string prometheus_text() const;
 
  private:
@@ -145,15 +144,12 @@ class ServerCore {
     ScenarioQuery query;
     std::chrono::steady_clock::time_point admitted;
     int deadline_ms = 0;  // resolved budget (query override or server default)
-    // Observability-only fields, populated when obs_ is live.
-    std::uint64_t obs_admit_ns = 0;  // Obs::now_ns() at admission
-    std::string raw_line;            // copied only for slow-query records
   };
 
   void submit(const std::shared_ptr<OrderedWriter>& writer, std::uint64_t seq,
-              ScenarioQuery query, const std::string& line);
-  /// `lane` is the Obs histogram/span lane: the worker index, or the
-  /// transport lane for inline execution. Ignored when obs is off.
+              ScenarioQuery query);
+  /// `lane` is the latency-histogram lane: the worker index, or the
+  /// transport lane for inline execution.
   void run_job(const Job& job, int lane);
   void worker(int lane);
   /// retry_after_ms hint for a shed response: EWMA job time x queue depth
@@ -162,7 +158,6 @@ class ServerCore {
   void note_job_ms(double ms);
   void maybe_snapshot();
   void save_snapshot_now();
-  void maybe_metrics_file();
   std::string stats_line(std::int64_t id) const;
   std::string metrics_line(std::int64_t id) const;
   std::string shutdown_line(std::int64_t id) const;
@@ -188,9 +183,7 @@ class ServerCore {
   bool closed_ = false;
   std::vector<std::thread> threads_;
 
-  /// Observability (serve/obs.hpp); null when ObsOptions::enabled() is
-  /// false, and every hook on the serving path is guarded by that check.
-  std::unique_ptr<Obs> obs_;
+  LatencyHistograms latency_;
 };
 
 /// {"id":N,"ok":false,"error":"..."} with the message JSON-escaped.

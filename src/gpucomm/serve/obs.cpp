@@ -1,21 +1,8 @@
 #include "gpucomm/serve/obs.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <utility>
-
-#include "gpucomm/metrics/json.hpp"
-#include "gpucomm/telemetry/trace_export.hpp"
+#include <algorithm>
 
 namespace gpucomm::serve {
-
-namespace {
-
-/// Span-vector bound: ~128k spans (6 per query) covers long soaks; past it
-/// the trace truncates and spans_dropped accounts for the rest.
-constexpr std::size_t kMaxSpans = std::size_t{1} << 17;
-
-}  // namespace
 
 const char* stage_name(Stage s) {
   switch (s) {
@@ -28,138 +15,26 @@ const char* stage_name(Stage s) {
   return "?";
 }
 
-bool BoundedLogRing::push(std::string record) {
-  ++pushed_;
-  if (ring_.size() >= cap_) {
-    ++dropped_;
-    return false;
-  }
-  ring_.push_back(std::move(record));
-  return true;
+LatencyHistograms::LatencyHistograms(int lanes) {
+  for (int i = 0; i < std::max(1, lanes); ++i) lanes_.push_back(std::make_unique<Lane>());
 }
 
-std::deque<std::string> BoundedLogRing::take_all() {
-  std::deque<std::string> out;
-  out.swap(ring_);
-  return out;
+void LatencyHistograms::record(int lane, Stage stage, std::uint64_t ns) {
+  Lane& l = *lanes_[static_cast<std::size_t>(lane)];
+  const std::lock_guard<std::mutex> lock(l.mu);
+  l.h[static_cast<int>(stage)].record(ns);
 }
 
-EventRecord::EventRecord(std::uint64_t ts_us, const char* type) {
-  out_ = "{\"ts_us\":" + std::to_string(ts_us) + ",\"type\":\"" + type + "\"";
-}
-
-EventRecord& EventRecord::field(const char* key, std::int64_t v) {
-  out_ += ",\"";
-  out_ += key;
-  out_ += "\":" + std::to_string(v);
-  return *this;
-}
-
-EventRecord& EventRecord::field(const char* key, std::uint64_t v) {
-  out_ += ",\"";
-  out_ += key;
-  out_ += "\":" + std::to_string(v);
-  return *this;
-}
-
-EventRecord& EventRecord::field(const char* key, double v) {
-  out_ += ",\"";
-  out_ += key;
-  out_ += "\":" + metrics::json_number(v);
-  return *this;
-}
-
-EventRecord& EventRecord::field(const char* key, const std::string& v) {
-  out_ += ",\"";
-  out_ += key;
-  out_ += "\":\"" + metrics::json_escape(v) + "\"";
-  return *this;
-}
-
-EventRecord& EventRecord::field_bool(const char* key, bool v) {
-  out_ += ",\"";
-  out_ += key;
-  out_ += v ? "\":true" : "\":false";
-  return *this;
-}
-
-std::string EventRecord::str() {
-  out_ += "}";
-  return std::move(out_);
-}
-
-Obs::Obs(const ObsOptions& options, int lanes)
-    : options_(options),
-      lanes_(lanes < 1 ? 1 : lanes),
-      base_(std::chrono::steady_clock::now()),
-      ring_(options.log_ring_cap) {
-  lane_stats_.reserve(static_cast<std::size_t>(lanes_));
-  for (int i = 0; i < lanes_; ++i) lane_stats_.push_back(std::make_unique<LaneStats>());
-  spans_on_ = !options_.trace_path.empty();
-  if (spans_on_) spans_.reserve(1024);
-  if (!options_.log_path.empty()) {
-    log_file_ = std::make_unique<std::ofstream>(options_.log_path,
-                                                std::ios::out | std::ios::trunc);
-    if (*log_file_) {
-      log_on_ = true;
-      log_thread_ = std::thread([this] { writer_main(); });
-    } else {
-      // Unopenable path: events are silently off (the serving path must not
-      // fail over an observability sink), but note it once on stderr.
-      std::fprintf(stderr, "gpucomm serve: cannot open --serve-log %s\n",
-                   options_.log_path.c_str());
-      log_file_.reset();
-    }
-  }
-}
-
-Obs::~Obs() { finalize(std::string(), std::string()); }
-
-std::uint64_t Obs::ts_us() const { return now_ns() / 1000; }
-
-std::uint64_t Obs::now_ns() const {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now() - base_)
-                                        .count());
-}
-
-void Obs::event(std::string record) {
-  if (!log_on_) return;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    ring_.push(std::move(record));
-  }
-  log_cv_.notify_one();
-}
-
-void Obs::record(int lane, Stage stage, std::uint64_t ns) {
-  LaneStats& ls = *lane_stats_[static_cast<std::size_t>(lane)];
-  std::lock_guard<std::mutex> lock(ls.mu);
-  ls.h[static_cast<int>(stage)].record(ns);
-}
-
-void Obs::span(const char* name, int lane, std::int64_t query_id, std::uint64_t seq,
-               std::uint64_t start_ns, std::uint64_t end_ns) {
-  if (!spans_on_) return;
-  std::lock_guard<std::mutex> lock(span_mu_);
-  if (spans_.size() >= kMaxSpans) {
-    ++spans_dropped_;
-    return;
-  }
-  spans_.push_back(
-      {name, lane, query_id, seq, start_ns, end_ns > start_ns ? end_ns - start_ns : 0});
-}
-
-metrics::Log2Histogram Obs::merged(Stage stage) const {
+metrics::Log2Histogram LatencyHistograms::merged(Stage stage) const {
   metrics::Log2Histogram out;
-  for (const auto& ls : lane_stats_) {
-    std::lock_guard<std::mutex> lock(ls->mu);
-    out.merge(ls->h[static_cast<int>(stage)]);
+  for (const auto& l : lanes_) {
+    const std::lock_guard<std::mutex> lock(l->mu);
+    out.merge(l->h[static_cast<int>(stage)]);
   }
   return out;
 }
 
-LatencyStats Obs::latency() const {
+LatencyStats LatencyHistograms::snapshot() const {
   LatencyStats out;
   for (int s = 0; s < kStageCount; ++s) {
     const metrics::Log2Histogram h = merged(static_cast<Stage>(s));
@@ -170,112 +45,7 @@ LatencyStats Obs::latency() const {
     st.p99_us = h.quantile(0.99) / 1000.0;
     st.max_us = static_cast<double>(h.max()) / 1000.0;
   }
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    out.log_records = ring_.pushed();
-    out.log_dropped = ring_.dropped();
-  }
-  out.log_rotations = log_rotations_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(span_mu_);
-    out.spans = spans_.size();
-    out.spans_dropped = spans_dropped_;
-  }
   return out;
-}
-
-void Obs::write_metrics_file(const std::string& text) {
-  if (options_.metrics_path.empty()) return;
-  std::lock_guard<std::mutex> lock(metrics_file_mu_);
-  // Write-then-rename so a reader never sees a torn snapshot.
-  const std::string tmp = options_.metrics_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::out | std::ios::trunc);
-    if (!out) return;
-    out << text;
-    if (!out.flush()) return;
-  }
-  std::rename(tmp.c_str(), options_.metrics_path.c_str());
-}
-
-void Obs::writer_main() {
-  std::unique_lock<std::mutex> lock(log_mu_);
-  for (;;) {
-    log_cv_.wait(lock, [this] { return log_closed_ || ring_.size() > 0; });
-    std::deque<std::string> batch = ring_.take_all();
-    const bool closed = log_closed_;
-    lock.unlock();
-    write_batch(batch);
-    lock.lock();
-    if (closed && ring_.size() == 0) return;
-  }
-}
-
-void Obs::write_batch(std::deque<std::string>& batch) {
-  if (log_file_ == nullptr || batch.empty()) return;
-  for (const std::string& rec : batch) {
-    if (log_file_bytes_ > 0 && log_file_bytes_ + rec.size() + 1 > options_.log_max_bytes) {
-      // Size-bounded single-generation rotation: current -> <path>.1.
-      log_file_->close();
-      const std::string old = options_.log_path + ".1";
-      std::rename(options_.log_path.c_str(), old.c_str());
-      log_file_->open(options_.log_path, std::ios::out | std::ios::trunc);
-      log_file_bytes_ = 0;
-      log_rotations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    *log_file_ << rec << '\n';
-    log_file_bytes_ += rec.size() + 1;
-  }
-  // One flush per batch: records are durable at the next crash boundary
-  // without a syscall per record.
-  log_file_->flush();
-}
-
-void Obs::write_trace() {
-  if (!spans_on_) return;
-  std::ofstream out(options_.trace_path, std::ios::out | std::ios::trunc);
-  if (!out) return;
-  telemetry::ChromeTraceWriter w(out);
-  w.open("process_name", "M", 0, 0);
-  w.args("\"name\":\"scenario-server\"");
-  w.close();
-  for (int lane = 0; lane < lanes_; ++lane) {
-    w.open("thread_name", "M", 0, static_cast<std::uint64_t>(lane));
-    const std::string name =
-        lane == lanes_ - 1 ? "transport" : "worker " + std::to_string(lane);
-    w.args("\"name\":\"" + name + "\"");
-    w.close();
-  }
-  std::lock_guard<std::mutex> lock(span_mu_);
-  for (const Span& s : spans_) {
-    w.open(s.name, "X", 0, static_cast<std::uint64_t>(s.lane));
-    w.ts_us(static_cast<double>(s.start_ns) / 1000.0);
-    w.dur_us(static_cast<double>(s.dur_ns) / 1000.0);
-    w.args("\"id\":" + std::to_string(s.query_id) + ",\"seq\":" + std::to_string(s.seq));
-    w.close();
-  }
-  w.end();
-}
-
-void Obs::finalize(const std::string& final_event, const std::string& metrics_text) {
-  {
-    std::lock_guard<std::mutex> lock(finalize_mu_);
-    if (finalized_) return;
-    finalized_ = true;
-  }
-  if (log_on_) {
-    if (!final_event.empty()) event(std::string(final_event));
-    {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      log_closed_ = true;
-    }
-    log_cv_.notify_one();
-    if (log_thread_.joinable()) log_thread_.join();
-    log_file_.reset();
-    log_on_ = false;
-  }
-  write_trace();
-  if (!metrics_text.empty()) write_metrics_file(metrics_text);
 }
 
 }  // namespace gpucomm::serve

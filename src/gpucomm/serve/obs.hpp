@@ -1,83 +1,28 @@
-// Service observability for the scenario server: structured event log,
-// per-lane latency histograms, and per-query trace spans.
+// Latency histograms for the scenario server, always on.
 //
-// Everything here is off by default and costs nothing when off — ServerCore
-// only constructs an Obs when ObsOptions::enabled(), and every hook on the
-// serving path is guarded by that null check. When on, the design keeps the
-// hot path cheap and the determinism contract intact:
-//
-//  * Event log (--serve-log): pre-rendered JSON-lines records go into a
-//    bounded ring (drop-newest with an exact dropped-records counter, never
-//    block the serving thread) and a dedicated writer thread drains the ring
-//    to the file, flushing after every batch so records survive a crash.
-//    When the file passes --serve-log-max-mb it is rotated once to
-//    `<path>.1` (the previous generation is overwritten).
-//  * Latency histograms: one metrics::Log2Histogram per (lane, stage),
-//    where a lane is a worker thread or the transport thread, each guarded
-//    by its own uncontended mutex. Readers (`stats`/`metrics` barrier
-//    queries) merge at read; Log2Histogram's exact merge makes the merged
-//    quantiles invariant under worker count.
-//  * Trace spans (--serve-trace): bounded in-memory span vector, written as
-//    Chrome-trace JSON (telemetry::ChromeTraceWriter) when the server
-//    drains. Spans carry the query id and line sequence number so one
-//    query's admission -> queue -> run -> render -> flush chain can be
-//    followed across lanes.
-//
-// Responses are byte-identical with observability on or off at any
-// verbosity: no hook touches response rendering, and all output goes to
-// side-channel files or the `stats`/`metrics` control responses (which are
-// load-dependent by design and excluded from the byte-identity contract).
+// One metrics::Log2Histogram per (lane, stage), where a lane is a worker
+// thread or the transport thread, each lane guarded by its own mutex that
+// only a `stats`/`metrics` reader merging at read time ever contends.
+// Log2Histogram's exact merge makes the merged quantiles invariant under
+// worker count. Recording never touches response rendering, so responses
+// stay byte-identical; the histograms surface only through the `stats` and
+// `metrics` control queries (load-dependent by design) and ServeResult.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "gpucomm/metrics/histogram.hpp"
 
 namespace gpucomm::serve {
 
-struct ObsOptions {
-  /// --serve-log: structured JSON-lines event log path; empty = off.
-  std::string log_path;
-  /// --serve-log-max-mb: rotate the event log past this many bytes.
-  std::size_t log_max_bytes = 64u << 20;
-  /// --serve-trace: Chrome-trace span export path; empty = off.
-  std::string trace_path;
-  /// --serve-metrics-file: Prometheus text snapshot path; empty = off.
-  std::string metrics_path;
-  /// --serve-metrics-every: refresh metrics_path every N answered queries
-  /// (0 = only at drain).
-  int metrics_every = 0;
-  /// --serve-slow-ms: emit a slow_query record for queries at or above this
-  /// end-to-end wall time (0 = off). Requires the event log to be useful.
-  int slow_ms = 0;
-  /// Latency histograms without any file output (bench/tests; also implied
-  /// by any of the paths above).
-  bool latency = false;
-  /// Event-ring capacity in records (not a CLI flag; tests shrink it).
-  std::size_t log_ring_cap = 4096;
-
-  bool enabled() const {
-    return latency || slow_ms > 0 || !log_path.empty() || !trace_path.empty() ||
-           !metrics_path.empty();
-  }
-};
-
 /// Latency stages tracked per lane. kQueueWait is admission -> dequeue,
 /// kParse is request-line parsing on the transport lane, kRun/kRender split
-/// run_scenario from response assembly, kE2e is admission -> flushed (so its
-/// count equals answered scenario queries — shed and control lines never
-/// reach it).
+/// run_scenario from response assembly, kE2e is admission -> response handed
+/// to the ordered writer (so its count equals answered scenario queries,
+/// also at a stats barrier — shed and control lines never reach it).
 enum class Stage { kQueueWait = 0, kParse, kRun, kRender, kE2e };
 inline constexpr int kStageCount = 5;
 const char* stage_name(Stage s);
@@ -93,137 +38,26 @@ struct LatencyStats {
     double max_us = 0.0;
   };
   StageStats stage[kStageCount];
-  std::uint64_t log_records = 0;   // pushed into the ring (dropped included)
-  std::uint64_t log_dropped = 0;   // lost to a full ring
-  std::uint64_t log_rotations = 0;
-  std::uint64_t spans = 0;
-  std::uint64_t spans_dropped = 0;
 };
 
-/// Bounded drop-newest record ring. Not synchronized — Obs wraps it in a
-/// mutex; standalone so overflow accounting is unit-testable without
-/// threads.
-class BoundedLogRing {
- public:
-  explicit BoundedLogRing(std::size_t cap) : cap_(cap) {}
-
-  /// False (and counted in dropped()) when the ring is full.
-  bool push(std::string record);
-  std::deque<std::string> take_all();
-
-  std::size_t size() const { return ring_.size(); }
-  std::uint64_t pushed() const { return pushed_; }
-  std::uint64_t dropped() const { return dropped_; }
-
- private:
-  std::size_t cap_;
-  std::deque<std::string> ring_;
-  std::uint64_t pushed_ = 0;
-  std::uint64_t dropped_ = 0;
-};
-
-/// Assembles one event-log record: {"ts_us":N,"type":"...",...}. Values are
-/// escaped; the record carries no trailing newline (the writer adds it).
-class EventRecord {
- public:
-  EventRecord(std::uint64_t ts_us, const char* type);
-  EventRecord& field(const char* key, std::int64_t v);
-  EventRecord& field(const char* key, std::uint64_t v);
-  EventRecord& field(const char* key, double v);
-  EventRecord& field(const char* key, const std::string& v);
-  EventRecord& field_bool(const char* key, bool v);
-  /// Closes and returns the record; the EventRecord is spent afterwards.
-  std::string str();
-
- private:
-  std::string out_;
-};
-
-class Obs {
+class LatencyHistograms {
  public:
   /// `lanes` = worker-pool size + 1; lane `lanes - 1` is the transport
   /// thread (also the inline-execution lane when there is no pool).
-  Obs(const ObsOptions& options, int lanes);
-  ~Obs();
+  explicit LatencyHistograms(int lanes);
 
-  /// Wall-clock since construction (steady), the event-log timestamp unit.
-  std::uint64_t ts_us() const;
-  std::uint64_t now_ns() const;
+  int transport_lane() const { return static_cast<int>(lanes_.size()) - 1; }
 
-  int transport_lane() const { return lanes_ - 1; }
-  bool want_events() const { return log_on_; }
-  bool want_spans() const { return spans_on_; }
-  bool want_slow_queries() const { return options_.slow_ms > 0; }
-  bool slow(double elapsed_ms) const {
-    return options_.slow_ms > 0 && elapsed_ms >= static_cast<double>(options_.slow_ms);
-  }
-  bool want_metrics_file() const { return !options_.metrics_path.empty(); }
-  int metrics_every() const { return options_.metrics_every; }
-
-  /// Enqueue one pre-rendered record; never blocks on I/O.
-  void event(std::string record);
   void record(int lane, Stage stage, std::uint64_t ns);
-  void span(const char* name, int lane, std::int64_t query_id, std::uint64_t seq,
-            std::uint64_t start_ns, std::uint64_t end_ns);
-
   metrics::Log2Histogram merged(Stage stage) const;
-  LatencyStats latency() const;
-
-  /// Write/refresh the Prometheus snapshot (--serve-metrics-file).
-  void write_metrics_file(const std::string& text);
-
-  /// Final record + log flush + trace export + metrics snapshot. Idempotent;
-  /// ServerCore::drain() calls it on every exit path (SIGTERM included), and
-  /// the destructor calls it as a last resort with no final record.
-  void finalize(const std::string& final_event, const std::string& metrics_text);
+  LatencyStats snapshot() const;
 
  private:
-  struct Span {
-    const char* name;
-    int lane;
-    std::int64_t query_id;
-    std::uint64_t seq;
-    std::uint64_t start_ns;
-    std::uint64_t dur_ns;
-  };
-  /// Per-lane histogram set; each lane's mutex is only ever contended by a
-  /// `stats`/`metrics` reader merging at read time.
-  struct LaneStats {
+  struct Lane {
     mutable std::mutex mu;
     metrics::Log2Histogram h[kStageCount];
   };
-
-  void writer_main();
-  void write_batch(std::deque<std::string>& batch);
-  void write_trace();
-
-  ObsOptions options_;
-  int lanes_;
-  bool log_on_ = false;
-  bool spans_on_ = false;
-  std::chrono::steady_clock::time_point base_;
-
-  std::vector<std::unique_ptr<LaneStats>> lane_stats_;
-
-  // Event log: ring + writer thread. File state is owned by the writer
-  // thread; the counters it exports are atomics.
-  mutable std::mutex log_mu_;
-  std::condition_variable log_cv_;
-  BoundedLogRing ring_;
-  bool log_closed_ = false;
-  std::thread log_thread_;
-  std::unique_ptr<std::ofstream> log_file_;
-  std::size_t log_file_bytes_ = 0;
-  std::atomic<std::uint64_t> log_rotations_{0};
-
-  // Trace spans: bounded vector, written at finalize.
-  mutable std::mutex span_mu_;
-  std::vector<Span> spans_;
-  std::uint64_t spans_dropped_ = 0;
-
-  std::mutex metrics_file_mu_;
-  std::mutex finalize_mu_;
-  bool finalized_ = false;
+  std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
 }  // namespace gpucomm::serve

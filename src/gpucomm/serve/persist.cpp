@@ -1,13 +1,12 @@
 #include "gpucomm/serve/persist.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <vector>
 
-#include "gpucomm/harness/runner.hpp"
+#include "gpucomm/metrics/json.hpp"
 #include "gpucomm/metrics/version.hpp"
 #include "gpucomm/serve/scenario.hpp"
 
@@ -16,7 +15,7 @@ namespace gpucomm::serve {
 namespace {
 
 constexpr char kMagic[8] = {'G', 'C', 'C', 'A', 'C', 'H', 'E', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint32_t kEndianProbe = 0x01020304u;
 
 std::uint64_t fnv1a64(const std::string& bytes) {
@@ -40,10 +39,6 @@ void put_string(std::string& out, const std::string& s) {
   put_u64(out, s.size());
   out.append(s);
 }
-void put_doubles(std::string& out, const std::vector<double>& v) {
-  put_u64(out, v.size());
-  for (const double d : v) put_u64(out, std::bit_cast<std::uint64_t>(d));
-}
 
 // --- bounds-checked reader --------------------------------------------------
 
@@ -58,17 +53,6 @@ class Cursor {
     if (!u64(n) || n > remaining()) return false;
     s.assign(p_, n);
     p_ += n;
-    return true;
-  }
-  bool doubles(std::vector<double>& v) {
-    std::uint64_t n = 0;
-    if (!u64(n) || n > remaining() / sizeof(std::uint64_t)) return false;
-    v.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint64_t bits = 0;
-      if (!u64(bits)) return false;
-      v[i] = std::bit_cast<double>(bits);
-    }
     return true;
   }
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
@@ -106,13 +90,6 @@ SnapshotInfo save_cache_snapshot(const std::string& path, const ServerCaches& ca
     put_string(payload, e.value->manifest_pretty);
     put_string(payload, e.value->manifest_compact);
   }
-  const auto cells = caches.cells.export_entries();
-  put_u64(payload, cells.size());
-  for (const auto& e : cells) {
-    put_string(payload, e.key);
-    put_doubles(payload, e.value->us);
-    put_doubles(payload, e.value->aborted_us);
-  }
 
   std::string file;
   file.append(kMagic, sizeof(kMagic));
@@ -138,7 +115,6 @@ SnapshotInfo save_cache_snapshot(const std::string& path, const ServerCaches& ca
   }
   info.ok = true;
   info.responses = responses.size();
-  info.cells = cells.size();
   return info;
 }
 
@@ -148,11 +124,8 @@ SnapshotInfo load_cache_snapshot(const std::string& path, ServerCaches& caches) 
   std::string file((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
   if (!f.good() && !f.eof()) return reject("cannot read " + path);
 
-  Cursor header(file.data(), file.size());
-  char magic[sizeof(kMagic)] = {};
   if (file.size() < sizeof(kMagic)) return reject("truncated header");
-  std::memcpy(magic, file.data(), sizeof(kMagic));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return reject("bad magic");
+  if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) return reject("bad magic");
   Cursor c(file.data() + sizeof(kMagic), file.size() - sizeof(kMagic));
   std::uint32_t version = 0, endian = 0;
   if (!c.u32(version) || !c.u32(endian)) return reject("truncated header");
@@ -166,7 +139,8 @@ SnapshotInfo load_cache_snapshot(const std::string& path, ServerCaches& caches) 
   if (build != metrics::build_version()) {
     // Responses embed the build version in their manifests; serving them
     // from another build would violate the byte-identity contract.
-    return reject("stale build '" + build + "' (this binary is '" +
+    // Escaped: the file's bytes must not be able to split the one-line error.
+    return reject("stale build '" + metrics::json_escape(build) + "' (this binary is '" +
                   metrics::build_version() + "')");
   }
   std::uint64_t payload_bytes = 0, checksum = 0;
@@ -190,17 +164,6 @@ SnapshotInfo load_cache_snapshot(const std::string& path, ServerCaches& caches) 
     }
     responses.emplace_back(std::move(key), std::move(out));
   }
-  std::uint64_t n_cells = 0;
-  if (!p.u64(n_cells)) return reject("truncated cells");
-  std::vector<std::pair<std::string, std::shared_ptr<Samples>>> cells;
-  for (std::uint64_t i = 0; i < n_cells; ++i) {
-    std::string key;
-    auto s = std::make_shared<Samples>();
-    if (!p.str(key) || !p.doubles(s->us) || !p.doubles(s->aborted_us)) {
-      return reject("truncated cell entry");
-    }
-    cells.emplace_back(std::move(key), std::move(s));
-  }
   if (!p.done()) return reject("trailing bytes after payload");
 
   SnapshotInfo info;
@@ -208,13 +171,8 @@ SnapshotInfo load_cache_snapshot(const std::string& path, ServerCaches& caches) 
     const std::size_t cost = value->cost_bytes();
     caches.responses.insert(key, std::move(value), cost);
   }
-  for (auto& [key, value] : cells) {
-    const std::size_t cost = samples_cost(*value);
-    caches.cells.insert(key, std::move(value), cost);
-  }
   info.ok = true;
   info.responses = n_responses;
-  info.cells = n_cells;
   return info;
 }
 

@@ -1,18 +1,16 @@
 // Crash-safe persistence for the scenario server's exact-compare caches.
 //
-// A snapshot file carries the two caches whose values are pure data — whole
-// responses (rendered header/table/manifest strings) and per-size cell
-// samples (vectors of timer-quantized doubles). Both hold bytes that are
-// bit-identical to recomputation, so a warm-from-disk answer is
-// byte-identical to a warm-in-memory answer by construction. The topology
-// and plan caches hold pointer-laden objects; they are deliberately NOT
-// persisted — they rebuild in milliseconds and everything expensive they
-// feed into is covered by the two persisted caches.
+// A snapshot file carries the response cache, whose values are pure data
+// (rendered header/table/manifest strings) bit-identical to recomputation,
+// so a warm-from-disk answer is byte-identical to a warm-in-memory answer
+// by construction. The topology cache holds pointer-laden objects; it is
+// deliberately NOT persisted — topologies rebuild in milliseconds and every
+// answer they feed into is covered by the persisted responses.
 //
 // File format (host-endian; the header detects a foreign byte order):
 //
 //   magic            8 bytes  "GCCACHE1"
-//   format_version   u32      currently 1
+//   format_version   u32      currently 2 (1 also carried cell samples)
 //   endian_probe     u32      0x01020304 as written by the producing host
 //   build_version    string   metrics::build_version() of the producer
 //   payload_bytes    u64
@@ -20,10 +18,9 @@
 //   payload:
 //     u64 n_responses; n x { string key; string header; string table;
 //                            string manifest_pretty; string manifest_compact }
-//     u64 n_cells;     n x { string key; f64[] us; f64[] aborted_us }
 //
-// Strings are u64-length-prefixed raw bytes; doubles are stored as their
-// exact bit patterns, so values round-trip bit-for-bit.
+// Strings are u64-length-prefixed raw bytes, so values round-trip
+// byte-for-byte.
 //
 // Validation on load is all-or-nothing: a wrong magic/format/endianness, a
 // build_version that differs from this binary (responses embed the build
@@ -46,14 +43,13 @@ class ServerCaches;
 
 struct SnapshotInfo {
   bool ok = false;
-  /// Entries saved/loaded per persisted cache.
+  /// Response entries saved/loaded.
   std::uint64_t responses = 0;
-  std::uint64_t cells = 0;
   /// One-line reason when !ok ("checksum mismatch", "stale build ...", ...).
   std::string error;
 };
 
-/// Serialize the response and cell caches to `path` (temp file + rename).
+/// Serialize the response cache to `path` (temp file + rename).
 SnapshotInfo save_cache_snapshot(const std::string& path, const ServerCaches& caches);
 
 /// Validate and load a snapshot into `caches`. Rejects corrupt or stale

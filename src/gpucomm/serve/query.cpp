@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "gpucomm/metrics/json.hpp"
 #include "gpucomm/systems/registry.hpp"
 
 namespace gpucomm::serve {
@@ -20,6 +21,18 @@ bool exact_int(const JsonValue& v, std::int64_t min, std::int64_t max, std::int6
   return true;
 }
 
+/// "unknown <what> '<name>'" with the client-supplied name escaped, so a
+/// control character (a JSON "\n" escape, say) cannot split the one-line
+/// error. Appends only: GCC 12's -Wrestrict misfires on literal + string.
+std::string unknown(const char* what, const std::string& name) {
+  std::string out = "unknown ";
+  out += what;
+  out += " '";
+  out += metrics::json_escape(name);
+  out += '\'';
+  return out;
+}
+
 /// Length-prefixed text field, so free-form strings (fault specs) cannot
 /// forge a key collision with the '|'-separated fields around them.
 void append_text(std::ostream& os, const char* name, const std::string& text) {
@@ -28,19 +41,14 @@ void append_text(std::ostream& os, const char* name, const std::string& text) {
 
 }  // namespace
 
-std::string ScenarioQuery::core_key() const {
+std::string ScenarioQuery::canonical_key() const {
   std::ostringstream os;
   os << "system=" << system << "|op=" << op << "|mech=" << mechanism << "|gpus=" << gpus
      << "|space=" << (space == MemSpace::kHost ? "host" : "device")
      << "|tuned=" << (tuned ? 1 : 0) << "|sl=" << service_level
      << "|placement=" << cli::placement_name(placement) << "|seed=" << seed
-     << "|noise=" << (noise ? 1 : 0) << "|nodes=" << nodes;
-  return os.str();
-}
-
-std::string ScenarioQuery::canonical_key() const {
-  std::ostringstream os;
-  os << core_key() << "|min=" << min_bytes << "|max=" << max_bytes << "|iters=" << iters
+     << "|noise=" << (noise ? 1 : 0) << "|nodes=" << nodes << "|min=" << min_bytes
+     << "|max=" << max_bytes << "|iters=" << iters
      << "|harness=" << (cells ? "cells" : "coupled");
   append_text(os, "faults", faults);
   return os.str();
@@ -64,30 +72,32 @@ std::optional<ScenarioQuery> parse_query(const JsonValue& v, std::string& error)
       q.system = val.as_string();
       const auto& names = all_system_names();
       if (std::find(names.begin(), names.end(), q.system) == names.end()) {
-        return fail("unknown system '" + q.system + "'");
+        return fail(unknown("system", q.system));
       }
     } else if (key == "op") {
       if (!val.is_string() || !cli::known_op(val.as_string())) {
-        return fail("unknown op" + (val.is_string() ? " '" + val.as_string() + "'" : ""));
+        return fail(val.is_string() ? unknown("op", val.as_string()) : "unknown op");
       }
       q.op = val.as_string();
     } else if (key == "mechanism") {
       if (!val.is_string() || !cli::known_mechanism(val.as_string())) {
-        return fail("unknown mechanism" +
-                    (val.is_string() ? " '" + val.as_string() + "'" : ""));
+        return fail(val.is_string() ? unknown("mechanism", val.as_string())
+                                    : "unknown mechanism");
       }
       q.mechanism = val.as_string();
     } else if (key == "gpus") {
       if (!exact_int(val, 1, 1 << 20, n)) return fail("'gpus' must be a positive integer");
       q.gpus = static_cast<int>(n);
     } else if (key == "min") {
-      if (!exact_int(val, 1, std::numeric_limits<std::int64_t>::max(), n)) {
-        return fail("'min' must be a positive byte count");
+      if (!exact_int(val, 1, static_cast<std::int64_t>(cli::kMaxSweepBytes), n)) {
+        return fail("'min' must be a byte count in [1, " +
+                    std::to_string(cli::kMaxSweepBytes) + "]");
       }
       q.min_bytes = static_cast<Bytes>(n);
     } else if (key == "max") {
-      if (!exact_int(val, 1, std::numeric_limits<std::int64_t>::max(), n)) {
-        return fail("'max' must be a positive byte count");
+      if (!exact_int(val, 1, static_cast<std::int64_t>(cli::kMaxSweepBytes), n)) {
+        return fail("'max' must be a byte count in [1, " +
+                    std::to_string(cli::kMaxSweepBytes) + "]");
       }
       q.max_bytes = static_cast<Bytes>(n);
     } else if (key == "space") {
@@ -149,7 +159,7 @@ std::optional<ScenarioQuery> parse_query(const JsonValue& v, std::string& error)
       }
       q.deadline_ms = static_cast<int>(n);
     } else {
-      return fail("unknown query field '" + key + "'");
+      return fail(unknown("query field", key));
     }
   }
   if (q.min_bytes > q.max_bytes) return fail("'min' exceeds 'max'");

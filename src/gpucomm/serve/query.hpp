@@ -11,9 +11,7 @@
 //
 // canonical_key() renders every semantic field (everything except the echo
 // id and the server-side metrics_out path) into one unambiguous string —
-// the exact-compare cache key for the response cache. core_key() is the
-// subset shared by the topology/plan/cell caches, so structurally identical
-// sub-work is reused across queries that differ only in their sweep bounds.
+// the exact-compare cache key for the response cache.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +49,7 @@ struct ScenarioQuery {
   int nodes = 0;
   /// Flow-network solver shards (ClusterOptions::net_shards). Rates are
   /// bit-identical at any value, so — like metrics_out — this is NOT part of
-  /// the canonical/core cache keys: a response computed at one shard count
+  /// the canonical cache key: a response computed at one shard count
   /// answers the same query at any other.
   int net_shards = 1;
   /// "cells" runs every (size, rep) as an independent simulation with a
@@ -72,10 +70,6 @@ struct ScenarioQuery {
   /// Exact-compare key for the full response: every semantic field above
   /// except id and metrics_out.
   std::string canonical_key() const;
-  /// Key prefix shared by the topology/plan/cell caches: everything that
-  /// shapes the simulated machine and operation, but not the sweep bounds
-  /// or iteration override.
-  std::string core_key() const;
 };
 
 /// Parse one query object. Strict: unknown fields, wrong types, unknown

@@ -13,8 +13,10 @@
 #include "gpucomm/comm/staging.hpp"
 #include "gpucomm/fault/fault_injector.hpp"
 #include "gpucomm/harness/parallel.hpp"
+#include "gpucomm/harness/runner.hpp"
 #include "gpucomm/harness/table.hpp"
 #include "gpucomm/metrics/profiler.hpp"
+#include "gpucomm/metrics/run_manifest.hpp"
 #include "gpucomm/metrics/version.hpp"
 #include "gpucomm/runtime/clock.hpp"
 #include "gpucomm/systems/registry.hpp"
@@ -91,102 +93,25 @@ int resolved_nodes(const SystemConfig& cfg, int gpus, int nodes_override) {
   return nodes;
 }
 
-std::size_t PlanSet::cost_bytes() const {
-  std::size_t bytes = sizeof(PlanSet);
-  for (const auto& p : plans) {
-    bytes += sizeof(p) + p.schedules.size() * sizeof(metrics::RunManifest::ScheduleId);
-    for (const auto& s : p.schedules) bytes += s.algorithm.size();
-  }
-  return bytes;
-}
-
-std::size_t samples_cost(const Samples& s) {
-  return sizeof(Samples) + (s.us.size() + s.aborted_us.size()) * sizeof(double);
-}
-
 namespace {
-
-/// Record one cache probe on the (optional) observability trail.
-void note_lookup(ScenarioObs* obs, const char* cache, bool hit) {
-  if (obs != nullptr) obs->lookups.push_back({cache, hit});
-}
 
 /// Topology for (system, nodes, placement), through the cache when present.
 std::shared_ptr<const TopologySnapshot> topology_for(const SystemConfig& cfg, int nodes,
                                                      Placement placement,
-                                                     ServerCaches* caches,
-                                                     ScenarioObs* obs) {
+                                                     ServerCaches* caches) {
   if (caches == nullptr) return build_topology_snapshot(cfg, nodes, placement);
   const std::string key = cfg.name + "|nodes=" + std::to_string(nodes) +
                           "|placement=" + cli::placement_name(placement);
-  if (auto hit = caches->topologies.find(key)) {
-    note_lookup(obs, "topology", true);
-    return hit;
-  }
-  note_lookup(obs, "topology", false);
+  if (auto hit = caches->topologies.find(key)) return hit;
   auto snap = build_topology_snapshot(cfg, nodes, placement);
   caches->topologies.insert(key, snap, snap->memory_bytes());
   return snap;
 }
 
-/// The sweep: sizes, per-size run configs, and per-size stall markers.
-struct Sweep {
-  std::vector<Bytes> sizes;
-  std::vector<RunConfig> rcs;
-  std::vector<bool> stalled;
-};
-
-Sweep make_sweep(const ScenarioQuery& q, bool alltoall_available) {
-  Sweep sw;
-  for (Bytes b = q.min_bytes; b <= q.max_bytes; b *= 4) {
-    RunConfig rc = run_config_for(b);
-    if (q.iters > 0) rc.iterations = q.iters;
-    sw.sizes.push_back(b);
-    sw.rcs.push_back(rc);
-    sw.stalled.push_back(q.op == "alltoall" && !alltoall_available);
-  }
-  return sw;
-}
-
-/// Plans + availability for a cells-mode sweep: computed on a pristine
-/// planning cluster (the cells never touch it), so the result is a pure
-/// function of (core key, sweep bounds) and safe to reuse across queries.
-std::shared_ptr<const PlanSet> plans_for_cells(const ScenarioQuery& q,
-                                               const TopologySnapshot& topo,
-                                               const ClusterOptions& copt,
-                                               const CommOptions& opt,
-                                               ServerCaches* caches, ScenarioObs* obs) {
-  std::string key;
-  if (caches != nullptr) {
-    key = q.core_key() + "|min=" + std::to_string(q.min_bytes) +
-          "|max=" + std::to_string(q.max_bytes);
-    if (auto hit = caches->plans.find(key)) {
-      note_lookup(obs, "plans", true);
-      return hit;
-    }
-    note_lookup(obs, "plans", false);
-  }
-  Cluster planning(topo, copt);
-  auto comm = make_comm(mechanism_of(q.mechanism), planning, q.gpus, opt);
-  auto ps = std::make_shared<PlanSet>();
-  const CollectiveOp op = op_of(q.op);
-  // Same probe/plan call sequence as the CLI driver: availability per size
-  // first (only consulted for alltoall), then one plan() per size.
-  for (Bytes b = q.min_bytes; b <= q.max_bytes; b *= 4) {
-    if (q.op == "alltoall") ps->alltoall_available = comm->available(CollectiveOp::kAlltoall);
-    (void)b;
-  }
-  for (Bytes b = q.min_bytes; b <= q.max_bytes; b *= 4) {
-    ps->plans.push_back(metrics::plan_info(b, comm->plan(op, b)));
-  }
-  if (caches != nullptr) caches->plans.insert(key, ps, ps->cost_bytes());
-  return ps;
-}
-
 /// One size of a cells-mode sweep: `reps` independent simulations seeded
 /// from (seed, size index, rep), merged in rep order — exactly the CLI's
 /// run_cell_sweep cell body, so the merged Samples are bit-identical to a
-/// standalone --jobs run and safe to cache across queries.
+/// standalone --jobs run.
 Samples run_cell_size(const ScenarioQuery& q, const TopologySnapshot& topo,
                       const ClusterOptions& copt, const CommOptions& opt,
                       std::size_t size_idx, Bytes bytes, int reps) {
@@ -209,8 +134,7 @@ Samples run_cell_size(const ScenarioQuery& q, const TopologySnapshot& topo,
 std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
                                                         ServerCaches* caches,
                                                         bool want_manifest,
-                                                        std::string& error,
-                                                        ScenarioObs* obs) {
+                                                        std::string& error) {
   const SystemConfig cfg = system_by_name(q.system);
   const int nodes = resolved_nodes(cfg, q.gpus, q.nodes);
 
@@ -241,7 +165,7 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
   }
 
   const std::shared_ptr<const TopologySnapshot> topo =
-      topology_for(cfg, nodes, q.placement, caches, obs);
+      topology_for(cfg, nodes, q.placement, caches);
 
   auto out = std::make_shared<ScenarioOutput>();
   metrics::RunManifest manifest;
@@ -270,42 +194,37 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
     out->header = hs.str();
   }
 
+  const std::vector<Bytes> sizes = cli::sweep_sizes(q.min_bytes, q.max_bytes);
+  std::vector<RunConfig> rcs;
+  for (const Bytes b : sizes) {
+    rcs.push_back(run_config_for(b));
+    if (q.iters > 0) rcs.back().iterations = q.iters;
+  }
+  const CollectiveOp op = op_of(q.op);
   const metrics::ScheduleProfiler* manifest_profiler = nullptr;
   std::unique_ptr<metrics::ScheduleProfiler> profiler;
-  Sweep sw;
-  std::vector<Samples> samples;
+  std::vector<Samples> samples(sizes.size());
+  // available() is a pure function of the mechanism's configuration, so an
+  // alltoall it cannot run stalls every size of the sweep.
+  bool stalled = false;
 
   if (q.cells) {
-    const std::shared_ptr<const PlanSet> ps =
-        plans_for_cells(q, *topo, copt, opt, caches, obs);
-    sw = make_sweep(q, ps->alltoall_available);
-    manifest.plans = ps->plans;
-    samples.resize(sw.sizes.size());
-    for (std::size_t s = 0; s < sw.sizes.size(); ++s) {
-      const int reps = sw.stalled[s] ? 0 : sw.rcs[s].iterations;
-      std::string key;
-      if (caches != nullptr) {
-        key = q.core_key() + "|s=" + std::to_string(s) +
-              "|b=" + std::to_string(sw.sizes[s]) + "|reps=" + std::to_string(reps);
-        if (auto hit = caches->cells.find(key)) {
-          note_lookup(obs, "cells", true);
-          samples[s] = *hit;
-          continue;
-        }
-        note_lookup(obs, "cells", false);
-      }
-      samples[s] = run_cell_size(q, *topo, copt, opt, s, sw.sizes[s], reps);
-      if (caches != nullptr) {
-        caches->cells.insert(key, std::make_shared<Samples>(samples[s]),
-                             samples_cost(samples[s]));
-      }
+    // Plans and availability come from a pristine planning cluster; the
+    // cells never touch it.
+    Cluster planning(*topo, copt);
+    auto comm = make_comm(mechanism_of(q.mechanism), planning, q.gpus, opt);
+    stalled = q.op == "alltoall" && !comm->available(CollectiveOp::kAlltoall);
+    for (const Bytes b : sizes) {
+      manifest.plans.push_back(metrics::plan_info(b, comm->plan(op, b)));
+    }
+    for (std::size_t s = 0; s < sizes.size() && !stalled; ++s) {
+      samples[s] = run_cell_size(q, *topo, copt, opt, s, sizes[s], rcs[s].iterations);
     }
   } else {
     // Coupled run: one cluster, one noise stream across the sweep —
     // constructed and driven in the exact CLI order (telemetry before the
-    // injector before the communicator; per-size availability probes before
-    // the runs; plan() per size afterwards) so anything consuming cluster
-    // RNG consumes it identically.
+    // injector before the communicator; plan() per size after the runs) so
+    // anything consuming cluster RNG consumes it identically.
     Cluster cluster(*topo, copt);
     telemetry::MultiSink sinks;
     if (want_manifest) {
@@ -324,20 +243,11 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
       }
     }
     auto comm = make_comm(mechanism_of(q.mechanism), cluster, q.gpus, opt);
-    sw.stalled.clear();
-    for (Bytes b = q.min_bytes; b <= q.max_bytes; b *= 4) {
-      RunConfig rc = run_config_for(b);
-      if (q.iters > 0) rc.iterations = q.iters;
-      sw.sizes.push_back(b);
-      sw.rcs.push_back(rc);
-      sw.stalled.push_back(q.op == "alltoall" && !comm->available(CollectiveOp::kAlltoall));
-    }
-    samples.resize(sw.sizes.size());
-    for (std::size_t s = 0; s < sw.sizes.size(); ++s) {
-      if (sw.stalled[s]) continue;
-      const Bytes b = sw.sizes[s];
+    stalled = q.op == "alltoall" && !comm->available(CollectiveOp::kAlltoall);
+    for (std::size_t s = 0; s < sizes.size() && !stalled; ++s) {
+      const Bytes b = sizes[s];
       samples[s] = run_iterations(
-          cluster, sw.rcs[s], [&] { return run_op(*comm, q.op, b); },
+          cluster, rcs[s], [&] { return run_op(*comm, q.op, b); },
           [&] { return comm->last_op_failed(); });
       if (profiler) {
         profiler->set_enabled(true);
@@ -345,20 +255,19 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
         profiler->set_enabled(false);
       }
     }
-    const CollectiveOp op = op_of(q.op);
-    for (std::size_t s = 0; s < sw.sizes.size(); ++s) {
-      manifest.plans.push_back(metrics::plan_info(sw.sizes[s], comm->plan(op, sw.sizes[s])));
+    for (const Bytes b : sizes) {
+      manifest.plans.push_back(metrics::plan_info(b, comm->plan(op, b)));
     }
     manifest_profiler = profiler.get();
   }
 
   Table t({"size", "iters", "fails", "median_us", "mean_us", "p95_us", "goodput_gbps"});
-  for (std::size_t s = 0; s < sw.sizes.size(); ++s) {
-    const Bytes b = sw.sizes[s];
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    const Bytes b = sizes[s];
     metrics::RunManifest::Result result;
     result.bytes = b;
-    result.iterations = sw.rcs[s].iterations;
-    if (sw.stalled[s]) {
+    result.iterations = rcs[s].iterations;
+    if (stalled) {
       t.add_row({format_bytes(b), "-", "-", "stall", "stall", "stall", "-"});
       result.stalled = true;
       manifest.results.push_back(result);
@@ -366,7 +275,7 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
     }
     const Summary lat = samples[s].summary();
     const Summary gp = samples[s].goodput_summary(b);
-    t.add_row({format_bytes(b), std::to_string(sw.rcs[s].iterations),
+    t.add_row({format_bytes(b), std::to_string(rcs[s].iterations),
                std::to_string(lat.failed), fmt(lat.median), fmt(lat.mean), fmt(lat.p95),
                fmt(gp.median, 1)});
     result.latency_us = lat;
@@ -393,36 +302,21 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
 
 }  // namespace
 
-std::string ScenarioObs::chain() const {
-  std::string out;
-  for (const Lookup& l : lookups) {
-    if (!out.empty()) out += ',';
-    out += l.cache;
-    out += l.hit ? ":hit" : ":miss";
-  }
-  return out;
-}
-
 std::shared_ptr<const ScenarioOutput> run_scenario(const ScenarioQuery& q,
                                                    ServerCaches* caches,
                                                    bool want_manifest,
-                                                   std::string& error,
-                                                   ScenarioObs* obs) {
+                                                   std::string& error) {
   // want_manifest is part of the response key: in coupled mode the profiled
   // extra iteration advances the cluster between sizes, so the two variants
   // are distinct experiments (the server only ever runs the true variant).
   std::string key;
   if (caches != nullptr) {
     key = q.canonical_key() + "|manifest=" + (want_manifest ? "1" : "0");
-    if (auto hit = caches->responses.find(key)) {
-      if (obs != nullptr) obs->lookups.push_back({"responses", true});
-      return hit;
-    }
-    if (obs != nullptr) obs->lookups.push_back({"responses", false});
+    if (auto hit = caches->responses.find(key)) return hit;
   }
   std::shared_ptr<const ScenarioOutput> out;
   try {
-    out = run_scenario_impl(q, caches, want_manifest, error, obs);
+    out = run_scenario_impl(q, caches, want_manifest, error);
   } catch (const std::exception& e) {
     error = e.what();
     return nullptr;

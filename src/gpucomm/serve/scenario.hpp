@@ -5,17 +5,16 @@
 // artifact by construction, not by parallel maintenance of two code paths.
 //
 // The runner replicates the CLI driver exactly: same cluster/communicator
-// construction order, same per-size available() probes before the runs and
-// plan() calls after, same profiler gating (one unmeasured profiled
-// iteration per size when a manifest is wanted in coupled mode). Anything
-// that consumes cluster RNG therefore consumes it in the same order, which
-// is what the byte-for-byte contract rests on.
+// construction order, same plan() calls after the runs, same profiler
+// gating (one unmeasured profiled iteration per size when a manifest is
+// wanted in coupled mode). Anything that consumes cluster RNG therefore
+// consumes it in the same order, which is what the byte-for-byte contract
+// rests on.
 //
-// ServerCaches holds the cross-query caches (docs/SERVER.md): constructed
-// topologies, schedule plans, per-size cell results, and whole responses.
-// All are exact-compare and hold values bit-identical to recomputation, so
-// the determinism contract survives any cache state: warm answers equal
-// cold answers byte for byte.
+// ServerCaches holds the cross-query caches (docs/SERVER.md): whole
+// responses and constructed topologies. Both are exact-compare and hold
+// values bit-identical to recomputation, so the determinism contract
+// survives any cache state: warm answers equal cold answers byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +27,6 @@
 #include "gpucomm/cluster/topo_snapshot.hpp"
 #include "gpucomm/comm/communicator.hpp"
 #include "gpucomm/fault/fault_schedule.hpp"
-#include "gpucomm/harness/runner.hpp"
-#include "gpucomm/metrics/run_manifest.hpp"
 #include "gpucomm/serve/cache.hpp"
 #include "gpucomm/serve/query.hpp"
 
@@ -54,22 +51,6 @@ std::optional<fault::FaultSchedule> resolve_faults(const std::string& spec,
 /// the override cannot host them.
 int resolved_nodes(const SystemConfig& cfg, int gpus, int nodes_override);
 
-/// Cache-cost estimate for a per-size Samples value (cells cache entries);
-/// shared with serve/persist.cpp so restored entries carry the same cost.
-std::size_t samples_cost(const Samples& s);
-
-/// Schedule identities for one sweep, cached across queries in cells mode
-/// (where the planning cluster is untouched by the runs, so the plans are a
-/// pure function of the core key + sweep bounds).
-struct PlanSet {
-  /// Per sweep size, in size order.
-  std::vector<metrics::RunManifest::PlanInfo> plans;
-  /// comm->available(kAlltoall) on the planning cluster (true for other
-  /// ops); false turns every row of an alltoall sweep into a stall.
-  bool alltoall_available = true;
-  std::size_t cost_bytes() const;
-};
-
 /// Everything a finished scenario renders: the stdout header + table the
 /// CLI prints, and the manifest in both artifact (pretty) and JSON-lines
 /// (compact) form. Immutable once built; the response cache shares it.
@@ -84,39 +65,18 @@ struct ScenarioOutput {
   }
 };
 
-/// Cross-query caches, budgeted from --serve-cache-mb: half the budget for
-/// whole responses, the rest split across cell results (3/10) and the
-/// topology / plan caches (1/10 each).
+/// Cross-query caches, budgeted from --serve-cache-mb: 9/10 of the budget
+/// for whole responses, 1/10 for constructed topologies.
 class ServerCaches {
  public:
   explicit ServerCaches(std::size_t total_bytes)
       : topologies("topology", total_bytes / 10),
-        plans("plans", total_bytes / 10),
-        cells("cells", total_bytes * 3 / 10),
-        responses("responses", total_bytes / 2) {}
+        responses("responses", total_bytes - total_bytes / 10) {}
 
   ExactCache<TopologySnapshot> topologies;
-  ExactCache<PlanSet> plans;
-  ExactCache<Samples> cells;
   ExactCache<ScenarioOutput> responses;
 
-  std::vector<CacheStats> stats() const {
-    return {topologies.stats(), plans.stats(), cells.stats(), responses.stats()};
-  }
-};
-
-/// Per-query cache-attribution trail for observability (serve/obs.hpp): one
-/// entry per cache probe in execution order, so a slow-query record can say
-/// exactly which layers hit and which recomputed. Purely an out-parameter —
-/// recording it never changes what runs.
-struct ScenarioObs {
-  struct Lookup {
-    const char* cache;  // "responses" | "topology" | "plans" | "cells"
-    bool hit;
-  };
-  std::vector<Lookup> lookups;
-  /// "topology:hit,plans:miss,..." — the event-log rendering of `lookups`.
-  std::string chain() const;
+  std::vector<CacheStats> stats() const { return {topologies.stats(), responses.stats()}; }
 };
 
 /// Run one scenario. `caches` may be nullptr (no reuse, e.g. a one-shot CLI
@@ -124,12 +84,10 @@ struct ScenarioObs {
 /// as the CLI's --metrics-out does: when true, one extra unmeasured
 /// profiled iteration runs per size and the manifest carries the profile
 /// section; the server always passes true. Returns nullptr with a one-line
-/// `error` on invalid fault specs or construction failures. `obs`, when
-/// non-null, collects the cache lookup chain.
+/// `error` on invalid fault specs or construction failures.
 std::shared_ptr<const ScenarioOutput> run_scenario(const ScenarioQuery& q,
                                                    ServerCaches* caches,
                                                    bool want_manifest,
-                                                   std::string& error,
-                                                   ScenarioObs* obs = nullptr);
+                                                   std::string& error);
 
 }  // namespace gpucomm::serve

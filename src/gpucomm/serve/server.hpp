@@ -66,16 +66,12 @@ struct ServeOptions {
   /// ok:false response and is otherwise discarded (the socket transport
   /// additionally closes the offending connection).
   std::size_t max_line_bytes = 1u << 20;
-  /// Snapshot file for the response/cell caches (serve/persist.hpp); empty
-  /// = no persistence. Loaded (with validation) at startup, saved at
+  /// Snapshot file for the response cache (serve/persist.hpp); empty = no
+  /// persistence. Loaded (with validation) at startup, saved at
   /// shutdown and every `snapshot_every` answered queries.
   std::string cache_file;
   /// Answered-query cadence between snapshots (0 = only at shutdown).
   int snapshot_every = 256;
-  /// Observability (serve/obs.hpp): event log, latency histograms, trace
-  /// spans, metrics snapshots. Off by default; zero overhead when off, and
-  /// scenario response bytes are identical at any setting.
-  ObsOptions obs;
 };
 
 /// Monotonic server counters, surfaced through the `stats` control query
@@ -104,7 +100,7 @@ struct ServeResult {
   bool shutdown = false;
   /// Final counter snapshot (after the worker pool drained).
   ServerCounters counters;
-  /// Merged latency histogram snapshot; all zeros when observability is off.
+  /// Merged latency histogram snapshot (serve/obs.hpp).
   LatencyStats latency;
 };
 

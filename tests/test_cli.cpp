@@ -122,6 +122,33 @@ TEST(CliArgs, MinAboveMaxFails) {
   EXPECT_NE(err.find("--min"), std::string::npos);
 }
 
+TEST(CliArgs, SweepBoundsCappedAtOneTebibyte) {
+  // Both bounds are capped at 1 TiB: an unbounded --max lets the x4 sweep
+  // step wrap Bytes to 0 and append sizes until memory runs out.
+  std::string err;
+  EXPECT_FALSE(parse({"--min", "1", "--max", "9223372036854775807"}, err).has_value());
+  EXPECT_NE(err.find("--max"), std::string::npos) << err;
+  EXPECT_EQ(err.find('\n'), std::string::npos);
+  EXPECT_FALSE(parse({"--max", "1099511627777"}, err).has_value());
+  EXPECT_FALSE(parse({"--min", "1099511627777"}, err).has_value());
+  EXPECT_NE(err.find("--min"), std::string::npos) << err;
+  const auto a = parse({"--min", "1", "--max", "1099511627776"}, err);
+  ASSERT_TRUE(a.has_value()) << err;
+  EXPECT_EQ(a->max_bytes, cli::kMaxSweepBytes);
+  const std::vector<Bytes> sizes = cli::sweep_sizes(a->min_bytes, a->max_bytes);
+  ASSERT_EQ(sizes.size(), 21u);  // 1, 4, ..., 4^20 = 1 TiB
+  EXPECT_EQ(sizes.back(), cli::kMaxSweepBytes);
+}
+
+TEST(CliArgs, SweepSizesStopBeforeWrapping) {
+  // The helper itself never wraps, whatever bounds a caller hands it.
+  EXPECT_EQ(cli::sweep_sizes(1024, 16384), (std::vector<Bytes>{1024, 4096, 16384}));
+  EXPECT_EQ(cli::sweep_sizes(1024, 16383), (std::vector<Bytes>{1024, 4096}));
+  const std::vector<Bytes> huge = cli::sweep_sizes(1, ~Bytes{0});
+  EXPECT_EQ(huge.size(), 32u);  // 4^0 .. 4^31; 4^32 would wrap to 0
+  EXPECT_EQ(cli::sweep_sizes(0, 8), (std::vector<Bytes>{0}));
+}
+
 TEST(CliArgs, JobsRoundTripsAndDefaultsToCoupled) {
   std::string err;
   const auto def = parse({}, err);
@@ -192,21 +219,12 @@ TEST(CliArgs, ServeRoundTrips) {
   EXPECT_EQ(def->serve_max_line_bytes, 1u << 20);
   EXPECT_TRUE(def->serve_cache_file.empty());
   EXPECT_EQ(def->serve_snapshot_every, 256);
-  EXPECT_TRUE(def->serve_log.empty());
-  EXPECT_EQ(def->serve_log_max_mb, 64);
-  EXPECT_TRUE(def->serve_trace.empty());
-  EXPECT_TRUE(def->serve_metrics_file.empty());
-  EXPECT_EQ(def->serve_metrics_every, 0);
-  EXPECT_EQ(def->serve_slow_ms, 0);
 
   const auto a = parse({"--serve", "--serve-jobs", "8", "--serve-cache-mb", "64",
                         "--serve-socket", "/tmp/gpucomm.sock", "--serve-deadline-ms",
                         "5000", "--serve-max-queue", "32", "--serve-max-line-bytes",
                         "4096", "--serve-cache-file", "/tmp/gpucomm.cache",
-                        "--serve-snapshot-every", "100", "--serve-log", "/tmp/s.log",
-                        "--serve-log-max-mb", "8", "--serve-trace", "/tmp/s.trace",
-                        "--serve-metrics-file", "/tmp/s.prom", "--serve-metrics-every",
-                        "50", "--serve-slow-ms", "250"},
+                        "--serve-snapshot-every", "100"},
                        err);
   ASSERT_TRUE(a.has_value()) << err;
   EXPECT_TRUE(a->serve);
@@ -218,12 +236,6 @@ TEST(CliArgs, ServeRoundTrips) {
   EXPECT_EQ(a->serve_max_line_bytes, 4096u);
   EXPECT_EQ(a->serve_cache_file, "/tmp/gpucomm.cache");
   EXPECT_EQ(a->serve_snapshot_every, 100);
-  EXPECT_EQ(a->serve_log, "/tmp/s.log");
-  EXPECT_EQ(a->serve_log_max_mb, 8);
-  EXPECT_EQ(a->serve_trace, "/tmp/s.trace");
-  EXPECT_EQ(a->serve_metrics_file, "/tmp/s.prom");
-  EXPECT_EQ(a->serve_metrics_every, 50);
-  EXPECT_EQ(a->serve_slow_ms, 250);
 }
 
 TEST(CliArgs, ServeRejectsScenarioFlags) {
@@ -248,12 +260,6 @@ TEST(CliArgs, ServeSubflagsRequireServe) {
   EXPECT_FALSE(parse({"--serve-max-line-bytes", "4096"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-cache-file", "/tmp/c"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-snapshot-every", "10"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-log", "/tmp/s.log"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-log-max-mb", "8"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-trace", "/tmp/s.trace"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-metrics-file", "/tmp/s.prom"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-metrics-every", "50"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-slow-ms", "250"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-jobs", "0", "--serve"}, err).has_value());
   EXPECT_FALSE(parse({"--serve", "--serve-cache-mb", "abc"}, err).has_value());
 }
@@ -273,18 +279,6 @@ TEST(CliArgs, ServeHardeningFlagsRejectBadRanges) {
   EXPECT_TRUE(parse({"--serve", "--serve-deadline-ms", "0"}, err).has_value()) << err;
   EXPECT_TRUE(parse({"--serve", "--serve-max-queue", "0"}, err).has_value()) << err;
   EXPECT_TRUE(parse({"--serve", "--serve-snapshot-every", "0"}, err).has_value()) << err;
-  // Observability flags: value-taking paths and strict numeric ranges.
-  EXPECT_FALSE(parse({"--serve", "--serve-log"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-trace"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-metrics-file"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-log-max-mb", "0"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-log-max-mb", "abc"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-metrics-every", "-1"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-slow-ms", "-1"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-slow-ms", "86400001"}, err).has_value());
-  // Zero cadence/threshold means "only at drain" / "off", not an error.
-  EXPECT_TRUE(parse({"--serve", "--serve-metrics-every", "0"}, err).has_value()) << err;
-  EXPECT_TRUE(parse({"--serve", "--serve-slow-ms", "0"}, err).has_value()) << err;
 }
 
 TEST(CliArgs, SharedVocabularyHelpers) {

@@ -1,13 +1,15 @@
-// Fault-injection subsystem: schedule parsing, injector validation,
-// mid-collective link failure + recovery for every mechanism, reroute
-// correctness, recovery-cost accounting, byte conservation under
-// interruption, NIC failover, straggler/degradation effects, and the
-// determinism guarantees (same schedule => identical timeline; empty
-// schedule => bit-identical to a fault-free run).
+// Fault-injection subsystem: schedule parsing (including seeded randomized
+// inputs), injector validation, mid-collective link failure + recovery for
+// every mechanism, reroute correctness, recovery-cost accounting, byte
+// conservation under interruption, NIC failover, straggler/degradation
+// effects, and the determinism guarantees (same schedule => identical
+// timeline; empty schedule => bit-identical to a fault-free run).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <optional>
 
 #include "gpucomm/cluster/cluster.hpp"
 #include "gpucomm/cluster/placement.hpp"
@@ -20,6 +22,7 @@
 #include "gpucomm/systems/registry.hpp"
 #include "gpucomm/telemetry/counters.hpp"
 #include "gpucomm/telemetry/trace_export.hpp"
+#include "byte_mutations.hpp"
 
 namespace gpucomm {
 namespace {
@@ -162,6 +165,15 @@ TEST(FaultSchedule, MalformedSpecTableRejectsWithOneLineErrors) {
       "at 1us straggle gpu 0 nine",       // non-numeric factor
       "at 1us fail nic",                  // fail without a device
       "at 1us up",                        // up without a target
+      "at 1e30s down link 0",             // time past the end of SimTime
+      "at 9300000s down link 0",          // just past it (2^63 ps is ~9.22e6 s)
+      "at nanus down link 0",             // NaN time
+      "at infms down link 0",             // infinite time
+      "at 1us down link 0 for infus",     // infinite duration
+      "at 9000000s down link 0 for 9000000s",  // restore time past SimTime
+      "at 1us degrade link 0 nan",        // NaN passes no (0, 1] check
+      "at 1us straggle gpu 0 nan",        // NaN passes no >= 1 check
+      "at 1us straggle gpu 0 inf",        // infinite straggle factor
   };
   for (const char* text : bad) {
     std::string err;
@@ -170,6 +182,52 @@ TEST(FaultSchedule, MalformedSpecTableRejectsWithOneLineErrors) {
     EXPECT_FALSE(err.empty()) << text;
     EXPECT_EQ(err.find('\n'), std::string::npos) << text << ": " << err;
   }
+}
+
+TEST(FaultSchedule, LargestRepresentableTimesStillParse) {
+  std::string err;
+  const auto sched = fault::parse_fault_schedule(
+      "at 9000000s down link 0 for 200000s\nat 9223372036854774000ps up link 0\n", &err);
+  ASSERT_TRUE(sched.has_value()) << err;
+  EXPECT_EQ(sched->events[0].time, seconds(9e6));
+  EXPECT_LT(sched->events[1].time, SimTime::infinity());
+}
+
+TEST(FaultSchedule, RandomMutationsYieldAScheduleOrOneLineError) {
+  // Seeded flips, inserts, deletes and truncations of a valid schedule:
+  // the parser returns a schedule whose every number is in range, or one
+  // single-line error — never an exception or undefined behaviour.
+  const std::string valid =
+      "# comment\n"
+      "at 100us down link 42\n"
+      "at 100us down link 3-17\n"
+      "at 1.5ms down link 42 for 200us\n"
+      "at 300us up link 42\n"
+      "at 0s degrade link 42 0.25\n"
+      "at 50ns fail nic 12\n"
+      "at 2e3ps fail switch 7\n"
+      "at 0s straggle gpu 3 2.5\n";
+  Rng rng(1234);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string text = test::mutate(valid, rng);
+    std::string err;
+    std::optional<FaultSchedule> sched;
+    ASSERT_NO_THROW(sched = fault::parse_fault_schedule(text, &err)) << text;
+    if (!sched.has_value()) {
+      EXPECT_FALSE(err.empty()) << text;
+      EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+      continue;
+    }
+    ++accepted;
+    for (const FaultEvent& e : sched->events) {
+      EXPECT_GE(e.time, SimTime::zero()) << text;
+      EXPECT_GE(e.duration, SimTime::zero()) << text;
+      EXPECT_LT(e.duration.ps, SimTime::infinity().ps - e.time.ps) << text;
+      EXPECT_TRUE(std::isfinite(e.factor)) << text;
+    }
+  }
+  EXPECT_GT(accepted, 100u);  // the corpus also exercises accepted schedules
 }
 
 // --- injector validation ----------------------------------------------------

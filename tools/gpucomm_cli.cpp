@@ -14,9 +14,6 @@
 //               [--serve-socket path] [--serve-deadline-ms N]
 //               [--serve-max-queue N] [--serve-max-line-bytes N]
 //               [--serve-cache-file path] [--serve-snapshot-every N]
-//               [--serve-log path] [--serve-log-max-mb N] [--serve-trace path]
-//               [--serve-metrics-file path] [--serve-metrics-every N]
-//               [--serve-slow-ms N]
 //
 // Flags are validated strictly (harness/cli_args.hpp): a malformed value or
 // unknown name prints one line on stderr and exits with status 2.
@@ -76,7 +73,8 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: %s --system S --op OP --mechanism M --gpus N\n"
-    "  [--min B --max B]               transfer-size sweep bounds (bytes, x4 steps)\n"
+    "  [--min B --max B]               transfer-size sweep bounds (bytes, x4 steps,\n"
+    "                                  at most 1 TiB)\n"
     "  [--space host|device]           where communication buffers live\n"
     "  [--untuned] [--sl N]            default env / service level (virtual lane)\n"
     "  [--placement packed|switches|groups]  rank placement across the fabric\n"
@@ -118,23 +116,14 @@ constexpr const char* kUsage =
     "  [--serve-max-line-bytes N]      longest accepted request line (default 1MiB)\n"
     "  [--serve-cache-file path]       crash-safe cache snapshot, loaded at start,\n"
     "                                  written at shutdown and every\n"
-    "  [--serve-snapshot-every N]      ...N answered queries (default 256)\n"
-    "  [--serve-log path]              structured JSON-lines event log (admissions,\n"
-    "                                  sheds, cache hits, solves, connections)\n"
-    "  [--serve-log-max-mb N]          rotate the event log past N MiB (default 64)\n"
-    "  [--serve-trace path]            Chrome-trace spans per query (queue/parse/\n"
-    "                                  run/render/flush/e2e), written at drain\n"
-    "  [--serve-metrics-file path]     Prometheus text snapshot, written at drain\n"
-    "  [--serve-metrics-every N]       ...and refreshed every N answered queries\n"
-    "  [--serve-slow-ms N]             log a slow_query record (query line, cache\n"
-    "                                  chain, solver deltas) at or above N ms\n";
+    "  [--serve-snapshot-every N]      ...N answered queries (default 256)\n";
 
 /// Print the schedule(s) the communicator's plan() selects at each size in
 /// the sweep. For allgather the sweep size is the per-rank contribution,
 /// matching time_allgather.
 void dump_schedules(Communicator& comm, const cli::CliArgs& a) {
   const CollectiveOp op = serve::op_of(a.op);
-  for (Bytes b = a.min_bytes; b <= a.max_bytes; b *= 4) {
+  for (const Bytes b : cli::sweep_sizes(a.min_bytes, a.max_bytes)) {
     const auto plans = comm.plan(op, b);
     std::printf("-- %s @ %s --\n", a.op.c_str(), format_bytes(b).c_str());
     if (plans.empty()) {
@@ -193,12 +182,6 @@ int run_serve(const cli::CliArgs& a, const char* argv0) {
   o.max_line_bytes = a.serve_max_line_bytes;
   o.cache_file = a.serve_cache_file;
   o.snapshot_every = a.serve_snapshot_every;
-  o.obs.log_path = a.serve_log;
-  o.obs.log_max_bytes = static_cast<std::size_t>(a.serve_log_max_mb) << 20;
-  o.obs.trace_path = a.serve_trace;
-  o.obs.metrics_path = a.serve_metrics_file;
-  o.obs.metrics_every = a.serve_metrics_every;
-  o.obs.slow_ms = a.serve_slow_ms;
   if (a.serve_socket.empty()) {
     serve::serve_loop(std::cin, std::cout, o);
     return 0;
@@ -370,13 +353,12 @@ int main(int argc, char** argv) {
   manifest.faults = a.faults;
   manifest.harness = a.jobs_given ? "cells" : "coupled";
 
-  std::vector<Bytes> sizes;
+  const std::vector<Bytes> sizes = cli::sweep_sizes(a.min_bytes, a.max_bytes);
   std::vector<RunConfig> rcs;
   std::vector<bool> stalled;
-  for (Bytes b = a.min_bytes; b <= a.max_bytes; b *= 4) {
+  for (const Bytes b : sizes) {
     RunConfig rc = run_config_for(b);
     if (a.iters > 0) rc.iterations = a.iters;
-    sizes.push_back(b);
     rcs.push_back(rc);
     stalled.push_back(a.op == "alltoall" && !comm->available(CollectiveOp::kAlltoall));
   }

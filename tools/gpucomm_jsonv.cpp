@@ -10,12 +10,8 @@
 // mid-write (a crashed or killed server) — exactly the truncation a
 // checksum-less text format cannot otherwise detect.
 //
-// Modes (mutually exclusive):
+// Modes:
 //   (none)     validate JSON lines, report "N JSON lines OK" on stderr
-//   --summary  additionally parse each record and print, on stdout, a count
-//              per "type" field plus the min/max "ts_us" seen — the shape of
-//              a --serve-log event stream at a glance. Records without a
-//              "type" are counted under "(untyped)".
 //   --prom     validate Prometheus text exposition instead of JSON: every
 //              non-blank line is either a "# HELP"/"# TYPE" comment or a
 //              `name{labels} value` sample with a well-formed metric name
@@ -26,11 +22,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "gpucomm/metrics/json.hpp"
-#include "gpucomm/serve/json_value.hpp"
 
 namespace {
 
@@ -93,59 +87,23 @@ bool prom_sample_valid(const std::string& line, std::string& err) {
   return true;
 }
 
-struct Summary {
-  std::map<std::string, std::size_t> by_type;
-  std::uint64_t ts_min = ~std::uint64_t{0};
-  std::uint64_t ts_max = 0;
-  bool any_ts = false;
-};
-
-bool summarize_line(const std::string& line, std::size_t lineno, Summary& s) {
-  std::string err;
-  const auto doc = gpucomm::serve::parse_json(line, err);
-  if (!doc.has_value()) {
-    std::fprintf(stderr, "line %zu: %s\n", lineno, err.c_str());
-    return false;
-  }
-  const gpucomm::serve::JsonValue* type =
-      doc->is_object() ? doc->find("type") : nullptr;
-  s.by_type[type != nullptr && type->is_string() ? type->as_string() : "(untyped)"]++;
-  const gpucomm::serve::JsonValue* ts = doc->is_object() ? doc->find("ts_us") : nullptr;
-  if (ts != nullptr && ts->is_number() && ts->as_int().has_value() &&
-      *ts->as_int() >= 0) {
-    const auto v = static_cast<std::uint64_t>(*ts->as_int());
-    if (v < s.ts_min) s.ts_min = v;
-    if (v > s.ts_max) s.ts_max = v;
-    s.any_ts = true;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool summary = false;
   bool prom = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--summary") == 0) {
-      summary = true;
-    } else if (std::strcmp(argv[i], "--prom") == 0) {
+    if (std::strcmp(argv[i], "--prom") == 0) {
       prom = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--summary | --prom] < lines\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--prom] < lines\n", argv[0]);
       return 2;
     }
-  }
-  if (summary && prom) {
-    std::fprintf(stderr, "%s: --summary and --prom are mutually exclusive\n", argv[0]);
-    return 2;
   }
 
   std::string line;
   std::size_t lineno = 0;
   std::size_t checked = 0;
   bool unterminated = false;
-  Summary stats;
   while (std::getline(std::cin, line)) {
     ++lineno;
     // getline consumed data but no '\n' only at end-of-input: eof() set
@@ -164,8 +122,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "line %zu: %s\n", lineno, err.c_str());
         return 1;
       }
-    } else if (summary) {
-      if (!summarize_line(line, lineno, stats)) return 1;
     } else if (!gpucomm::metrics::json_valid(line, &err)) {
       std::fprintf(stderr, "line %zu: %s\n", lineno, err.c_str());
       return 1;
@@ -176,16 +132,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "line %zu: truncated final line (no trailing newline)\n",
                  lineno);
     return 3;
-  }
-  if (summary) {
-    for (const auto& [type, count] : stats.by_type) {
-      std::printf("%-16s %zu\n", type.c_str(), count);
-    }
-    if (stats.any_ts) {
-      std::printf("ts_us            %llu..%llu\n", (unsigned long long)stats.ts_min,
-                  (unsigned long long)stats.ts_max);
-    }
-    std::printf("total            %zu\n", checked);
   }
   std::fprintf(stderr, "%zu %s lines OK\n", checked, prom ? "prom" : "JSON");
   return 0;
