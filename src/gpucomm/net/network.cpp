@@ -18,13 +18,15 @@ constexpr double kEpsilonBits = 1e-6;
 // the double bit patterns in the key come from finite capacities, so the
 // sentinel cannot collide with a payload word.
 constexpr std::uint64_t kKeyDelimiter = UINT64_MAX;
-// Per-shard allocation cache: FIFO ring of exact-compare entries. Sized so
+// Per-shard allocation cache: FIFO ring of exact-compare entries, sized so
 // the steady-state component mix of a large alltoall (many small recurring
-// subproblems) stays resident without letting pathological giant components
-// pin memory.
+// subproblems) stays resident. Only components under kCacheMaxFlows flows
+// are keyed, looked up and stored: a larger component's membership changes
+// with nearly every start or completion, so it does not recur (on the fig09
+// exact-sim alltoall cells, 0 hits in 42,454 lookups of components of 32 or
+// more flows), and the bound keeps every entry small.
 constexpr std::size_t kCacheEntries = 128;
-constexpr std::size_t kCacheMaxEntryWords = std::size_t{1} << 16;
-constexpr std::size_t kCacheBudgetWords = std::size_t{1} << 21;
+constexpr std::uint32_t kCacheMaxFlows = 32;
 
 std::uint64_t hash_key(const std::vector<std::uint64_t>& key) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a over 64-bit words
@@ -56,14 +58,9 @@ struct Network::ShardCtx {
     // trace bit is set (so untraced entries never serve a traced lookup).
     std::vector<LinkId> bottleneck;
     std::vector<std::pair<LinkId, int>> saturated;
-
-    std::size_t words() const {
-      return key.size() + 2 * rates.size() + bottleneck.size() + 2 * saturated.size() + 8;
-    }
   };
   std::vector<CacheEntry> cache;  // FIFO ring, capacity kCacheEntries
   std::size_t cache_next = 0;
-  std::size_t cache_words = 0;
 
   // Congestion scratch (epoch-stamped; replaces the per-call unordered_maps
   // of the pre-PR-7 whole-set implementation). One LinkVl per (link, vl) with flows,
@@ -112,6 +109,16 @@ void Network::set_faults(const fault::FaultModel* faults) {
 
 void Network::set_congestion(SwitchCongestion c) {
   congestion_ = c;
+  // Flows sit on per-switch entry lists only while the congestion closure
+  // reads them, so relist the active flows when it turns on or off.
+  const bool closure = c.rate_factor < 1.0;
+  if (closure != closure_switches_) {
+    closure_switches_ = closure;
+    for (const std::uint32_t slot : order_) {
+      unlink_flow_entries(slot);
+      link_flow_entries(slot);
+    }
+  }
   request_full_solve(FullReason::kConfig);
 }
 
@@ -166,15 +173,16 @@ void Network::ensure_tables() {
   if (link_head_.size() < links) {
     link_head_.resize(links, -1);
     link_mark_.resize(links, 0);
-    link_devx_.resize(links, 0);
     link_sat_.resize(links, 0);
     link_sat_count_.resize(links, 0);
     link_vis_.resize(links, 0);
     capacity_.resize(links, 0.0);
-    dev_links_built_ = false;  // graph grew; the closure CSR is stale
   }
   const std::size_t devices = graph_.device_count();
-  if (dev_mark_.size() < devices) dev_mark_.resize(devices, 0);
+  if (switch_head_.size() < devices) {
+    switch_head_.resize(devices, -1);
+    dev_mark_.resize(devices, 0);
+  }
 }
 
 void Network::ensure_id_slot(FlowId id) {
@@ -221,6 +229,7 @@ std::uint32_t Network::acquire_slot() {
   token_.push_back(0);
   bottleneck_.push_back(kInvalidLink);
   ent_head_.push_back(-1);
+  sw_ent_head_.push_back(-1);
   on_delivered_.emplace_back();
   on_interrupted_.emplace_back();
   slot_mark_.push_back(0);
@@ -228,46 +237,66 @@ std::uint32_t Network::acquire_slot() {
 }
 
 void Network::link_flow_entries(std::uint32_t slot) {
-  std::int32_t head = -1;
-  for (const LinkId l : route_[slot]) {
+  // Push one entry for `slot` onto the front of `key`'s list in `heads` and
+  // of the flow's own list starting at `flow_head`.
+  const auto push = [this, slot](std::vector<std::int32_t>& heads, std::uint32_t key,
+                                 std::int32_t& flow_head) {
     std::int32_t e;
     if (!free_entries_.empty()) {
       e = free_entries_.back();
       free_entries_.pop_back();
       ent_slot_[e] = slot;
-      ent_link_[e] = l;
+      ent_key_[e] = key;
     } else {
       e = static_cast<std::int32_t>(ent_slot_.size());
       ent_slot_.push_back(slot);
-      ent_link_.push_back(l);
-      ent_next_link_.push_back(-1);
-      ent_prev_link_.push_back(-1);
+      ent_key_.push_back(key);
+      ent_next_.push_back(-1);
+      ent_prev_.push_back(-1);
       ent_next_flow_.push_back(-1);
     }
-    ent_prev_link_[e] = -1;
-    ent_next_link_[e] = link_head_[l];
-    if (link_head_[l] != -1) ent_prev_link_[link_head_[l]] = e;
-    link_head_[l] = e;
-    ent_next_flow_[e] = head;
-    head = e;
+    ent_prev_[e] = -1;
+    ent_next_[e] = heads[key];
+    if (heads[key] != -1) ent_prev_[heads[key]] = e;
+    heads[key] = e;
+    ent_next_flow_[e] = flow_head;
+    flow_head = e;
+  };
+  std::int32_t links = -1, switches = -1;
+  for (const LinkId l : route_[slot]) {
+    push(link_head_, l, links);
+    if (!closure_switches_) continue;
+    const Link& lk = graph_.link(l);
+    for (const DeviceId d : {lk.src, lk.dst}) {
+      if (graph_.device(d).kind != DeviceKind::kSwitch) continue;
+      bool listed = false;
+      for (std::int32_t e = switches; e != -1 && !listed; e = ent_next_flow_[e]) {
+        listed = ent_key_[e] == d;
+      }
+      if (!listed) push(switch_head_, d, switches);
+    }
   }
-  ent_head_[slot] = head;
+  ent_head_[slot] = links;
+  sw_ent_head_[slot] = switches;
 }
 
 void Network::unlink_flow_entries(std::uint32_t slot) {
-  for (std::int32_t e = ent_head_[slot]; e != -1;) {
-    const std::int32_t next = ent_next_flow_[e];
-    const LinkId l = ent_link_[e];
-    if (ent_prev_link_[e] != -1) {
-      ent_next_link_[ent_prev_link_[e]] = ent_next_link_[e];
-    } else {
-      link_head_[l] = ent_next_link_[e];
+  const auto unlink = [this](std::vector<std::int32_t>& heads, std::int32_t& flow_head) {
+    for (std::int32_t e = flow_head; e != -1;) {
+      const std::int32_t next = ent_next_flow_[e];
+      if (ent_prev_[e] != -1) {
+        ent_next_[ent_prev_[e]] = ent_next_[e];
+      } else {
+        heads[ent_key_[e]] = ent_next_[e];
+      }
+      if (ent_next_[e] != -1) ent_prev_[ent_next_[e]] = ent_prev_[e];
+      free_entries_.push_back(e);
+      e = next;
     }
-    if (ent_next_link_[e] != -1) ent_prev_link_[ent_next_link_[e]] = ent_prev_link_[e];
-    free_entries_.push_back(e);
-    e = next;
-  }
-  ent_head_[slot] = -1;
+    flow_head = -1;
+  };
+  unlink(link_head_, ent_head_[slot]);
+  unlink(switch_head_, sw_ent_head_[slot]);
 }
 
 FlowId Network::start_flow(FlowSpec spec, std::function<void(SimTime)> on_delivered) {
@@ -374,57 +403,43 @@ void Network::advance_residuals() {
   last_advance_ = now;
 }
 
-void Network::build_dev_links() {
-  const std::size_t devices = graph_.device_count();
-  const std::size_t links = graph_.link_count();
-  dev_link_offset_.assign(devices + 1, 0);
-  for (LinkId l = 0; l < links; ++l) {
-    const Link& lk = graph_.link(l);
-    ++dev_link_offset_[lk.src + 1];
-    if (lk.dst != lk.src) ++dev_link_offset_[lk.dst + 1];
+void Network::drain_list(const std::vector<std::int32_t>& head, std::vector<std::uint64_t>& mark,
+                         std::uint32_t key) {
+  if (mark[key] == mark_epoch_) return;
+  mark[key] = mark_epoch_;
+  for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) {
+    const std::uint32_t s = ent_slot_[e];
+    if (slot_mark_[s] != mark_epoch_) {
+      slot_mark_[s] = mark_epoch_;
+      comp_slots_.push_back(s);
+    }
   }
-  for (std::size_t d = 1; d <= devices; ++d) dev_link_offset_[d] += dev_link_offset_[d - 1];
-  dev_links_.resize(dev_link_offset_[devices]);
-  std::vector<std::uint32_t> cursor(dev_link_offset_.begin(), dev_link_offset_.end() - 1);
-  for (LinkId l = 0; l < links; ++l) {
-    const Link& lk = graph_.link(l);
-    dev_links_[cursor[lk.src]++] = l;
-    if (lk.dst != lk.src) dev_links_[cursor[lk.dst]++] = l;
-  }
-  dev_links_built_ = true;
 }
 
-void Network::expand_link(LinkId link) {
-  const auto push_slots_of = [this](LinkId l) {
-    if (link_mark_[l] == mark_epoch_) return;
-    link_mark_[l] = mark_epoch_;
-    for (std::int32_t e = link_head_[l]; e != -1; e = ent_next_link_[e]) {
-      const std::uint32_t s = ent_slot_[e];
-      if (slot_mark_[s] != mark_epoch_) {
-        slot_mark_[s] = mark_epoch_;
-        comp_slots_.push_back(s);
-      }
-    }
-  };
-  push_slots_of(link);
-  if (!closure_switches_ || link_devx_[link] == mark_epoch_) return;
-  // Congestion couples flows through shared switch buffers even when they
-  // share no link: a hot flow warms every switch on its route and same-VL
-  // flows crossing those switches are degraded (apply_congestion_component).
-  // Components therefore close over the switch endpoints of member links --
-  // but only of links that carry a member flow; empty switch-to-switch links
-  // must not chain the whole fabric into one component.
-  link_devx_[link] = mark_epoch_;
-  const Link& lk = graph_.link(link);
-  for (const DeviceId d : {lk.src, lk.dst}) {
-    if (graph_.device(d).kind != DeviceKind::kSwitch || dev_mark_[d] == mark_epoch_) {
-      continue;
-    }
-    dev_mark_[d] = mark_epoch_;
-    for (std::uint32_t i = dev_link_offset_[d]; i < dev_link_offset_[d + 1]; ++i) {
-      push_slots_of(dev_links_[i]);
+void Network::close_component(std::size_t start) {
+  // Frontier drain: each discovered slot drains the lists of its route's
+  // links, which enqueue further slots. Index-based because comp_slots_
+  // grows in place.
+  for (std::size_t i = start; i < comp_slots_.size(); ++i) {
+    const std::uint32_t slot = comp_slots_[i];
+    for (const LinkId l : route_[slot]) drain_list(link_head_, link_mark_, l);
+    if (!closure_switches_) continue;
+    // Congestion couples flows through shared switch buffers even when they
+    // share no link: a hot flow warms every switch on its route and same-VL
+    // flows crossing those switches are degraded (apply_congestion_component).
+    // Components therefore close over the switch endpoints of member flows'
+    // links -- and only those: an empty switch-to-switch link must not chain
+    // the whole fabric into one component.
+    for (std::int32_t e = sw_ent_head_[slot]; e != -1; e = ent_next_flow_[e]) {
+      drain_list(switch_head_, dev_mark_, ent_key_[e]);
     }
   }
+  if (comp_slots_.size() == start) return;
+  // Component members solve in ascending FlowId order so every per-link
+  // subtraction sequence matches the whole-set solver it replaced, bit for bit.
+  std::sort(comp_slots_.begin() + static_cast<std::ptrdiff_t>(start), comp_slots_.end(),
+            [this](std::uint32_t a, std::uint32_t b) { return id_[a] < id_[b]; });
+  comp_offset_.push_back(static_cast<std::uint32_t>(comp_slots_.size()));
 }
 
 void Network::bfs_component(std::uint32_t seed_slot) {
@@ -432,17 +447,7 @@ void Network::bfs_component(std::uint32_t seed_slot) {
   const std::size_t start = comp_slots_.size();
   slot_mark_[seed_slot] = mark_epoch_;
   comp_slots_.push_back(seed_slot);
-  // Frontier drain: each discovered slot expands its route's links, which
-  // enqueue further slots. Index-based because comp_slots_ grows in place.
-  for (std::size_t i = start; i < comp_slots_.size(); ++i) {
-    const std::uint32_t slot = comp_slots_[i];
-    for (const LinkId l : route_[slot]) expand_link(l);
-  }
-  // Component members solve in ascending FlowId order so every per-link
-  // subtraction sequence matches the pre-PR-7 whole-set solve bit for bit.
-  std::sort(comp_slots_.begin() + static_cast<std::ptrdiff_t>(start), comp_slots_.end(),
-            [this](std::uint32_t a, std::uint32_t b) { return id_[a] < id_[b]; });
-  comp_offset_.push_back(static_cast<std::uint32_t>(comp_slots_.size()));
+  close_component(start);
 }
 
 void Network::partition_all() {
@@ -474,8 +479,6 @@ void Network::reallocate_and_schedule() {
     }
   }
 
-  closure_switches_ = congestion_.rate_factor < 1.0;
-  if (closure_switches_ && !dev_links_built_) build_dev_links();
   comp_slots_.clear();
   comp_offset_.assign(1, 0);
   ++mark_epoch_;
@@ -501,19 +504,17 @@ void Network::reallocate_and_schedule() {
     // flows started since the last reallocation, and the links a completed
     // or interrupted flow vacated (its bandwidth redistributes there).
     for (const std::uint32_t slot : pending_new_slots_) bfs_component(slot);
+    // A vacated link gathers the flows on it and, under the congestion
+    // closure, on its switch endpoints into one subproblem, even when no
+    // remaining flow couples the two endpoints any more.
     for (const LinkId l : pending_seed_links_) {
       const std::size_t start = comp_slots_.size();
-      expand_link(l);
-      for (std::size_t i = start; i < comp_slots_.size(); ++i) {
-        const std::uint32_t slot = comp_slots_[i];
-        for (const LinkId rl : route_[slot]) expand_link(rl);
+      drain_list(link_head_, link_mark_, l);
+      if (closure_switches_) {
+        const Link& lk = graph_.link(l);
+        for (const DeviceId d : {lk.src, lk.dst}) drain_list(switch_head_, dev_mark_, d);
       }
-      if (comp_slots_.size() > start) {
-        std::sort(comp_slots_.begin() + static_cast<std::ptrdiff_t>(start),
-                  comp_slots_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) { return id_[a] < id_[b]; });
-        comp_offset_.push_back(static_cast<std::uint32_t>(comp_slots_.size()));
-      }
+      close_component(start);
     }
     if (4 * comp_slots_.size() >= 3 * order_.size()) {
       // Affected set close to the whole network: partition the rest too and
@@ -591,17 +592,21 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   const unsigned bucket = static_cast<unsigned>(std::bit_width(n)) - 1;
   ++ctx.stats.component_size_log2[std::min(bucket, 20u)];
 
-  // Assemble the subproblem; the key records the exact solver input (routes,
-  // vl, caps, per-occurrence effective capacities, congestion config,
-  // whether a trace is being filled) in the same unambiguous word encoding
-  // the pre-PR-7 solver used for its whole-problem epoch cache.
+  // Assemble the subproblem; for a cached component the key records the
+  // exact solver input (routes, vl, caps, per-occurrence effective
+  // capacities, congestion config, whether a trace is being filled) in the
+  // same unambiguous word encoding the pre-PR-7 solver used for its
+  // whole-problem epoch cache.
+  const bool cached = n < kCacheMaxFlows;
   ctx.routes.clear();
   ctx.caps.clear();
   ctx.key.clear();
-  ctx.key.push_back(n);
-  ctx.key.push_back(tracing ? 1 : 0);
-  ctx.key.push_back(static_cast<std::uint64_t>(congestion_.flow_threshold));
-  ctx.key.push_back(std::bit_cast<std::uint64_t>(congestion_.rate_factor));
+  if (cached) {
+    ctx.key.push_back(n);
+    ctx.key.push_back(tracing ? 1 : 0);
+    ctx.key.push_back(static_cast<std::uint64_t>(congestion_.flow_threshold));
+    ctx.key.push_back(std::bit_cast<std::uint64_t>(congestion_.rate_factor));
+  }
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t slot = slots[i];
     // When flows on different VLs share a link each sees the full
@@ -611,39 +616,45 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
     for (const LinkId l : route_[slot]) {
       const Bandwidth cap = effective_capacity(l, vl_[slot]);
       capacity_[l] = cap;
-      ctx.key.push_back(l);
-      ctx.key.push_back(std::bit_cast<std::uint64_t>(cap));
+      if (cached) {
+        ctx.key.push_back(l);
+        ctx.key.push_back(std::bit_cast<std::uint64_t>(cap));
+      }
     }
     const Bandwidth flow_cap =
         rate_cap_[slot] > 0 ? rate_cap_[slot] : std::numeric_limits<double>::infinity();
-    ctx.key.push_back(kKeyDelimiter);
-    ctx.key.push_back(static_cast<std::uint64_t>(vl_[slot]));
-    ctx.key.push_back(std::bit_cast<std::uint64_t>(flow_cap));
+    if (cached) {
+      ctx.key.push_back(kKeyDelimiter);
+      ctx.key.push_back(static_cast<std::uint64_t>(vl_[slot]));
+      ctx.key.push_back(std::bit_cast<std::uint64_t>(flow_cap));
+    }
     ctx.routes.push_back(&route_[slot]);
     ctx.caps.push_back(flow_cap);
   }
-  const std::uint64_t h = hash_key(ctx.key);
-
-  for (const ShardCtx::CacheEntry& e : ctx.cache) {
-    if (e.hash != h || e.key != ctx.key) continue;
-    // Identical subproblem: reapply the cached post-congestion rates (and
-    // trace state). Exact comparison of the whole key, so a stale hit is
-    // impossible.
-    ++ctx.stats.cache_hits;
-    for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = e.rates[i];
-    if (tracing) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        bottleneck_[slots[i]] = e.bottleneck[i];
-        for (const LinkId l : route_[slots[i]]) link_sat_[l] = 0;
+  std::uint64_t h = 0;
+  if (cached) {
+    h = hash_key(ctx.key);
+    for (const ShardCtx::CacheEntry& e : ctx.cache) {
+      if (e.hash != h || e.key != ctx.key) continue;
+      // Identical subproblem: reapply the cached post-congestion rates (and
+      // trace state). Exact comparison of the whole key, so a stale hit is
+      // impossible.
+      ++ctx.stats.cache_hits;
+      for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = e.rates[i];
+      if (tracing) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+          bottleneck_[slots[i]] = e.bottleneck[i];
+          for (const LinkId l : route_[slots[i]]) link_sat_[l] = 0;
+        }
+        for (const auto& [l, flows] : e.saturated) {
+          link_sat_[l] = 1;
+          link_sat_count_[l] = flows;
+        }
       }
-      for (const auto& [l, flows] : e.saturated) {
-        link_sat_[l] = 1;
-        link_sat_count_[l] = flows;
-      }
+      return;
     }
-    return;
+    ++ctx.stats.cache_misses;
   }
-  ++ctx.stats.cache_misses;
 
   const std::vector<Bandwidth>& rates =
       ctx.solver.solve(capacity_, ctx.routes, ctx.caps, tracing ? &ctx.trace : nullptr);
@@ -660,6 +671,7 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
     }
   }
 
+  if (!cached) return;
   ShardCtx::CacheEntry fresh;
   fresh.hash = h;
   fresh.key = ctx.key;
@@ -669,22 +681,10 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
     fresh.bottleneck = ctx.trace.bottleneck;
     fresh.saturated = ctx.trace.saturated;
   }
-  const std::size_t w = fresh.words();
-  if (w > kCacheMaxEntryWords) return;
   if (ctx.cache.size() < kCacheEntries) {
-    ctx.cache_words += w;
     ctx.cache.push_back(std::move(fresh));
   } else {
-    ShardCtx::CacheEntry& dst = ctx.cache[ctx.cache_next];
-    ctx.cache_words -= dst.words();
-    dst = std::move(fresh);
-    ctx.cache_words += w;
-    ctx.cache_next = (ctx.cache_next + 1) % kCacheEntries;
-  }
-  while (ctx.cache_words > kCacheBudgetWords) {
-    ShardCtx::CacheEntry& victim = ctx.cache[ctx.cache_next];
-    ctx.cache_words -= victim.words();
-    victim = ShardCtx::CacheEntry{};  // empty key matches no lookup
+    ctx.cache[ctx.cache_next] = std::move(fresh);
     ctx.cache_next = (ctx.cache_next + 1) % kCacheEntries;
   }
 }
@@ -696,7 +696,7 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // the congesting flows traverse (credit/PFC backpressure), so flows of the
   // same VL crossing any of those switches lose rate. All coupling stays
   // inside the component: flows sharing a link share its component, and the
-  // switch closure (expand_link) merges components whose flows share a
+  // switch closure (close_component) merges components whose flows share a
   // switch, so a per-component pass reproduces the global computation.
   if (ctx.cg_link_epoch.size() < graph_.link_count()) {
     ctx.cg_link_epoch.resize(graph_.link_count(), 0);

@@ -12,9 +12,9 @@
 // on other VLs are isolated (separate switch buffering + round-robin
 // arbitration, Sec. VI-A).
 //
-// Solver core (PR 7): rates are no longer recomputed over the whole network
-// on every event. The active set is stored as struct-of-arrays slots with
-// per-link intrusive flow lists, and each reallocation partitions the
+// Solver core: rates are not recomputed over the whole network on every
+// event. The active set is stored as struct-of-arrays slots with intrusive
+// flow lists per link and per switch, and each reallocation partitions the
 // affected flows into connected components (flows coupled through shared
 // links, plus shared switches when congestion coupling is enabled), solves
 // each component as an independent subproblem, and splices the rates back.
@@ -241,12 +241,17 @@ class Network {
   /// Append the connected component containing `slot` (nothing if already
   /// visited this epoch) to comp_slots_ / comp_offset_, sorted by FlowId.
   void bfs_component(std::uint32_t seed_slot);
-  /// Visit a link during BFS: enqueue its flows and, under congestion
-  /// closure, expand through its switch endpoints.
-  void expand_link(LinkId link);
+  /// Enqueue the unvisited flows of one link's (or, with `head` =
+  /// switch_head_, one switch's) entry list, unless it was drained already.
+  void drain_list(const std::vector<std::int32_t>& head, std::vector<std::uint64_t>& mark,
+                  std::uint32_t key);
+  /// Drain the lists of every link and (under congestion closure) every
+  /// switch the flows comp_slots_[start..] touch, until no flow is added;
+  /// then sort the new range by FlowId and close it as one subproblem
+  /// (none when the range is empty).
+  void close_component(std::size_t start);
   /// Partition every active flow into components (order_ walk).
   void partition_all();
-  void build_dev_links();
 
   // --- solving ---
   /// Solve comp_offset_ ranges [first..comp count) across shards_ and write
@@ -284,7 +289,8 @@ class Network {
   std::vector<Bandwidth> rate_;
   std::vector<telemetry::FlowToken> token_;
   std::vector<LinkId> bottleneck_;  // last solve's throttle attribution
-  std::vector<std::int32_t> ent_head_;  // first link entry of the flow, -1
+  std::vector<std::int32_t> ent_head_;     // first link entry of the flow, -1
+  std::vector<std::int32_t> sw_ent_head_;  // first switch entry of the flow, -1
   std::vector<std::function<void(SimTime)>> on_delivered_;
   std::vector<std::function<void(Bytes, SimTime)>> on_interrupted_;
   std::vector<std::uint32_t> free_slots_;
@@ -296,27 +302,29 @@ class Network {
   std::vector<std::uint32_t> slot_of_id_;
   FlowId id_base_ = 1;
 
-  // --- per-link intrusive flow-entry lists ---
-  // One entry per (flow, route link) occurrence: doubly linked within the
-  // link's list (O(hop) removal), singly linked within the flow's list. This
-  // is what makes component discovery O(component), not O(network).
+  // --- per-link and per-switch intrusive flow-entry lists ---
+  // One entry per (flow, route link) occurrence and, while the congestion
+  // closure is on, one per (flow, distinct switch endpoint of a route link):
+  // doubly linked within the link's or switch's list (O(hop) removal),
+  // singly linked within the flow's link or switch list. This is what makes
+  // component discovery O(component), not O(network), with and without the
+  // congestion closure.
   std::vector<std::uint32_t> ent_slot_;
-  std::vector<LinkId> ent_link_;
-  std::vector<std::int32_t> ent_next_link_, ent_prev_link_;
+  std::vector<std::uint32_t> ent_key_;  // LinkId, or DeviceId of a switch
+  std::vector<std::int32_t> ent_next_, ent_prev_;  // within the key's list
   std::vector<std::int32_t> ent_next_flow_;
-  std::vector<std::int32_t> link_head_;  // per link, -1 = no active flows
+  std::vector<std::int32_t> link_head_;    // per link, -1 = no active flows
+  std::vector<std::int32_t> switch_head_;  // per device, -1 = none (or not a switch)
   std::vector<std::int32_t> free_entries_;
 
   // --- partition scratch (epoch-stamped, never cleared) ---
-  std::vector<std::uint64_t> slot_mark_, link_mark_, link_devx_, dev_mark_;
+  std::vector<std::uint64_t> slot_mark_, link_mark_, dev_mark_;
   std::uint64_t mark_epoch_ = 0;
   std::vector<std::uint32_t> comp_slots_;   // concatenated component slots
   std::vector<std::uint32_t> comp_offset_;  // component i = [off[i], off[i+1])
-  bool closure_switches_ = false;  // expand components through switch devices
-  // Undirected device -> incident links CSR for the congestion closure.
-  std::vector<std::uint32_t> dev_link_offset_;
-  std::vector<LinkId> dev_links_;
-  bool dev_links_built_ = false;
+  // Congestion closure (rate_factor < 1): flows are on switch lists and
+  // components expand through them. Set by set_congestion.
+  bool closure_switches_ = false;
 
   // --- event seeds accumulated between coalesced reallocations ---
   std::vector<std::uint32_t> pending_new_slots_;  // flows started since last

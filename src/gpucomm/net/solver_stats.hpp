@@ -42,9 +42,10 @@ struct SolverStats {
   /// Component subproblems handed to a fairshare solver (or served from an
   /// allocation cache), across all shards.
   std::uint64_t component_solves = 0;
-  /// Exact-compare allocation-cache hits/misses across all shards. These
-  /// counts may vary with the shard count (the per-shard cache streams
-  /// differ); the resulting rates never do.
+  /// Exact-compare allocation-cache hits/misses across all shards; only
+  /// components under 32 flows are looked up. These counts may vary with
+  /// the shard count (the per-shard cache streams differ); the resulting
+  /// rates never do.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Counters of the removed structural cache keying and warm-start solving.

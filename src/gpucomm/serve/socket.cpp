@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -32,13 +33,18 @@ constexpr std::size_t kMaxConnOutbuf = 64u << 20;
 constexpr std::chrono::seconds kDrainGrace{10};
 
 // SIGTERM handling via the self-pipe trick: the handler only sets a flag
-// and pokes the poll loop's wake pipe (both async-signal-safe). The fds
-// are plain ints written before sigaction() installs the handler.
-volatile std::sig_atomic_t g_sigterm = 0;
+// and pokes the poll loop's wake pipe (both async-signal-safe). The handler
+// may run on any thread while the poll loop's thread reads the flag, so it
+// is an atomic, and a lock-free one: a lock inside a signal handler could
+// deadlock against the thread it interrupted. The fds are plain ints written
+// before sigaction() installs the handler.
+std::atomic<bool> g_sigterm{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the SIGTERM handler may only touch lock-free atomics");
 int g_sigterm_wake_fd = -1;
 
 void on_sigterm(int) {
-  g_sigterm = 1;
+  g_sigterm.store(true);
   if (g_sigterm_wake_fd >= 0) {
     const char b = 1;
     (void)!::write(g_sigterm_wake_fd, &b, 1);
@@ -124,7 +130,7 @@ bool serve_socket(const std::string& path, const ServeOptions& options,
     return false;
   }
 
-  g_sigterm = 0;
+  g_sigterm.store(false);
   g_sigterm_wake_fd = wake[1];
   struct sigaction sa {};
   sa.sa_handler = on_sigterm;
@@ -146,7 +152,7 @@ bool serve_socket(const std::string& path, const ServeOptions& options,
   char rbuf[65536];
 
   for (;;) {
-    if (!draining && (core.shutdown_rendered() || g_sigterm != 0)) {
+    if (!draining && (core.shutdown_rendered() || g_sigterm.load())) {
       draining = true;
       drain_deadline = std::chrono::steady_clock::now() + kDrainGrace;
       if (accepting) {

@@ -96,6 +96,25 @@ TEST(FairshareFastpath, EdgeCasesMatchReference) {
   p.flows = {{0, 1}, {0}, {1}};
   p.caps.clear();
   expect_identical(p, solver);
+
+  // Two links whose fair shares differ by less than the 1e-12 freeze
+  // tolerance: the slightly wider one freezes its flows in the same round,
+  // at the narrower one's share.
+  p.capacity = {gbps(100), gbps(100) * (1 + 4e-13)};
+  p.flows = {{0}, {1}, {0}, {1}};
+  expect_identical(p, solver);
+
+  // A flow freezes mid-round on link 1, and a later flow of the same round
+  // still crosses link 1 as its last unfrozen flow. Link 1's share starts
+  // within the tolerance of the round's level (link 0) and ends outside it
+  // once the first flow's rate is subtracted, so the later flow must be
+  // tested against link 1's share after that freeze: the share at the start
+  // of the round would freeze it a round early. It freezes alone in the next
+  // round, leaving link 1 with no unfrozen flow while link 2's flow is still
+  // tested in that round.
+  p.capacity = {gbps(100), 2 * gbps(100) * (1 + 9e-13), gbps(300)};
+  p.flows = {{0}, {1}, {1}, {2}};
+  expect_identical(p, solver);
 }
 
 // --- Network-level fast paths ----------------------------------------------

@@ -480,6 +480,106 @@ TEST(NetworkDifferential, CacheHitsRestoreTraceState) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Component grouping. The differential suite compares two modes that share
+// one partitioner, so it cannot see which flows end up in one subproblem.
+// These tests pin the grouping through SolverStats::component_size_log2.
+
+/// Two switches with four GPUs each: up[s][k] is the link from GPU k to
+/// switch s, and up[s][k] + 1 the link back. `trunk` joins switch 0 to
+/// switch 1. `direct` holds GPU-to-GPU links outside every switch, for
+/// flows that couple with nothing.
+struct SwitchFixture {
+  Graph g;
+  Engine engine;
+  std::vector<std::vector<LinkId>> up;
+  LinkId trunk = kInvalidLink;
+  std::vector<LinkId> direct;
+  std::unique_ptr<Network> net;
+
+  explicit SwitchFixture(bool congestion) {
+    std::vector<DeviceId> sw;
+    for (int s = 0; s < 2; ++s) {
+      sw.push_back(g.add_device({DeviceKind::kSwitch, -1, s, "switch"}));
+      up.emplace_back();
+      for (int k = 0; k < 4; ++k) {
+        const DeviceId d = g.add_device({DeviceKind::kGpu, s, k, "gpu"});
+        up[s].push_back(
+            g.add_duplex_link(d, sw[s], gbps(100), microseconds(1), LinkType::kLeafSpine));
+      }
+    }
+    trunk = g.add_duplex_link(sw[0], sw[1], gbps(100), microseconds(1), LinkType::kLeafSpine);
+    for (int k = 0; k < 3; ++k) {
+      const DeviceId a = g.add_device({DeviceKind::kGpu, 2, 2 * k, "gpu"});
+      const DeviceId b = g.add_device({DeviceKind::kGpu, 2, 2 * k + 1, "gpu"});
+      direct.push_back(g.add_duplex_link(a, b, gbps(100), microseconds(1), LinkType::kNvLink));
+    }
+    net = std::make_unique<Network>(engine, g);
+    // A threshold no link here reaches: rates stay undegraded, but the
+    // switch closure is on whenever rate_factor < 1.
+    if (congestion) net->set_congestion({/*flow_threshold=*/100, /*rate_factor=*/0.5});
+  }
+
+  /// gpu (s, a) -> switch s -> gpu (s, b).
+  Route via_switch(int s, int a, int b) const { return {up[s][a], up[s][b] + 1}; }
+};
+
+TEST(NetworkComponents, SharedSwitchCouplesOnlyUnderCongestion) {
+  // Two flows through one switch on disjoint links: one 2-flow subproblem
+  // when congestion coupling is on, two 1-flow subproblems when it is off,
+  // also when coupling is switched after the flows started (the active
+  // flows then join or leave the per-switch lists).
+  for (const bool congestion : {true, false}) {
+    for (const bool late : {false, true}) {
+      SwitchFixture f(late ? !congestion : congestion);
+      f.net->start_flow({f.via_switch(0, 0, 1), 1_MiB, 0, 0}, nullptr);
+      f.net->start_flow({f.via_switch(0, 2, 3), 1_MiB, 0, 0}, nullptr);
+      if (late) {
+        f.net->set_congestion(congestion ? SwitchCongestion{100, 0.5} : SwitchCongestion{});
+      }
+      net::SolverStats first;
+      f.engine.after(nanoseconds(10), [&] { first = f.net->solver_stats(); });
+      f.engine.run();
+      EXPECT_EQ(first.reallocations, 1u) << "congestion=" << congestion << " late=" << late;
+      EXPECT_EQ(first.component_size_log2[0], congestion ? 0u : 2u)
+          << "congestion=" << congestion << " late=" << late;
+      EXPECT_EQ(first.component_size_log2[1], congestion ? 1u : 0u)
+          << "congestion=" << congestion << " late=" << late;
+    }
+  }
+}
+
+TEST(NetworkComponents, VacatedTrunkGathersBothSwitchesIntoOneSubproblem) {
+  // A short flow on the trunk couples a flow through switch 0 and a flow
+  // through switch 1 into one closure component. When it completes, nothing
+  // couples the two any more, yet the vacated trunk's two switch endpoints
+  // gather both flows into one subproblem of that incremental event. Three
+  // unrelated flows keep the event under the full-solve threshold. Without
+  // congestion coupling the trunk flow was alone, and its completion leaves
+  // nothing to re-solve.
+  for (const bool congestion : {true, false}) {
+    SwitchFixture f(congestion);
+    f.net->start_flow({{f.trunk}, 1_KiB, 0, 0}, nullptr);
+    f.net->start_flow({f.via_switch(0, 0, 1), 1_MiB, 0, 0}, nullptr);
+    f.net->start_flow({f.via_switch(1, 2, 3), 1_MiB, 0, 0}, nullptr);
+    for (const LinkId l : f.direct) f.net->start_flow({{l}, 1_MiB, 0, 0}, nullptr);
+    // The trunk flow serializes 1 KiB at 100 Gb/s in about 82 ns.
+    net::SolverStats before, after;
+    f.engine.after(nanoseconds(10), [&] { before = f.net->solver_stats(); });
+    f.engine.after(microseconds(1), [&] { after = f.net->solver_stats(); });
+    f.engine.run();
+    ASSERT_EQ(after.reallocations - before.reallocations, 1u) << "congestion=" << congestion;
+    if (congestion) {
+      EXPECT_EQ(after.incremental_events - before.incremental_events, 1u);
+      EXPECT_EQ(after.component_solves - before.component_solves, 1u);
+      EXPECT_EQ(after.component_size_log2[1] - before.component_size_log2[1], 1u);
+    } else {
+      EXPECT_EQ(after.no_work_events - before.no_work_events, 1u);
+      EXPECT_EQ(after.component_solves - before.component_solves, 0u);
+    }
+  }
+}
+
 TEST(NetworkTest, ManySequentialFlowsDeterministic) {
   // Two identical runs produce bit-identical completion times.
   auto run = [] {
