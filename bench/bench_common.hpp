@@ -6,8 +6,8 @@
 // layout. Binaries take no required arguments so `for b in build/bench/*`
 // reproduces the full evaluation. Pass `--json <path>` (after calling
 // bench::init) to additionally dump every emitted table as one
-// machine-readable JSON document — the format BENCH_baseline.json uses to
-// track the perf trajectory across commits.
+// machine-readable JSON document — the format BENCH_perf.json's documents
+// use.
 #pragma once
 
 #include <cstdio>

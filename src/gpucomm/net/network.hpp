@@ -83,7 +83,11 @@ class NoiseField {
   /// Sampled additional queueing delay for one message crossing `link` on the
   /// noisy VL.
   virtual SimTime queueing_delay(LinkId link) = 0;
-  /// Redraw the background state (called by the harness between iterations).
+  /// Start a new background epoch (called by the harness between
+  /// iterations). A field may defer the draws to the first read that needs
+  /// them, so an epoch nobody reads costs nothing, provided every read
+  /// answers as if they had run here; solver shards read concurrently, so
+  /// that settle point must be thread-safe.
   virtual void resample() = 0;
   /// Monotone stamp that changes whenever background_utilization()'s answers
   /// may have changed (i.e. on resample). The incremental solver re-solves

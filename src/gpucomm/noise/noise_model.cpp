@@ -7,7 +7,7 @@
 namespace gpucomm {
 
 namespace {
-// util_ of a noisy link whose value resample() has not drawn yet.
+// util_ of a noisy link whose value the coin pass has not drawn yet.
 constexpr double kHotPending = -1.0;
 constexpr double kCalmPending = -2.0;
 }  // namespace
@@ -33,12 +33,28 @@ ProductionNoise::ProductionNoise(const Graph& graph, NoiseParams params, Rng rng
   }
   offset_.assign(links, 0);
   util_.assign(links, 0.0);
+  // Settled now, so that set-up rather than the first read pays for the
+  // first epoch.
   resample();
+  settle();
 }
 
 void ProductionNoise::resample() {
   if (!params_.production_noise) return;  // utilization stays 0: same version
   ++version_;
+  // No reader runs now: the engine thread resamples between solves, and the
+  // shard pool's dispatch orders this before any worker's next read.
+  unsettled_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ProductionNoise::settle() const {
+  const std::lock_guard<std::mutex> lock(settle_mu_);
+  // Another reader may have settled while this one waited for the lock.
+  for (std::uint64_t n = unsettled_.load(std::memory_order_relaxed); n > 0; --n) coin_pass();
+  unsettled_.store(0, std::memory_order_release);
+}
+
+void ProductionNoise::coin_pass() const {
   epoch_start_ = rng_;
   // Per noisy link the stream holds a hot/calm coin (when hot_prob > 0),
   // then the value: one uniform when hot, a lognormal (two uniforms) when
@@ -71,6 +87,8 @@ void ProductionNoise::resample() {
 }
 
 double ProductionNoise::utilization(LinkId link) const {
+  if (class_[link] == LinkClass::kQuiet) return 0.0;
+  if (unsettled_.load(std::memory_order_acquire) != 0) settle();
   const double memo = util_[link];
   if (memo >= 0) return memo;
   const bool global = class_[link] == LinkClass::kGlobal;

@@ -7,15 +7,20 @@
 // and samples per-hop queueing delays with a heavy tail, calibrated against
 // Fig. 8's latency/goodput spreads.
 //
-// resample() costs one coin per fabric link: it draws each link's hot/calm
-// coin, skips the shared stream past the link's value draws and records
-// where they sit. A link's utilization is drawn from that position the
-// first time it is read in an epoch, so a job that never leaves its node
-// pays for no lognormal, while the stream, every value and version() are
-// exactly those of drawing every link eagerly.
+// resample() is O(1): it bumps version() and counts one unsettled epoch.
+// An epoch's coin pass draws each fabric link's hot/calm coin, skips the
+// shared stream past the link's value draws and records where they sit; the
+// first read of a noisy link runs the passes of every unsettled epoch in
+// order (the settle point), and a link's utilization is then drawn from its
+// recorded position the first time it is read in the epoch. A job that never
+// leaves its node reads only quiet links, so it pays for no coin and no
+// lognormal, while the stream, every value and version() are exactly those
+// of drawing every link eagerly on every resample.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "gpucomm/net/network.hpp"
@@ -44,21 +49,34 @@ class ProductionNoise final : public NoiseField {
   /// Which background a link carries; fixed by its type.
   enum class LinkClass : std::uint8_t { kQuiet, kLocal, kGlobal };
 
-  /// The link's utilization this epoch, drawn and memoized on first read.
-  /// Shard workers call it concurrently; that is race-free because
-  /// components solved at the same time never share a link.
+  /// The link's utilization this epoch: 0 for a quiet link; otherwise the
+  /// field is settled first, then the value is drawn and memoized on first
+  /// read. Shard workers call it concurrently; the memo is race-free because
+  /// components solved at the same time never share a link, and settle()
+  /// is the double-checked settle point.
   double utilization(LinkId link) const;
+  /// Runs the coin passes of the unsettled epochs, oldest first, once.
+  void settle() const;
+  /// One epoch's coin pass (see the file comment).
+  void coin_pass() const;
 
   NoiseParams params_;
-  Rng rng_;
-  Rng epoch_start_;  // rng_ when the last resample() began
   std::vector<LinkClass> class_;
+  std::uint64_t version_ = 1;
+  // Epochs resample() opened whose coin pass has not run yet. Written by
+  // resample() on the engine thread between solves, and zeroed (release)
+  // by settle() under settle_mu_; every noisy read loads it (acquire).
+  mutable std::atomic<std::uint64_t> unsettled_{0};
+  // Guards the settle point: only its holder runs coin passes, which write
+  // the members below while unsettled_ is nonzero.
+  mutable std::mutex settle_mu_;
+  mutable Rng rng_;
+  mutable Rng epoch_start_;  // rng_ when the last coin pass began
   // Per link: how many outputs past epoch_start_ its value draws begin.
-  std::vector<std::uint32_t> offset_;
+  mutable std::vector<std::uint32_t> offset_;
   // Per link: this epoch's utilization, or a negative marker (kHotPending /
   // kCalmPending in the .cpp) until its first read draws it.
   mutable std::vector<double> util_;
-  std::uint64_t version_ = 1;
 };
 
 }  // namespace gpucomm

@@ -5,6 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "gpucomm/cluster/cluster.hpp"
 #include "gpucomm/cluster/placement.hpp"
@@ -228,10 +231,30 @@ class EagerNoise {
   std::uint64_t version_ = 1;
 };
 
-enum class ReadPattern { kFull, kSparseShuffled, kInterleavedDelays };
+enum class ReadPattern { kFull, kSparseShuffled, kInterleavedDelays, kUnreadEpochs };
 
-/// Runs ProductionNoise and the eager oracle side by side over 24 resamples,
-/// reading each epoch's field in `pattern`, and requires bit-equal answers.
+/// How each epoch is read under `pattern`; nullopt leaves it unread. The
+/// first three read 24 epochs alike. kUnreadEpochs leaves runs of 1, 2 and 5
+/// epochs unread and reads the epoch after each run fully, sparsely or with
+/// interleaved delays, so several deferred coin passes settle at once.
+std::vector<std::optional<ReadPattern>> epoch_reads(ReadPattern pattern) {
+  if (pattern != ReadPattern::kUnreadEpochs) {
+    return std::vector<std::optional<ReadPattern>>(24, pattern);
+  }
+  std::vector<std::optional<ReadPattern>> reads{ReadPattern::kFull};
+  for (const int unread : {1, 2, 5}) {
+    for (const ReadPattern read :
+         {ReadPattern::kFull, ReadPattern::kSparseShuffled, ReadPattern::kInterleavedDelays}) {
+      reads.insert(reads.end(), unread, std::nullopt);
+      reads.push_back(read);
+    }
+  }
+  return reads;
+}
+
+/// Runs ProductionNoise and the eager oracle side by side, one resample per
+/// epoch, reading each epoch's field as `pattern` says, and requires
+/// bit-equal answers and equal versions.
 void expect_matches_eager(const NoiseParams& params, ReadPattern pattern) {
   const Cluster cluster(leonardo_config(), {.nodes = 4, .placement = Placement::kScatterGroups});
   const Graph& g = cluster.graph();
@@ -241,28 +264,30 @@ void expect_matches_eager(const NoiseParams& params, ReadPattern pattern) {
   std::iota(links.begin(), links.end(), LinkId{0});
   Rng order(5);
   std::uint64_t nonzero = 0;
-  for (int epoch = 0; epoch < 24; ++epoch) {
+  const std::vector<std::optional<ReadPattern>> reads = epoch_reads(pattern);
+  for (std::size_t epoch = 0; epoch < reads.size(); ++epoch) {
     if (epoch > 0) {
       lazy.resample();
       eager.resample();
     }
     ASSERT_EQ(lazy.version(), eager.version());
+    if (!reads[epoch]) continue;
+    const ReadPattern read = *reads[epoch];
     // Sparse reads touch one link in 50, in random order.
     order.shuffle(links);
-    const std::size_t reads =
-        pattern == ReadPattern::kFull ? links.size() : links.size() / 50;
-    for (std::size_t i = 0; i < reads; ++i) {
-      const LinkId l = pattern == ReadPattern::kFull ? static_cast<LinkId>(i) : links[i];
+    const std::size_t count = read == ReadPattern::kFull ? links.size() : links.size() / 50;
+    for (std::size_t i = 0; i < count; ++i) {
+      const LinkId l = read == ReadPattern::kFull ? static_cast<LinkId>(i) : links[i];
       const double want = eager.background_utilization(l);
       // The second read is served from the memo.
-      for (int read = 0; read < 2; ++read) {
+      for (int again = 0; again < 2; ++again) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy.background_utilization(l)),
                   std::bit_cast<std::uint64_t>(want))
             << "link " << l << " epoch " << epoch;
       }
       if (want != 0) ++nonzero;
       // Queueing delays draw from the shared stream mid-epoch.
-      if (pattern == ReadPattern::kInterleavedDelays && i % 3 == 0) {
+      if (read == ReadPattern::kInterleavedDelays && i % 3 == 0) {
         const LinkId d = links[links.size() - 1 - i];
         ASSERT_EQ(lazy.queueing_delay(d).ps, eager.queueing_delay(d).ps)
             << "link " << d << " epoch " << epoch;
@@ -284,6 +309,12 @@ TEST(NoiseOracle, ReadsInterleavedWithDelaysMatchEagerField) {
   expect_matches_eager(leonardo_config().noise, ReadPattern::kInterleavedDelays);
 }
 
+TEST(NoiseOracle, ReadsAfterUnreadEpochsMatchEagerField) {
+  // An unread epoch leaves its coin pass deferred: the next noisy read must
+  // run every deferred pass, oldest first, or the stream falls behind.
+  expect_matches_eager(leonardo_config().noise, ReadPattern::kUnreadEpochs);
+}
+
 TEST(NoiseOracle, CoinlessAndZeroMeanLinksMatchEagerField) {
   // No coin on global links, no calm draw on local ones: the stream skips
   // differ per link type.
@@ -292,11 +323,50 @@ TEST(NoiseOracle, CoinlessAndZeroMeanLinksMatchEagerField) {
   params.mean_local_util = 0;
   expect_matches_eager(params, ReadPattern::kFull);
   expect_matches_eager(params, ReadPattern::kInterleavedDelays);
+  expect_matches_eager(params, ReadPattern::kUnreadEpochs);
+}
+
+TEST(NoiseOracle, ConcurrentFirstReadsSettleOnce) {
+  // Shard workers can reach the settle point together. Threads reading
+  // disjoint links after back-to-back resamples must run the deferred coin
+  // passes exactly once, or the field and the stream after it drift from
+  // the eager oracle.
+  const Cluster cluster(leonardo_config(), {.nodes = 4, .placement = Placement::kScatterGroups});
+  const Graph& g = cluster.graph();
+  const NoiseParams params = leonardo_config().noise;
+  ProductionNoise lazy(g, params, Rng(99));
+  EagerNoise eager(g, params, Rng(99));
+  constexpr LinkId kThreads = 4;
+  std::vector<double> got(g.link_count());
+  for (int round = 0; round < 8; ++round) {
+    for (int r = 0; r <= round % 3; ++r) {
+      lazy.resample();
+      eager.resample();
+    }
+    std::vector<std::thread> readers;
+    for (LinkId t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&lazy, &got, t] {
+        for (LinkId l = t; l < got.size(); l += kThreads) got[l] = lazy.background_utilization(l);
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    LinkId loaded = kInvalidLink;
+    for (LinkId l = 0; l < got.size(); ++l) {
+      const double want = eager.background_utilization(l);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[l]), std::bit_cast<std::uint64_t>(want))
+          << "link " << l << " round " << round;
+      if (loaded == kInvalidLink && want > 0) loaded = l;
+    }
+    ASSERT_NE(loaded, kInvalidLink);
+    ASSERT_EQ(lazy.queueing_delay(loaded).ps, eager.queueing_delay(loaded).ps) << "round " << round;
+  }
 }
 
 TEST(NoiseOracle, ShardWorkersReadTheFieldDeterministically) {
   // Shard workers draw link values on first read while solving disjoint
-  // components concurrently; completions must not depend on the shard count.
+  // components concurrently, and whichever shard reads the field first
+  // settles the coin passes that back-to-back resamples deferred;
+  // completions must not depend on the shard count.
   const SystemConfig cfg = leonardo_config();
   auto run = [&cfg](int shards) {
     Cluster cluster(cfg,
@@ -308,9 +378,9 @@ TEST(NoiseOracle, ShardWorkersReadTheFieldDeterministically) {
     CclComm ccl(cluster, gpus, opt);
     std::vector<std::int64_t> ps;
     for (int iter = 0; iter < 2; ++iter) {
-      cluster.noise_field()->resample();
+      for (int r = 0; r < 2 + iter; ++r) cluster.noise_field()->resample();
       ps.push_back(mpi.time_alltoall(2_MiB).ps);
-      cluster.noise_field()->resample();
+      for (int r = 0; r < 3 - iter; ++r) cluster.noise_field()->resample();
       ps.push_back(ccl.time_alltoall(2_MiB).ps);
     }
     const std::vector<std::uint64_t>& per_shard = cluster.network().solver_stats().shard_solves;
