@@ -236,21 +236,9 @@ inline void header(const std::string& figure, const std::string& description) {
             << "================================================================\n";
 }
 
-/// Construct the requested mechanism over `gpus`.
-inline std::unique_ptr<Communicator> make_comm(Mechanism m, Cluster& cluster,
-                                               std::vector<int> gpus, CommOptions opt) {
-  switch (m) {
-    case Mechanism::kStaging:
-      return std::make_unique<StagingComm>(cluster, std::move(gpus), std::move(opt));
-    case Mechanism::kDeviceCopy:
-      return std::make_unique<DeviceCopyComm>(cluster, std::move(gpus), std::move(opt));
-    case Mechanism::kCcl:
-      return std::make_unique<CclComm>(cluster, std::move(gpus), std::move(opt));
-    case Mechanism::kMpi:
-      return std::make_unique<MpiComm>(cluster, std::move(gpus), std::move(opt));
-  }
-  return nullptr;
-}
+/// The library's mechanism factory, under the name the benches and
+/// perfbench call.
+using gpucomm::make_comm;
 
 /// The standard message-size sweep (powers of four from 1 B to 1 GiB).
 inline std::vector<Bytes> size_sweep() {

@@ -6,6 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "gpucomm/comm/ccl/ccl_comm.hpp"
+#include "gpucomm/comm/devcopy.hpp"
+#include "gpucomm/comm/mpi/mpi_comm.hpp"
+#include "gpucomm/comm/staging.hpp"
 #include "gpucomm/sched/builders.hpp"
 
 namespace gpucomm {
@@ -18,6 +22,40 @@ const char* to_string(Mechanism m) {
     case Mechanism::kMpi: return "mpi";
   }
   return "?";
+}
+
+std::optional<Mechanism> mechanism_named(std::string_view name) {
+  for (const Mechanism m :
+       {Mechanism::kStaging, Mechanism::kDeviceCopy, Mechanism::kCcl, Mechanism::kMpi}) {
+    if (name == to_string(m)) return m;
+  }
+  return std::nullopt;
+}
+
+std::optional<CollectiveOp> op_named(std::string_view name) {
+  static constexpr std::pair<std::string_view, CollectiveOp> kNames[] = {
+      {"pingpong", CollectiveOp::kPingPong},   {"alltoall", CollectiveOp::kAlltoall},
+      {"allreduce", CollectiveOp::kAllreduce}, {"broadcast", CollectiveOp::kBroadcast},
+      {"allgather", CollectiveOp::kAllgather}, {"reducescatter", CollectiveOp::kReduceScatter}};
+  for (const auto& [n, op] : kNames) {
+    if (n == name) return op;
+  }
+  return std::nullopt;
+}
+
+std::unique_ptr<Communicator> make_comm(Mechanism m, Cluster& cluster, std::vector<int> gpus,
+                                        CommOptions opt) {
+  switch (m) {
+    case Mechanism::kStaging:
+      return std::make_unique<StagingComm>(cluster, std::move(gpus), std::move(opt));
+    case Mechanism::kDeviceCopy:
+      return std::make_unique<DeviceCopyComm>(cluster, std::move(gpus), std::move(opt));
+    case Mechanism::kCcl:
+      return std::make_unique<CclComm>(cluster, std::move(gpus), std::move(opt));
+    case Mechanism::kMpi:
+      return std::make_unique<MpiComm>(cluster, std::move(gpus), std::move(opt));
+  }
+  return nullptr;
 }
 
 Communicator::Communicator(Cluster& cluster, std::vector<int> gpus, CommOptions options)

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpucomm/cluster/cluster.hpp"
@@ -22,6 +24,8 @@ namespace gpucomm {
 
 enum class Mechanism : std::uint8_t { kStaging, kDeviceCopy, kCcl, kMpi };
 const char* to_string(Mechanism m);
+/// Inverse of to_string(Mechanism); nullopt for an unknown name.
+std::optional<Mechanism> mechanism_named(std::string_view name);
 
 enum class CollectiveOp : std::uint8_t {
   kSend,
@@ -32,6 +36,11 @@ enum class CollectiveOp : std::uint8_t {
   kAllgather,
   kReduceScatter,
 };
+
+/// The benchmarked operation a CLI flag or scenario query names: pingpong,
+/// alltoall, allreduce, broadcast, allgather or reducescatter (kSend has no
+/// name); nullopt for anything else.
+std::optional<CollectiveOp> op_named(std::string_view name);
 
 /// Schedule identity attached to every message a collective issues, so
 /// mechanisms can tag flows with the algorithm and round they belong to.
@@ -214,6 +223,10 @@ class Communicator {
 
   bool op_failed_ = false;
 };
+
+/// Construct mechanism `m`'s communicator over `gpus`.
+std::unique_ptr<Communicator> make_comm(Mechanism m, Cluster& cluster, std::vector<int> gpus,
+                                        CommOptions opt);
 
 /// Size ramp-up factor: pipelines reach peak rate only for large transfers;
 /// effective rate scales by bytes / (bytes + rampup).

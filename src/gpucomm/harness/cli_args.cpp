@@ -21,10 +21,6 @@ bool parse_int(const std::string& s, long long min, long long max, long long& ou
   return true;
 }
 
-const char* const kOps[] = {"pingpong",  "alltoall",  "allreduce",
-                            "broadcast", "allgather", "reducescatter"};
-const char* const kMechanisms[] = {"staging", "devcopy", "ccl", "mpi"};
-
 template <typename Names>
 bool known(const Names& names, const std::string& value) {
   return std::find(std::begin(names), std::end(names), value) != std::end(names);
@@ -32,9 +28,9 @@ bool known(const Names& names, const std::string& value) {
 
 }  // namespace
 
-bool known_op(const std::string& name) { return known(kOps, name); }
+bool known_op(const std::string& name) { return op_named(name).has_value(); }
 
-bool known_mechanism(const std::string& name) { return known(kMechanisms, name); }
+bool known_mechanism(const std::string& name) { return mechanism_named(name).has_value(); }
 
 bool parse_placement_name(const std::string& name, Placement& out) {
   if (name == "packed") {
@@ -106,10 +102,10 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
       }
     } else if (flag == "--op") {
       if (!need(a.op)) return fail(flag + " requires an operation name");
-      if (!known(kOps, a.op)) return fail("unknown op '" + a.op + "'");
+      if (!known_op(a.op)) return fail("unknown op '" + a.op + "'");
     } else if (flag == "--mechanism") {
       if (!need(a.mechanism)) return fail(flag + " requires a mechanism name");
-      if (!known(kMechanisms, a.mechanism)) {
+      if (!known_mechanism(a.mechanism)) {
         return fail("unknown mechanism '" + a.mechanism + "'");
       }
     } else if (flag == "--gpus") {

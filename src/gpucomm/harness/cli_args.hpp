@@ -20,7 +20,8 @@
 namespace gpucomm::cli {
 
 /// Shared flag vocabulary, reused by the serve query parser so the two
-/// surfaces can never drift apart.
+/// surfaces can never drift apart. Op and mechanism names are the comm
+/// layer's table (op_named, mechanism_named).
 bool known_op(const std::string& name);
 bool known_mechanism(const std::string& name);
 /// packed|switches|groups. Returns false on an unknown name.

@@ -485,7 +485,7 @@ void ServerCore::run_job(const Job& job, int lane) {
   }
   std::string err;
   const std::shared_ptr<const ScenarioOutput> out =
-      run_scenario(job.query, caches_, /*want_manifest=*/true, err);
+      run_scenario(job.query, caches_, /*want_manifest=*/true, /*jobs=*/1, err);
   const auto rendering = std::chrono::steady_clock::now();
   std::string line = render_response(job.query, out, err);
   const auto finished = std::chrono::steady_clock::now();

@@ -1,7 +1,5 @@
 #include "gpucomm/serve/io.hpp"
 
-#include <istream>
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,40 +9,7 @@
 
 namespace gpucomm::serve {
 
-ReadLineStatus read_bounded_line(std::istream& in, std::string& line, std::size_t max_bytes) {
-  line.clear();
-  bool read_any = false;
-  int ch;
-  while ((ch = in.get()) != std::char_traits<char>::eof()) {
-    read_any = true;
-    if (ch == '\n') return ReadLineStatus::kLine;
-    if (line.size() >= max_bytes) {
-      // Consume the rest of the overlong line so the next read starts on a
-      // fresh line; the payload is discarded, not buffered.
-      while ((ch = in.get()) != std::char_traits<char>::eof() && ch != '\n') {
-      }
-      return ReadLineStatus::kOverflow;
-    }
-    line.push_back(static_cast<char>(ch));
-  }
-  // getline semantics: an unterminated final fragment still counts as a line.
-  return read_any ? ReadLineStatus::kLine : ReadLineStatus::kEof;
-}
-
 #if defined(__unix__) || defined(__APPLE__)
-
-bool write_all(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
 
 long write_some(int fd, const char* data, std::size_t n, bool to_socket) {
   std::size_t off = 0;

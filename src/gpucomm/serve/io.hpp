@@ -5,16 +5,15 @@
 //
 //  - Reads are *bounded*: an unterminated or gigantic request line must cost
 //    a fixed amount of memory and yield one `ok:false` response, never
-//    unbounded buffering (LineSplitter for raw fds, read_bounded_line for
-//    streams).
+//    unbounded buffering. Both transports frame through LineSplitter.
 //  - Writes are *complete*: a response line must reach the peer whole.
-//    write(2) may return short or fail with EINTR at any time; write_all
-//    retries both so a partial write can never truncate a response mid-line
-//    (write_some is the nonblocking sibling the poll loop uses).
+//    write(2) may return short or fail with EINTR at any time; write_some
+//    retries EINTR and reports how far it got, and the socket poll loop
+//    keeps the rest buffered, so a partial write can never truncate a
+//    response mid-line.
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -75,22 +74,7 @@ class LineSplitter {
   bool discarding_ = false;
 };
 
-enum class ReadLineStatus {
-  kLine,      // a complete line (or unterminated final fragment) in `line`
-  kOverflow,  // line exceeded the bound; excess consumed through its newline
-  kEof,       // no more input
-};
-
-/// Bounded std::getline: reads up to `max_bytes` payload characters. On
-/// overflow the rest of the line (through its '\n', or EOF) is consumed and
-/// discarded so the stream stays line-synchronized.
-ReadLineStatus read_bounded_line(std::istream& in, std::string& line, std::size_t max_bytes);
-
 #if defined(__unix__) || defined(__APPLE__)
-
-/// Write the whole buffer to a blocking fd, retrying EINTR and short
-/// writes. Returns false on a real write error (peer gone, EPIPE, ...).
-bool write_all(int fd, const char* data, std::size_t n);
 
 /// Write as much as possible to a nonblocking fd. Retries EINTR; stops at
 /// EAGAIN/EWOULDBLOCK. Returns bytes written (possibly 0), or -1 on a real

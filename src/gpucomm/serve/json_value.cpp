@@ -47,8 +47,8 @@ JsonValue JsonValue::make_object(std::vector<std::pair<std::string, JsonValue>> 
 
 namespace {
 
-/// Recursive-descent parser; the grammar mirrors metrics/json.cpp's
-/// Validator, with values materialized and duplicate keys rejected.
+/// Recursive-descent parser over the RFC 8259 grammar, with values
+/// materialized and duplicate keys rejected.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

@@ -1,8 +1,7 @@
-// Strict JSON parsing into a small DOM, for the scenario server's query
-// grammar (serve/query.hpp).
-//
-// The grammar accepted is exactly the one metrics::json_valid() validates
-// (RFC 8259); on top of that this parser materializes the document. Numbers
+// Strict JSON parsing into a small DOM: the project's one JSON grammar
+// (RFC 8259). The scenario server parses its queries with it
+// (serve/query.hpp), and gpucomm_jsonv and the tests validate emitted
+// artifacts and response lines with it. Numbers
 // keep both the double value and an exact signed-64-bit form when the
 // literal is integral and in range, so byte counts and seeds round-trip
 // without floating-point loss. Object keys keep their input order;
@@ -66,8 +65,8 @@ class JsonValue {
 
 /// Parse one JSON document. Returns nullopt and a one-line description (with
 /// byte offset) in `error` on malformed input, trailing garbage, duplicate
-/// object keys, or \u escapes outside the Basic Multilingual Plane's ASCII
-/// subset handling (escapes are decoded as UTF-8).
+/// object keys, or numbers outside double range. \u escapes are decoded as
+/// UTF-8.
 std::optional<JsonValue> parse_json(std::string_view text, std::string& error);
 
 }  // namespace gpucomm::serve

@@ -78,8 +78,8 @@ struct ScenarioQuery {
 std::optional<ScenarioQuery> parse_query(const JsonValue& v, std::string& error);
 
 /// The query equivalent to a CLI invocation (cells <- jobs_given); used to
-/// route plain gpucomm_cli runs through the same scenario runner the server
-/// uses, which is what makes server responses byte-identical to standalone
+/// route every gpucomm_cli run through the scenario runner the server uses,
+/// which is what makes server responses byte-identical to standalone
 /// --metrics-out artifacts.
 ScenarioQuery query_from_cli(const cli::CliArgs& a);
 

@@ -1,15 +1,12 @@
-// The shared scenario runner: one ScenarioQuery in, one rendered experiment
-// out. Both surfaces call it — gpucomm_cli for a plain run (no telemetry
-// printing flags) and the --serve loop for every query — so a server
-// response's manifest is byte-identical to the standalone --metrics-out
-// artifact by construction, not by parallel maintenance of two code paths.
-//
-// The runner replicates the CLI driver exactly: same cluster/communicator
-// construction order, same plan() calls after the runs, same profiler
-// gating (one unmeasured profiled iteration per size when a manifest is
-// wanted in coupled mode). Anything that consumes cluster RNG therefore
-// consumes it in the same order, which is what the byte-for-byte contract
-// rests on.
+// The shared scenario runner: one ScenarioQuery in, one experiment out.
+// gpucomm_cli and the --serve loop run every experiment through the same
+// steps (resolve_scenario, then CoupledRun or sweep_cells, then tabulate),
+// so a server response's manifest is byte-identical to the standalone
+// --metrics-out artifact by construction, not by parallel maintenance of
+// two code paths. run_scenario composes the steps for a plain CLI run and
+// for every served query; the CLI's telemetry flags compose them around
+// their own sinks. Anything that consumes cluster RNG therefore consumes it
+// in one order, which is what the byte-for-byte contract rests on.
 //
 // ServerCaches holds the cross-query caches (docs/SERVER.md): whole
 // responses and constructed topologies. Both are exact-compare and hold
@@ -17,9 +14,7 @@
 // survives any cache state: warm answers equal cold answers byte for byte.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,33 +22,92 @@
 #include "gpucomm/cluster/topo_snapshot.hpp"
 #include "gpucomm/comm/communicator.hpp"
 #include "gpucomm/fault/fault_schedule.hpp"
+#include "gpucomm/harness/runner.hpp"
+#include "gpucomm/metrics/run_manifest.hpp"
 #include "gpucomm/serve/cache.hpp"
 #include "gpucomm/serve/query.hpp"
 
+namespace gpucomm::fault {
+class FaultInjector;
+}
+
 namespace gpucomm::serve {
 
-/// Name -> Mechanism; throws std::invalid_argument on unknown names (the
-/// query/CLI parsers validate first).
-Mechanism mechanism_of(const std::string& name);
-/// Name -> CollectiveOp; throws std::invalid_argument on unknown names.
-CollectiveOp op_of(const std::string& name);
-/// Construct the mechanism's communicator over the first `gpus` ranks.
-std::unique_ptr<Communicator> make_comm(Mechanism m, Cluster& c, int gpus,
-                                        const CommOptions& opt);
-/// One timed iteration of `op` on `comm` (pingpong reports half round-trip).
-SimTime run_op(Communicator& comm, const std::string& op, Bytes b);
-/// Resolve a --faults/"faults" value: a readable file is loaded as a
-/// schedule file; anything else is an inline spec with ';' for newlines.
-std::optional<fault::FaultSchedule> resolve_faults(const std::string& spec,
-                                                   std::string& error);
-/// Node count for a scenario: the explicit override when given, else the
-/// smallest count hosting `gpus` ranks. Throws std::invalid_argument when
-/// the override cannot host them.
-int resolved_nodes(const SystemConfig& cfg, int gpus, int nodes_override);
+/// A query resolved against its system: everything the runs need.
+struct Scenario {
+  ScenarioQuery query;
+  SystemConfig config;
+  Mechanism mechanism = Mechanism::kMpi;
+  CollectiveOp op = CollectiveOp::kPingPong;
+  /// Build the cluster with these: nodes derived from gpus unless
+  /// overridden, placement, noise, shards and seed from the query.
+  ClusterOptions cluster;
+  CommOptions comm;
+  fault::FaultSchedule faults;
+  std::vector<Bytes> sizes;
+  /// Per size: run_config_for(size), iterations overridden by query.iters.
+  std::vector<RunConfig> runs;
+};
 
-/// Everything a finished scenario renders: the stdout header + table the
-/// CLI prints, and the manifest in both artifact (pretty) and JSON-lines
-/// (compact) form. Immutable once built; the response cache shares it.
+/// Resolve `q`. A readable "faults" file is loaded as a schedule file;
+/// anything else is an inline spec with ';' for newlines. Throws
+/// std::invalid_argument with a one-line message when the node count
+/// cannot host the ranks or the fault spec does not parse.
+Scenario resolve_scenario(const ScenarioQuery& q);
+
+/// What a sweep measured, one entry per size.
+struct SweepResult {
+  /// The mechanism cannot run this alltoall. available() is a pure function
+  /// of the mechanism's configuration, so every size stalls.
+  bool stalled = false;
+  std::vector<Samples> samples;  // empty when stalled
+  std::vector<metrics::RunManifest::PlanInfo> plans;
+};
+
+/// The coupled harness: one cluster and one noise stream across the sweep.
+class CoupledRun {
+ public:
+  /// Attach the fault injector, then the communicator, to `cluster`, which
+  /// was built from s.config and s.cluster with any telemetry attached.
+  /// Both must outlive the run. Throws std::invalid_argument ("--faults:
+  /// ...") when the schedule names something the cluster lacks.
+  CoupledRun(const Scenario& s, Cluster& cluster);
+  ~CoupledRun();
+
+  Communicator& comm() { return *comm_; }
+
+  /// run_iterations per size. With a gated-off `profiler`, each size then
+  /// runs one unmeasured iteration with it enabled, whose spans become that
+  /// size's representative breakdown. plan() per size after all runs.
+  SweepResult sweep(metrics::ScheduleProfiler* profiler);
+
+ private:
+  const Scenario& s_;
+  Cluster& cluster_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+  std::unique_ptr<Communicator> comm_;
+};
+
+/// The deterministic cell harness: every (size, rep) is an independent
+/// simulation on its own cluster cloned from `topo`, seeded by
+/// cell_seed(seed, size, rep), run on `jobs` workers. The result is
+/// byte-identical for any `jobs`. Plans and availability come from a
+/// pristine planning cluster.
+SweepResult sweep_cells(const Scenario& s, const TopologySnapshot& topo, int jobs);
+
+/// A finished experiment: the "# system mechanism op, ..." header line and
+/// the aligned results table the CLI prints, and the manifest without its
+/// optional profile/time-series/counter sections.
+struct Tabulated {
+  std::string header;
+  std::string table;
+  metrics::RunManifest manifest;
+};
+Tabulated tabulate(const Scenario& s, const SweepResult& sweep);
+
+/// Everything run_scenario renders: the header + table, and the manifest in
+/// both artifact (pretty) and JSON-lines (compact) form. Immutable once
+/// built; the response cache shares it.
 struct ScenarioOutput {
   std::string header;            // "# leonardo mpi allreduce, ..." line
   std::string table;             // aligned results table text
@@ -83,11 +137,13 @@ class ServerCaches {
 /// run). `want_manifest` controls the coupled-mode profiler gating exactly
 /// as the CLI's --metrics-out does: when true, one extra unmeasured
 /// profiled iteration runs per size and the manifest carries the profile
-/// section; the server always passes true. Returns nullptr with a one-line
+/// section; the server always passes true. `jobs` is the cell harness's
+/// worker count (the CLI's --jobs; the server passes 1, since it already
+/// answers queries on its own pool). Returns nullptr with a one-line
 /// `error` on invalid fault specs or construction failures.
 std::shared_ptr<const ScenarioOutput> run_scenario(const ScenarioQuery& q,
                                                    ServerCaches* caches,
-                                                   bool want_manifest,
+                                                   bool want_manifest, int jobs,
                                                    std::string& error);
 
 }  // namespace gpucomm::serve

@@ -4,6 +4,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "gpucomm/serve/core.hpp"
 #include "gpucomm/serve/io.hpp"
@@ -23,25 +24,33 @@ ServeResult serve_loop(std::istream& in, std::ostream& out, const ServeOptions& 
   });
 
   std::uint64_t seq = 0;
-  std::string line;
-  for (;;) {
-    const ReadLineStatus status = read_bounded_line(in, line, options.max_line_bytes);
-    if (status == ReadLineStatus::kEof) break;
-    if (status == ReadLineStatus::kOverflow) {
-      // One error response, stream already resynchronized at the next line.
-      // Unlike the socket transport we keep the stream open: stdin is the
+  // False once a shutdown control has been handed to the core.
+  const auto take = [&](const LineSplitter::Line& line) {
+    if (line.overflow) {
+      // One error response; the splitter drops the rest of the line. Unlike
+      // the socket transport we keep the stream open: stdin is the
       // process's only client, closing it would end the server.
       core.answer_line_overflow(writer, seq++);
-      continue;
+      return true;
     }
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const std::uint64_t my_seq = seq++;
-    if (core.handle_line(writer, my_seq, line, /*deferred_controls=*/false) ==
-        ServerCore::LineAction::kShutdown) {
-      result.shutdown = true;
-      break;
-    }
+    if (line.text.find_first_not_of(" \t\r") == std::string::npos) return true;
+    return core.handle_line(writer, seq++, line.text, /*deferred_controls=*/false) !=
+           ServerCore::LineAction::kShutdown;
+  };
+  LineSplitter splitter(options.max_line_bytes);
+  std::vector<LineSplitter::Line> lines;
+  bool open = true;
+  // Byte by byte: a bulk read would block on a client that waits for its
+  // reply before sending the next line.
+  for (int ch; open && (ch = in.get()) != std::char_traits<char>::eof();) {
+    const char c = static_cast<char>(ch);
+    splitter.feed(&c, 1, lines);
+    for (const LineSplitter::Line& line : lines) open = open && take(line);
+    lines.clear();
   }
+  // getline semantics: an unterminated final line still counts.
+  if (open) open = take({splitter.take_partial(), false});
+  result.shutdown = !open;
   core.drain();
   result.answered = static_cast<std::size_t>(writer->written());
   result.counters = core.counters();

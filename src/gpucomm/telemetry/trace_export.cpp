@@ -133,39 +133,37 @@ constexpr int kRankPidBase = 10;
 
 int pid_of_rank(int rank) { return kRankPidBase + (rank < 0 ? -1 : rank); }
 
+/// Chrome-trace JSON emission. The constructor writes the
+/// {"displayTimeUnit":"ms","traceEvents":[ preamble; each event is an
+/// open()..close() pair with optional ts/dur/args fields between; end()
+/// closes the array and the document. Timestamps are microseconds.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::ostream& os) : os_(os) {
+    os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  }
+
+  void open(const std::string& name, const char* ph, int pid, std::uint64_t tid) {
+    os_ << (first_ ? "\n  " : ",\n  ");
+    first_ = false;
+    os_ << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"" << ph
+        << "\",\"pid\":" << pid << ",\"tid\":" << tid;
+  }
+  void ts_us(double micros) { os_ << ",\"ts\":" << us_of(micros); }
+  void dur_us(double micros) { os_ << ",\"dur\":" << us_of(micros); }
+  void raw_field(const char* key, const std::string& value) {
+    os_ << ",\"" << key << "\":" << value;
+  }
+  void args(const std::string& inner) { os_ << ",\"args\":{" << inner << "}"; }
+  void close() { os_ << "}"; }
+  void end() { os_ << "\n]}\n"; }
+
+ private:
+  std::ostream& os_;
+  bool first_ = true;
+};
+
 }  // namespace
-
-ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
-  os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-}
-
-void ChromeTraceWriter::open(const char* name, const char* ph, int pid, std::uint64_t tid) {
-  os_ << (first_ ? "\n  " : ",\n  ");
-  first_ = false;
-  os_ << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"" << ph << "\",\"pid\":" << pid
-      << ",\"tid\":" << tid;
-}
-
-void ChromeTraceWriter::open(const std::string& name, const char* ph, int pid,
-                             std::uint64_t tid) {
-  open(name.c_str(), ph, pid, tid);
-}
-
-void ChromeTraceWriter::ts_us(double micros) { os_ << ",\"ts\":" << us_of(micros); }
-
-void ChromeTraceWriter::dur_us(double micros) { os_ << ",\"dur\":" << us_of(micros); }
-
-void ChromeTraceWriter::raw_field(const char* key, const std::string& value) {
-  os_ << ",\"" << key << "\":" << value;
-}
-
-void ChromeTraceWriter::args(const std::string& inner) {
-  os_ << ",\"args\":{" << inner << "}";
-}
-
-void ChromeTraceWriter::close() { os_ << "}"; }
-
-void ChromeTraceWriter::end() { os_ << "\n]}\n"; }
 
 void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
   ChromeTraceWriter w(os);

@@ -93,32 +93,6 @@ class TraceRecorder final : public Sink {
   std::vector<FaultRecord> faults_;
 };
 
-/// Low-level Chrome-trace JSON emission, shared by write_chrome_trace and
-/// the scenario server's span export (serve/obs.cpp). The constructor writes
-/// the {"displayTimeUnit":"ms","traceEvents":[ preamble; each event is an
-/// open()..close() pair with optional ts/dur/args fields between; end()
-/// closes the array and the document. Timestamps are microseconds (simulated
-/// or wall-clock — the format does not care, only the caller's consistency).
-class ChromeTraceWriter {
- public:
-  explicit ChromeTraceWriter(std::ostream& os);
-
-  /// Open one event object; the caller appends fields via ts_us()/dur_us()/
-  /// raw_field()/args() and must call close().
-  void open(const char* name, const char* ph, int pid, std::uint64_t tid);
-  void open(const std::string& name, const char* ph, int pid, std::uint64_t tid);
-  void ts_us(double micros);
-  void dur_us(double micros);
-  void raw_field(const char* key, const std::string& value);
-  void args(const std::string& inner);
-  void close();
-  void end();
-
- private:
-  std::ostream& os_;
-  bool first_ = true;
-};
-
 /// Emit the recorder's contents as Chrome-trace JSON ({"traceEvents": [...]})
 /// with "X" phase events. Timestamps are microseconds of simulated time.
 void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder);

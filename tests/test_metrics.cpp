@@ -20,12 +20,21 @@
 #include "gpucomm/metrics/run_manifest.hpp"
 #include "gpucomm/metrics/timeseries.hpp"
 #include "gpucomm/metrics/version.hpp"
+#include "gpucomm/serve/json_value.hpp"
 #include "gpucomm/systems/registry.hpp"
 #include "gpucomm/telemetry/counters.hpp"
 #include "gpucomm/telemetry/sink.hpp"
 
 namespace gpucomm {
 namespace {
+
+/// Strict RFC 8259 check through the project's one JSON parser.
+bool json_valid(const std::string& text, std::string* error = nullptr) {
+  std::string err;
+  const bool ok = serve::parse_json(text, err).has_value();
+  if (error != nullptr) *error = err;
+  return ok;
+}
 
 // ---------------------------------------------------------------------------
 // JSON writer / validator.
@@ -45,7 +54,7 @@ TEST(MetricsJson, WriterProducesValidStructures) {
   w.end_object();
 
   std::string err;
-  EXPECT_TRUE(metrics::json_valid(os.str(), &err)) << err << "\n" << os.str();
+  EXPECT_TRUE(json_valid(os.str(), &err)) << err << "\n" << os.str();
   EXPECT_NE(os.str().find("\\\"hi\\\""), std::string::npos);
 }
 
@@ -57,7 +66,7 @@ TEST(MetricsJson, NonFiniteDoublesBecomeNull) {
   w.value(std::numeric_limits<double>::infinity());
   w.end_array();
   std::string err;
-  EXPECT_TRUE(metrics::json_valid(os.str(), &err)) << err;
+  EXPECT_TRUE(json_valid(os.str(), &err)) << err;
   EXPECT_EQ(os.str().find("nan"), std::string::npos);
   EXPECT_EQ(os.str().find("inf"), std::string::npos);
 }
@@ -69,15 +78,15 @@ TEST(MetricsJson, NumberRoundTripsShortestForm) {
 }
 
 TEST(MetricsJson, ValidatorRejectsMalformedDocuments) {
-  EXPECT_TRUE(metrics::json_valid(R"({"a": [1, 2.5e3, "x"], "b": null})"));
-  EXPECT_FALSE(metrics::json_valid(""));
-  EXPECT_FALSE(metrics::json_valid("{"));
-  EXPECT_FALSE(metrics::json_valid(R"({"a": 1,})"));
-  EXPECT_FALSE(metrics::json_valid(R"([1, 2] trailing)"));
-  EXPECT_FALSE(metrics::json_valid(R"({"a": 01})"));
-  EXPECT_FALSE(metrics::json_valid("[NaN]"));
+  EXPECT_TRUE(json_valid(R"({"a": [1, 2.5e3, "x"], "b": null})"));
+  EXPECT_FALSE(json_valid(""));
+  EXPECT_FALSE(json_valid("{"));
+  EXPECT_FALSE(json_valid(R"({"a": 1,})"));
+  EXPECT_FALSE(json_valid(R"([1, 2] trailing)"));
+  EXPECT_FALSE(json_valid(R"({"a": 01})"));
+  EXPECT_FALSE(json_valid("[NaN]"));
   std::string err;
-  EXPECT_FALSE(metrics::json_valid("[1,", &err));
+  EXPECT_FALSE(json_valid("[1,", &err));
   EXPECT_FALSE(err.empty());
 }
 
@@ -142,7 +151,7 @@ TEST(MetricsTimeSeries, DemandNeverBelowAllocatedAndExportsAreValid) {
   metrics::JsonWriter w(json);
   run.timeseries->write_json(w);
   std::string err;
-  EXPECT_TRUE(metrics::json_valid(json.str(), &err)) << err;
+  EXPECT_TRUE(json_valid(json.str(), &err)) << err;
 
   std::ostringstream csv, heat;
   run.timeseries->write_csv(csv);
@@ -251,7 +260,7 @@ TEST(MetricsManifest, JsonIsValidAndCarriesAllSections) {
                           run.counters.get());
   const std::string doc = os.str();
   std::string err;
-  ASSERT_TRUE(metrics::json_valid(doc, &err)) << err;
+  ASSERT_TRUE(json_valid(doc, &err)) << err;
   for (const char* key :
        {"\"tool\"", "\"version\"", "\"config\"", "\"results\"", "\"profile\"",
         "\"timeseries\"", "\"counters\"", "\"median\"", "\"median_ci\""}) {

@@ -11,7 +11,6 @@
 #include "gpucomm/cluster/placement.hpp"
 #include "gpucomm/cluster/topo_snapshot.hpp"
 #include "gpucomm/comm/mpi/mpi_comm.hpp"
-#include "gpucomm/metrics/json.hpp"
 #include "gpucomm/serve/cache.hpp"
 #include "gpucomm/serve/json_value.hpp"
 #include "gpucomm/serve/obs.hpp"
@@ -31,6 +30,11 @@ JsonValue parse_ok(const std::string& text) {
   const auto v = parse_json(text, err);
   EXPECT_TRUE(v.has_value()) << err;
   return v.value_or(JsonValue::make_null());
+}
+
+bool valid_json(const std::string& text) {
+  std::string err;
+  return parse_json(text, err).has_value();
 }
 
 TEST(JsonValueParser, ParsesScalarsAndStructure) {
@@ -363,12 +367,12 @@ TEST(RunScenario, WarmCacheAnswersAreByteIdenticalToCold) {
     const ScenarioQuery q = small_query(cells);
     std::string err;
     // Uncached reference.
-    const auto ref = run_scenario(q, nullptr, /*want_manifest=*/true, err);
+    const auto ref = run_scenario(q, nullptr, /*want_manifest=*/true, /*jobs=*/1, err);
     ASSERT_NE(ref, nullptr) << err;
     ServerCaches caches(64u << 20);
-    const auto cold = run_scenario(q, &caches, true, err);
+    const auto cold = run_scenario(q, &caches, true, 1, err);
     ASSERT_NE(cold, nullptr) << err;
-    const auto warm = run_scenario(q, &caches, true, err);
+    const auto warm = run_scenario(q, &caches, true, 1, err);
     ASSERT_NE(warm, nullptr) << err;
     for (const auto* o : {cold.get(), warm.get()}) {
       EXPECT_EQ(o->header, ref->header) << "cells=" << cells;
@@ -385,15 +389,36 @@ TEST(RunScenario, EvictionUnderTinyBudgetStaysCorrect) {
   // wrong answers.
   const ScenarioQuery q = small_query(true);
   std::string err;
-  const auto ref = run_scenario(q, nullptr, true, err);
+  const auto ref = run_scenario(q, nullptr, true, 1, err);
   ASSERT_NE(ref, nullptr) << err;
   ServerCaches tiny(64);  // bytes, not MiB: everything is evicted/rejected
   for (int round = 0; round < 2; ++round) {
-    const auto out = run_scenario(q, &tiny, true, err);
+    const auto out = run_scenario(q, &tiny, true, 1, err);
     ASSERT_NE(out, nullptr) << err;
     EXPECT_EQ(out->manifest_pretty, ref->manifest_pretty);
   }
   EXPECT_EQ(tiny.responses.stats().hits, 0u);
+}
+
+TEST(RunScenario, CellsAreByteIdenticalAtAnyWorkerCount) {
+  // One cell sweep over every size: at 4 jobs the cells run concurrently,
+  // each cloning its cluster from the one shared TopologySnapshot, and merge
+  // in canonical (size, rep) order. Scattered across groups, the ranks
+  // cross noisy fabric links, so each cell's seed shows in the percentiles.
+  std::string err;
+  const auto q = query_of(R"({"op": "alltoall", "mechanism": "mpi", "gpus": 8,
+                              "placement": "groups", "min": 65536, "max": 1048576,
+                              "iters": 4, "harness": "cells"})",
+                          err);
+  ASSERT_TRUE(q.has_value()) << err;
+  const auto serial = run_scenario(*q, nullptr, true, 1, err);
+  ASSERT_NE(serial, nullptr) << err;
+  const auto parallel = run_scenario(*q, nullptr, true, 4, err);
+  ASSERT_NE(parallel, nullptr) << err;
+  EXPECT_EQ(parallel->header, serial->header);
+  EXPECT_EQ(parallel->table, serial->table);
+  EXPECT_EQ(parallel->manifest_pretty, serial->manifest_pretty);
+  EXPECT_EQ(parallel->manifest_compact, serial->manifest_compact);
 }
 
 TEST(RunScenario, ReportsErrorsAsOneLine) {
@@ -401,13 +426,13 @@ TEST(RunScenario, ReportsErrorsAsOneLine) {
   q.nodes = 1;
   q.gpus = 64;  // 1 Leonardo node cannot host 64 ranks
   std::string err;
-  EXPECT_EQ(run_scenario(q, nullptr, true, err), nullptr);
+  EXPECT_EQ(run_scenario(q, nullptr, true, 1, err), nullptr);
   EXPECT_FALSE(err.empty());
   EXPECT_EQ(err.find('\n'), std::string::npos);
 
   ScenarioQuery f = small_query(false);
   f.faults = "at nonsense";
-  EXPECT_EQ(run_scenario(f, nullptr, true, err), nullptr);
+  EXPECT_EQ(run_scenario(f, nullptr, true, 1, err), nullptr);
   EXPECT_NE(err.find("--faults"), std::string::npos);
 }
 
@@ -445,7 +470,7 @@ TEST(ServeLoop, AnswersEveryLineInOrderWithValidJson) {
   const auto lines = lines_of(serve(in.str()));
   ASSERT_EQ(lines.size(), 4u);
   for (const std::string& l : lines) {
-    EXPECT_TRUE(metrics::json_valid(l)) << l;
+    EXPECT_TRUE(valid_json(l)) << l;
   }
   EXPECT_NE(lines[0].find("\"id\":1"), std::string::npos);
   EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
@@ -489,7 +514,7 @@ TEST(ServeLoop, StatsControlReportsCacheCountersAfterBarrier) {
   // warm/cold byte-identity); the stats control line carries them.
   EXPECT_EQ(lines[0].find("hits"), std::string::npos);
   EXPECT_EQ(lines[0], lines[1]);  // identical query -> identical response bytes
-  EXPECT_TRUE(metrics::json_valid(lines[2])) << lines[2];
+  EXPECT_TRUE(valid_json(lines[2])) << lines[2];
   EXPECT_NE(lines[2].find("\"control\": \"stats\""), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("responses"), std::string::npos);
   EXPECT_EQ(caches.responses.stats().hits, 1u);  // second query hit
@@ -522,7 +547,7 @@ TEST(ServeObs, LatencyCountsEqualAnsweredAndSurfaceInStats) {
   EXPECT_EQ(r.latency.stage[static_cast<int>(Stage::kParse)].count, 3u);
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 3u);
-  EXPECT_TRUE(metrics::json_valid(lines[2])) << lines[2];
+  EXPECT_TRUE(valid_json(lines[2])) << lines[2];
   EXPECT_NE(lines[2].find("\"latency\""), std::string::npos) << lines[2];
   // The stats barrier sees every earlier query's e2e sample, at any worker
   // count.
@@ -534,7 +559,7 @@ TEST(ServeObs, MetricsControlEmitsPrometheusText) {
   const auto lines = lines_of(serve(std::string(kQ1) + "\n" +
                                     R"({"id": 2, "control": "metrics"})" + "\n"));
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_TRUE(metrics::json_valid(lines[1])) << lines[1];
+  EXPECT_TRUE(valid_json(lines[1])) << lines[1];
   EXPECT_NE(lines[1].find("\"control\":\"metrics\""), std::string::npos);
   EXPECT_NE(lines[1].find("gpucomm_serve_answered_total 1"), std::string::npos) << lines[1];
   EXPECT_NE(lines[1].find("gpucomm_serve_cache_hits_total{cache=\\\"responses\\\"}"),
@@ -552,7 +577,7 @@ TEST(ServeLoop, ServedManifestEqualsStandaloneArtifact) {
   ASSERT_TRUE(doc.has_value()) << err;
   const auto q = parse_query(*doc, err);
   ASSERT_TRUE(q.has_value()) << err;
-  const auto standalone = run_scenario(*q, nullptr, /*want_manifest=*/true, err);
+  const auto standalone = run_scenario(*q, nullptr, /*want_manifest=*/true, /*jobs=*/1, err);
   ASSERT_NE(standalone, nullptr) << err;
 
   const auto lines = lines_of(serve(std::string(kQ1) + "\n"));

@@ -60,6 +60,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "gpucomm/gpucomm.hpp"
@@ -121,11 +122,10 @@ constexpr const char* kUsage =
 /// Print the schedule(s) the communicator's plan() selects at each size in
 /// the sweep. For allgather the sweep size is the per-rank contribution,
 /// matching time_allgather.
-void dump_schedules(Communicator& comm, const cli::CliArgs& a) {
-  const CollectiveOp op = serve::op_of(a.op);
-  for (const Bytes b : cli::sweep_sizes(a.min_bytes, a.max_bytes)) {
-    const auto plans = comm.plan(op, b);
-    std::printf("-- %s @ %s --\n", a.op.c_str(), format_bytes(b).c_str());
+void dump_schedules(Communicator& comm, const serve::Scenario& s) {
+  for (const Bytes b : s.sizes) {
+    const auto plans = comm.plan(s.op, b);
+    std::printf("-- %s @ %s --\n", s.query.op.c_str(), format_bytes(b).c_str());
     if (plans.empty()) {
       std::printf("(no schedule: point-to-point or unsupported op)\n");
       continue;
@@ -206,15 +206,11 @@ int run_serve(const cli::CliArgs& a, const char* argv0) {
 /// A run with no telemetry-printing flags goes through the same scenario
 /// runner the server uses — which is exactly what makes a server response's
 /// manifest byte-identical to the standalone --metrics-out artifact.
-int run_plain(const cli::CliArgs& a, const char* argv0) {
-  const serve::ScenarioQuery q = serve::query_from_cli(a);
+int run_plain(const cli::CliArgs& a) {
   std::string err;
-  const auto out =
-      serve::run_scenario(q, nullptr, /*want_manifest=*/!a.metrics_out.empty(), err);
-  if (out == nullptr) {
-    std::fprintf(stderr, "%s: %s\n", argv0, err.c_str());
-    return 2;
-  }
+  const auto out = serve::run_scenario(serve::query_from_cli(a), nullptr,
+                                       /*want_manifest=*/!a.metrics_out.empty(), a.jobs, err);
+  if (out == nullptr) throw std::invalid_argument(err);
   std::fputs(out->header.c_str(), stdout);
   std::fputs(out->table.c_str(), stdout);
   if (!a.metrics_out.empty()) {
@@ -228,63 +224,12 @@ int run_plain(const cli::CliArgs& a, const char* argv0) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string parse_error;
-  const std::optional<cli::CliArgs> parsed = cli::parse_cli(argc, argv, parse_error);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], parse_error.c_str());
-    std::fprintf(stderr, kUsage, argv[0], argv[0]);
-    return 2;
-  }
-  const cli::CliArgs& a = *parsed;
-  if (a.help) {
-    std::printf(kUsage, argv[0], argv[0]);
-    return 0;
-  }
-  if (a.serve) return run_serve(a, argv[0]);
-  if (a.trace_path.empty() && !a.counters && !a.profile && a.timeseries_path.empty() &&
-      !a.dump_schedule) {
-    return run_plain(a, argv[0]);
-  }
-
-  // Telemetry-printing path: whole-run sinks attach to one coupled cluster
-  // (cell mode rejects these flags at parse time).
-  fault::FaultSchedule schedule;
-  if (!a.faults.empty()) {
-    std::string err;
-    const auto loaded = serve::resolve_faults(a.faults, err);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "%s: --faults: %s\n", argv[0], err.c_str());
-      return 2;
-    }
-    schedule = *loaded;
-  }
-
-  const SystemConfig cfg = system_by_name(a.system);
-  int nodes = 0;
-  try {
-    nodes = serve::resolved_nodes(cfg, a.gpus, a.nodes);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
-  }
-  ClusterOptions copt;
-  copt.nodes = nodes;
-  copt.placement = a.placement;
-  copt.enable_noise = a.noise;
-  copt.net_shards = a.net_shards;
-  copt.seed = a.seed;
-  Cluster cluster(cfg, copt);
-  CommOptions opt;
-  opt.env = a.tuned ? cfg.tuned_env() : cfg.default_env;
-  opt.space = a.space;
-  opt.service_level = a.service_level;
-  if (a.service_level != 0) {
-    opt.env.ccl_ib_sl = a.service_level;
-    opt.env.ucx_ib_sl = a.service_level;
-  }
+/// The telemetry-printing flags: whole-run sinks attach to one coupled
+/// cluster (cell mode rejects these flags at parse time), which the scenario
+/// runner's own steps then drive.
+int run_observed(const cli::CliArgs& a) {
+  const serve::Scenario s = serve::resolve_scenario(serve::query_from_cli(a));
+  Cluster cluster(s.config, s.cluster);
 
   // Telemetry is attached before the communicator so constructor-time traffic
   // (none today) would also be captured; off by default, zero overhead.
@@ -301,7 +246,7 @@ int main(int argc, char** argv) {
     counters = std::make_unique<telemetry::CounterSet>(cluster.graph());
     sinks.add(counters.get());
   }
-  if (a.profile || (!a.metrics_out.empty() && !a.jobs_given)) {
+  if (a.profile || !a.metrics_out.empty()) {
     // Gated: enabled only for one representative iteration per size, so a
     // long sweep does not accumulate every warmup/measured iteration.
     profiler = std::make_unique<metrics::ScheduleProfiler>();
@@ -315,92 +260,16 @@ int main(int argc, char** argv) {
   }
   if (recorder || counters || profiler || timeseries) cluster.set_telemetry(&sinks);
 
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!a.faults.empty()) {
-    try {
-      injector = std::make_unique<fault::FaultInjector>(cluster, schedule);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: --faults: %s\n", argv[0], e.what());
-      return 2;
-    }
-  }
-
-  auto comm = serve::make_comm(serve::mechanism_of(a.mechanism), cluster, a.gpus, opt);
+  serve::CoupledRun run(s, cluster);
   if (a.dump_schedule) {
     std::printf("# %s %s %s, %d GPUs (%d nodes): schedule dump\n", a.system.c_str(),
-                a.mechanism.c_str(), a.op.c_str(), a.gpus, nodes);
-    dump_schedules(*comm, a);
+                a.mechanism.c_str(), a.op.c_str(), a.gpus, s.cluster.nodes);
+    dump_schedules(run.comm(), s);
     return 0;
   }
-  std::printf("# %s %s %s, %d GPUs (%d nodes), %s buffers, %s%s\n", a.system.c_str(),
-              a.mechanism.c_str(), a.op.c_str(), a.gpus, nodes,
-              a.space == MemSpace::kHost ? "host" : "gpu", a.tuned ? "tuned" : "default env",
-              injector ? ", faults injected" : "");
-
-  metrics::RunManifest manifest;
-  manifest.version = metrics::build_version();
-  manifest.system = a.system;
-  manifest.op = a.op;
-  manifest.mechanism = a.mechanism;
-  manifest.placement = cli::placement_name(a.placement);
-  manifest.space = a.space == MemSpace::kHost ? "host" : "device";
-  manifest.gpus = a.gpus;
-  manifest.nodes = nodes;
-  manifest.service_level = a.service_level;
-  manifest.iters = a.iters;
-  manifest.tuned = a.tuned;
-  manifest.seed = a.seed;
-  manifest.faults = a.faults;
-  manifest.harness = a.jobs_given ? "cells" : "coupled";
-
-  const std::vector<Bytes> sizes = cli::sweep_sizes(a.min_bytes, a.max_bytes);
-  std::vector<RunConfig> rcs;
-  std::vector<bool> stalled;
-  for (const Bytes b : sizes) {
-    RunConfig rc = run_config_for(b);
-    if (a.iters > 0) rc.iterations = a.iters;
-    rcs.push_back(rc);
-    stalled.push_back(a.op == "alltoall" && !comm->available(CollectiveOp::kAlltoall));
-  }
-
-  std::vector<Samples> samples(sizes.size());
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    if (stalled[s]) continue;
-    const Bytes b = sizes[s];
-    samples[s] = run_iterations(
-        cluster, rcs[s], [&] { return serve::run_op(*comm, a.op, b); },
-        [&] { return comm->last_op_failed(); });
-    if (profiler) {
-      // One extra (unmeasured) iteration per size with the profiler live:
-      // its spans/flows become the representative breakdown for this size.
-      profiler->set_enabled(true);
-      serve::run_op(*comm, a.op, b);
-      profiler->set_enabled(false);
-    }
-  }
-
-  Table t({"size", "iters", "fails", "median_us", "mean_us", "p95_us", "goodput_gbps"});
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    const Bytes b = sizes[s];
-    manifest.plans.push_back(metrics::plan_info(b, comm->plan(serve::op_of(a.op), b)));
-    metrics::RunManifest::Result result;
-    result.bytes = b;
-    result.iterations = rcs[s].iterations;
-    if (stalled[s]) {
-      t.add_row({format_bytes(b), "-", "-", "stall", "stall", "stall", "-"});
-      result.stalled = true;
-      manifest.results.push_back(result);
-      continue;
-    }
-    const Summary lat = samples[s].summary();
-    const Summary gp = samples[s].goodput_summary(b);
-    t.add_row({format_bytes(b), std::to_string(rcs[s].iterations), std::to_string(lat.failed),
-               fmt(lat.median), fmt(lat.mean), fmt(lat.p95), fmt(gp.median, 1)});
-    result.latency_us = lat;
-    result.goodput_gbps = gp;
-    manifest.results.push_back(result);
-  }
-  t.print(std::cout);
+  const serve::Tabulated t = serve::tabulate(s, run.sweep(profiler.get()));
+  std::fputs(t.header.c_str(), stdout);
+  std::fputs(t.table.c_str(), stdout);
 
   if (counters) {
     counters->finalize(cluster.engine().now());
@@ -421,7 +290,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!a.metrics_out.empty() &&
-      !metrics::write_manifest_file(a.metrics_out, manifest, profiler.get(),
+      !metrics::write_manifest_file(a.metrics_out, t.manifest, profiler.get(),
                                     timeseries.get(), counters.get())) {
     std::fprintf(stderr, "failed to write manifest to %s\n", a.metrics_out.c_str());
     return 1;
@@ -431,4 +300,31 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string parse_error;
+  const std::optional<cli::CliArgs> parsed = cli::parse_cli(argc, argv, parse_error);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], parse_error.c_str());
+    std::fprintf(stderr, kUsage, argv[0], argv[0]);
+    return 2;
+  }
+  const cli::CliArgs& a = *parsed;
+  if (a.help) {
+    std::printf(kUsage, argv[0], argv[0]);
+    return 0;
+  }
+  if (a.serve) return run_serve(a, argv[0]);
+  const bool observed = !a.trace_path.empty() || a.counters || a.profile ||
+                        !a.timeseries_path.empty() || a.dump_schedule;
+  try {
+    return observed ? run_observed(a) : run_plain(a);
+  } catch (const std::exception& e) {
+    // Bad --nodes or --faults values, and construction failures.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

@@ -1,5 +1,6 @@
 // JSON-lines validator: every non-blank stdin line must be one valid JSON
-// document (metrics::json_valid, strict RFC 8259). Exits 0 when all lines
+// document (serve::parse_json: strict RFC 8259, duplicate object keys
+// rejected). Exits 0 when all lines
 // pass, 1 with "line N: <problem>" on stderr at the first failure. CI's
 // server-smoke and chaos-smoke jobs pipe gpucomm_cli --serve responses
 // through it.
@@ -24,7 +25,7 @@
 #include <iostream>
 #include <string>
 
-#include "gpucomm/metrics/json.hpp"
+#include "gpucomm/serve/json_value.hpp"
 
 namespace {
 
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "line %zu: %s\n", lineno, err.c_str());
         return 1;
       }
-    } else if (!gpucomm::metrics::json_valid(line, &err)) {
+    } else if (!gpucomm::serve::parse_json(line, err).has_value()) {
       std::fprintf(stderr, "line %zu: %s\n", lineno, err.c_str());
       return 1;
     }
