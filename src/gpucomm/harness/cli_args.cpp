@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "gpucomm/metrics/json.hpp"
 #include "gpucomm/systems/registry.hpp"
 
 namespace gpucomm::cli {
@@ -25,6 +26,9 @@ template <typename Names>
 bool known(const Names& names, const std::string& value) {
   return std::find(std::begin(names), std::end(names), value) != std::end(names);
 }
+
+/// `text` quoted for a diagnostic, escaped so that it stays on one line.
+std::string quoted(const std::string& text) { return "'" + metrics::json_escape(text) + "'"; }
 
 }  // namespace
 
@@ -98,15 +102,15 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
     } else if (flag == "--system") {
       if (!need(a.system)) return fail(flag + " requires a system name");
       if (!known(all_system_names(), a.system)) {
-        return fail("unknown system '" + a.system + "'");
+        return fail("unknown system " + quoted(a.system));
       }
     } else if (flag == "--op") {
       if (!need(a.op)) return fail(flag + " requires an operation name");
-      if (!known_op(a.op)) return fail("unknown op '" + a.op + "'");
+      if (!known_op(a.op)) return fail("unknown op " + quoted(a.op));
     } else if (flag == "--mechanism") {
       if (!need(a.mechanism)) return fail(flag + " requires a mechanism name");
       if (!known_mechanism(a.mechanism)) {
-        return fail("unknown mechanism '" + a.mechanism + "'");
+        return fail("unknown mechanism " + quoted(a.mechanism));
       }
     } else if (flag == "--gpus") {
       if (!need(v) || !parse_int(v, 1, 1 << 20, n)) {
@@ -132,7 +136,7 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
       } else if (v == "device") {
         a.space = MemSpace::kDevice;
       } else {
-        return fail("unknown space '" + v + "' (host|device)");
+        return fail("unknown space " + quoted(v) + " (host|device)");
       }
     } else if (flag == "--untuned") {
       a.tuned = false;
@@ -155,7 +159,7 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
     } else if (flag == "--placement") {
       if (!need(v)) return fail(flag + " requires packed|switches|groups");
       if (!parse_placement_name(v, a.placement)) {
-        return fail("unknown placement '" + v + "' (packed|switches|groups)");
+        return fail("unknown placement " + quoted(v) + " (packed|switches|groups)");
       }
     } else if (flag == "--faults") {
       if (!need(a.faults)) return fail(flag + " requires a path or inline spec");
@@ -230,13 +234,13 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
       }
       a.serve_snapshot_every = static_cast<int>(n);
     } else {
-      return fail("unknown flag '" + flag + "'");
+      return fail("unknown flag " + quoted(flag));
     }
   }
   if (a.min_bytes > a.max_bytes) return fail("--min exceeds --max");
   if (a.serve && !scenario_flag.empty()) {
-    return fail("--serve cannot be combined with '" + scenario_flag +
-                "' (scenario parameters arrive per query)");
+    return fail("--serve cannot be combined with " + quoted(scenario_flag) +
+                " (scenario parameters arrive per query)");
   }
   if (!a.serve &&
       (a.serve_jobs != 1 || a.serve_cache_mb != 256 || !a.serve_socket.empty() ||

@@ -19,19 +19,12 @@ void OrderedWriter::deliver(std::uint64_t seq, std::string line) {
   const std::lock_guard<std::mutex> lock(mu_);
   pending_.emplace(seq, Pending{std::move(line), nullptr});
   drain_locked();
-  cv_.notify_all();
 }
 
 void OrderedWriter::defer(std::uint64_t seq, Render render) {
   const std::lock_guard<std::mutex> lock(mu_);
   pending_.emplace(seq, Pending{std::string(), std::move(render)});
   drain_locked();
-  cv_.notify_all();
-}
-
-void OrderedWriter::wait_until(std::uint64_t seq) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return next_ >= seq; });
 }
 
 std::uint64_t OrderedWriter::written() const {
@@ -93,11 +86,6 @@ std::string overloaded_line(std::int64_t id, std::int64_t retry_after_ms) {
          std::to_string(retry_after_ms) + "}";
 }
 
-/// Worker-pool size under ServerCore's `always_pool` rule (core.hpp).
-int pool_size(const ServeOptions& options, bool always_pool) {
-  return always_pool ? std::max(1, options.jobs) : (options.jobs > 1 ? options.jobs : 0);
-}
-
 /// Best-effort id echo for requests that fail before query parsing.
 std::int64_t id_of(const JsonValue* v) {
   if (v == nullptr || !v->is_object()) return 0;
@@ -133,7 +121,7 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.end_array();
   // Process-wide solver counters: every Network destroyed so far (cells and
   // coupled runs alike) folded its counts into the global registry. The
-  // stats barrier means no query is mid-flight when this snapshot is taken.
+  // stats barrier means every earlier query on this stream has finished.
   const net::SolverStats solver = net::SolverStatsRegistry::global().snapshot();
   w.key("solver");
   w.begin_object();
@@ -180,7 +168,7 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.kv("snapshot_entries", c.snapshot_entries);
   if (!c.snapshot_error.empty()) w.kv("snapshot_error", c.snapshot_error);
   w.end_object();
-  // Merged latency histograms (the stats document is load-dependent anyway).
+  // Latency histograms (the stats document is load-dependent anyway).
   const LatencyStats ls = latency_.snapshot();
   w.key("latency");
   w.begin_object();
@@ -249,7 +237,7 @@ std::string ServerCore::prometheus_text() const {
      << "gpucomm_solver_cache_misses_total " << solver.cache_misses << "\n";
   os << "# TYPE gpucomm_serve_latency_us summary\n";
   for (int st = 0; st < kStageCount; ++st) {
-    const metrics::Log2Histogram h = latency_.merged(static_cast<Stage>(st));
+    const metrics::Log2Histogram h = latency_.histogram(static_cast<Stage>(st));
     const char* stage = stage_name(static_cast<Stage>(st));
     const double qs[] = {0.5, 0.9, 0.99};
     const char* qn[] = {"0.5", "0.9", "0.99"};
@@ -278,8 +266,7 @@ std::string ServerCore::shutdown_line(std::int64_t id) const {
 
 // --- ServerCore -------------------------------------------------------------
 
-ServerCore::ServerCore(const ServeOptions& options, bool always_pool)
-    : options_(options), latency_(pool_size(options, always_pool) + 1) {
+ServerCore::ServerCore(const ServeOptions& options, bool always_pool) : options_(options) {
   if (options_.caches != nullptr) {
     caches_ = options_.caches;
   } else {
@@ -293,11 +280,9 @@ ServerCore::ServerCore(const ServeOptions& options, bool always_pool)
     counters_.snapshot_entries = info.responses;
     if (!info.ok && info.error != "missing") counters_.snapshot_error = info.error;
   }
-  // Lane layout: workers 0..n-1, transport thread (also the inline-execution
-  // path) on the last lane.
-  for (int i = 0; i < pool_size(options_, always_pool); ++i) {
-    threads_.emplace_back([this, i] { worker(i); });
-  }
+  const int workers =
+      always_pool ? std::max(1, options_.jobs) : (options_.jobs > 1 ? options_.jobs : 0);
+  for (int i = 0; i < workers; ++i) threads_.emplace_back([this] { worker(); });
 }
 
 ServerCore::~ServerCore() { drain(); }
@@ -323,13 +308,12 @@ ServerCounters ServerCore::counters() const {
 
 ServerCore::LineAction ServerCore::handle_line(
     const std::shared_ptr<OrderedWriter>& writer, std::uint64_t seq,
-    const std::string& line, bool deferred_controls) {
-  // Parse-stage accounting on the transport lane: every request line is
-  // parsed exactly once, success or not.
+    const std::string& line) {
+  // Parse-stage accounting: every request line is parsed exactly once,
+  // success or not.
   const auto t_parse = std::chrono::steady_clock::now();
   const auto note_parse = [&] {
-    latency_.record(latency_.transport_lane(), Stage::kParse,
-                    elapsed_ns(t_parse, std::chrono::steady_clock::now()));
+    latency_.record(Stage::kParse, elapsed_ns(t_parse, std::chrono::steady_clock::now()));
   };
   std::string perr;
   const std::optional<JsonValue> doc = parse_json(line, perr);
@@ -358,25 +342,9 @@ ServerCore::LineAction ServerCore::handle_line(
       writer->deliver(seq, ping_line(id));
       return LineAction::kContinue;
     }
-    if (!deferred_controls) {
-      // Blocking barrier (stdio): park the read thread until every earlier
-      // response is out, then render against the settled state.
-      writer->wait_until(seq);
-      if (kind == "stats") {
-        writer->deliver(seq, stats_line(id));
-        return LineAction::kContinue;
-      }
-      if (kind == "metrics") {
-        writer->deliver(seq, metrics_line(id));
-        return LineAction::kContinue;
-      }
-      writer->deliver(seq, shutdown_line(id));
-      drain_flag_.store(true);
-      return LineAction::kShutdown;
-    }
-    // Non-blocking barrier (socket poll thread): the renderer runs when the
-    // writer reaches this sequence number — i.e. after every earlier query
-    // on this connection has been answered.
+    // The barrier: the renderer runs when the writer reaches this sequence
+    // number — i.e. after every earlier query on this stream has been
+    // answered. With no query in flight (inline stdio) that is right now.
     if (kind == "stats") {
       writer->defer(seq, [this, id] { return stats_line(id); });
       return LineAction::kContinue;
@@ -449,8 +417,8 @@ void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
   job.admitted = std::chrono::steady_clock::now();
   if (threads_.empty()) {
     // Inline mode (stdio, jobs <= 1): no queue, so nothing to bound and no
-    // queue wait to budget — run immediately on the transport lane.
-    run_job(job, latency_.transport_lane());
+    // queue wait to budget — run immediately on the transport thread.
+    run_job(job);
     return;
   }
   {
@@ -471,9 +439,9 @@ void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
   queue_cv_.notify_one();
 }
 
-void ServerCore::run_job(const Job& job, int lane) {
+void ServerCore::run_job(const Job& job) {
   const auto started = std::chrono::steady_clock::now();
-  latency_.record(lane, Stage::kQueueWait, elapsed_ns(job.admitted, started));
+  latency_.record(Stage::kQueueWait, elapsed_ns(job.admitted, started));
   if (job.deadline_ms > 0 &&
       started - job.admitted >= std::chrono::milliseconds(job.deadline_ms)) {
     {
@@ -489,12 +457,11 @@ void ServerCore::run_job(const Job& job, int lane) {
   const auto rendering = std::chrono::steady_clock::now();
   std::string line = render_response(job.query, out, err);
   const auto finished = std::chrono::steady_clock::now();
-  latency_.record(lane, Stage::kRun, elapsed_ns(started, rendering));
-  latency_.record(lane, Stage::kRender, elapsed_ns(rendering, finished));
-  note_job_ms(std::chrono::duration<double, std::milli>(finished - started).count());
+  latency_.record(Stage::kRun, elapsed_ns(started, rendering));
+  latency_.record(Stage::kRender, elapsed_ns(rendering, finished));
   // Recorded and counted before delivery: a deferred stats or shutdown right
   // behind this response renders inside deliver() and must already see it.
-  latency_.record(lane, Stage::kE2e, elapsed_ns(job.admitted, finished));
+  latency_.record(Stage::kE2e, elapsed_ns(job.admitted, finished));
   {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.answered;
@@ -503,7 +470,7 @@ void ServerCore::run_job(const Job& job, int lane) {
   maybe_snapshot();
 }
 
-void ServerCore::worker(int lane) {
+void ServerCore::worker() {
   for (;;) {
     Job job;
     {
@@ -513,29 +480,16 @@ void ServerCore::worker(int lane) {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    run_job(job, lane);
+    run_job(job);
   }
 }
 
 std::int64_t ServerCore::retry_hint_ms(std::size_t depth) const {
-  double per_job_ms;
-  {
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    per_job_ms = have_job_sample_ ? ewma_job_ms_ : 50.0;
-  }
+  const metrics::Log2Histogram run = latency_.histogram(Stage::kRun);
+  const double per_job_ms = run.count() == 0 ? 50.0 : run.quantile(0.5) / 1e6;
   const int workers = std::max<int>(1, static_cast<int>(threads_.size()));
   const double hint = per_job_ms * static_cast<double>(depth) / workers;
   return std::clamp<std::int64_t>(static_cast<std::int64_t>(hint), 1, 60'000);
-}
-
-void ServerCore::note_job_ms(double ms) {
-  const std::lock_guard<std::mutex> lock(counters_mu_);
-  if (!have_job_sample_) {
-    ewma_job_ms_ = ms;
-    have_job_sample_ = true;
-  } else {
-    ewma_job_ms_ = 0.8 * ewma_job_ms_ + 0.2 * ms;
-  }
 }
 
 void ServerCore::maybe_snapshot() {

@@ -9,21 +9,16 @@
 // byte-identical to the same line answered over a socket.
 //
 // Request ordering is per OrderedWriter (one per stream/connection): workers
-// finish in any order, lines leave in request order. Control barriers come
-// in two flavours because the transports block differently:
-//
-//  - wait_until(seq): the stdio loop parks its read thread until every
-//    earlier response is out, then renders the control inline. Fine there —
-//    blocking the only reader is the point of a barrier.
-//  - defer(seq, render): the socket poll thread must never block (other
-//    connections share it), so it enqueues the *renderer*; the writer calls
-//    it at delivery time, which is exactly the barrier point (all earlier
-//    responses delivered). A deferred "stats" therefore still sees a settled
-//    cache state, and a deferred "shutdown" flips the drain flag at the
-//    moment every earlier query on that connection has been answered.
+// finish in any order, lines leave in request order. A control is a barrier
+// without blocking anyone: the transport hands the writer the control's
+// *renderer* (defer), and the writer calls it at delivery time, which is
+// exactly the barrier point (every earlier response delivered). A "stats"
+// therefore sees every earlier query answered — and may also count later
+// queries that finished first — and a "shutdown" flips the drain flag at
+// the moment every earlier query on its stream has been answered.
 //
 // Admission control happens at submit time (queue bound -> "overloaded" with
-// a retry_after_ms hint from an EWMA of recent job times) and again at
+// a retry_after_ms hint from the median recorded run time) and again at
 // dequeue time (expired wall-clock budget -> "deadline"); a scenario run
 // itself is never interrupted, so the budget is a queue-wait budget.
 #pragma once
@@ -60,13 +55,9 @@ class OrderedWriter {
   void deliver(std::uint64_t seq, std::string line);
 
   /// Deliver a line that is *rendered at its turn* — when every earlier
-  /// sequence number has been written. This is the non-blocking control
-  /// barrier: the renderer observes the post-barrier state.
+  /// sequence number has been written. This is the control barrier: the
+  /// renderer observes the post-barrier state.
   void defer(std::uint64_t seq, Render render);
-
-  /// Block until every sequence number below `seq` has been written (the
-  /// blocking control barrier for the stdio transport).
-  void wait_until(std::uint64_t seq);
 
   /// Lines handed to the sink so far.
   std::uint64_t written() const;
@@ -80,7 +71,6 @@ class OrderedWriter {
 
   Sink sink_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::uint64_t next_ = 0;
   std::map<std::uint64_t, Pending> pending_;
 };
@@ -103,13 +93,11 @@ class ServerCore {
   };
 
   /// Handle one non-blank request line end to end: parse, answer controls,
-  /// admit or shed scenario queries. `deferred_controls` selects the
-  /// non-blocking barrier (socket transport). With deferred controls a
-  /// shutdown still returns kShutdown immediately (stop *reading*), but the
-  /// drain flag flips only when the deferred line renders (the barrier).
+  /// admit or shed scenario queries. A shutdown returns kShutdown at once
+  /// (stop *reading*), but the drain flag flips only when its deferred line
+  /// renders (the barrier).
   LineAction handle_line(const std::shared_ptr<OrderedWriter>& writer,
-                         std::uint64_t seq, const std::string& line,
-                         bool deferred_controls);
+                         std::uint64_t seq, const std::string& line);
 
   /// Answer an over-long request line (one ok:false response) and count it.
   void answer_line_overflow(const std::shared_ptr<OrderedWriter>& writer,
@@ -130,11 +118,11 @@ class ServerCore {
   /// Counter snapshot (post-drain() it is the final tally).
   ServerCounters counters() const;
 
-  /// Merged latency snapshot.
+  /// Latency snapshot.
   LatencyStats latency_stats() const;
 
   /// Prometheus text exposition of the cache/server/solver counters and the
-  /// merged latency summaries, rendered for the `metrics` control query.
+  /// latency summaries, rendered for the `metrics` control query.
   std::string prometheus_text() const;
 
  private:
@@ -148,14 +136,12 @@ class ServerCore {
 
   void submit(const std::shared_ptr<OrderedWriter>& writer, std::uint64_t seq,
               ScenarioQuery query);
-  /// `lane` is the latency-histogram lane: the worker index, or the
-  /// transport lane for inline execution.
-  void run_job(const Job& job, int lane);
-  void worker(int lane);
-  /// retry_after_ms hint for a shed response: EWMA job time x queue depth
-  /// per worker, clamped to [1ms, 60s].
+  void run_job(const Job& job);
+  void worker();
+  /// retry_after_ms hint for a shed response: median recorded run time (50
+  /// ms before the first run) x queue depth per worker, clamped to [1ms,
+  /// 60s].
   std::int64_t retry_hint_ms(std::size_t depth) const;
-  void note_job_ms(double ms);
   void maybe_snapshot();
   void save_snapshot_now();
   std::string stats_line(std::int64_t id) const;
@@ -168,8 +154,6 @@ class ServerCore {
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;
-  double ewma_job_ms_ = 0.0;  // 0 = no samples yet
-  bool have_job_sample_ = false;
 
   std::atomic<bool> drain_flag_{false};
   std::atomic<bool> drained_{false};

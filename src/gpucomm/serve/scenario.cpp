@@ -175,11 +175,13 @@ SweepResult CoupledRun::sweep(metrics::ScheduleProfiler* profiler) {
     r.samples[i] = run_iterations(
         cluster_, s_.runs[i], [&] { return run_op(*comm_, s_.op, b); },
         [&] { return comm_->last_op_failed(); });
-    if (profiler != nullptr) {
-      profiler->set_enabled(true);
-      run_op(*comm_, s_.op, b);
-      profiler->set_enabled(false);
-    }
+  }
+  // After every measurement, so that profiling cannot move the cluster's
+  // noise stream under a later size.
+  for (std::size_t i = 0; i < s_.sizes.size() && profiler != nullptr && !r.stalled; ++i) {
+    profiler->set_enabled(true);
+    run_op(*comm_, s_.op, s_.sizes[i]);
+    profiler->set_enabled(false);
   }
   for (const Bytes b : s_.sizes) {
     r.plans.push_back(metrics::plan_info(b, comm_->plan(s_.op, b)));
@@ -274,9 +276,9 @@ std::shared_ptr<const ScenarioOutput> run_scenario(const ScenarioQuery& q,
                                                    ServerCaches* caches,
                                                    bool want_manifest, int jobs,
                                                    std::string& error) {
-  // want_manifest is part of the response key: in coupled mode the profiled
-  // extra iteration advances the cluster between sizes, so the two variants
-  // are distinct experiments (the server only ever runs the true variant).
+  // want_manifest is part of the response key: in coupled mode only the true
+  // variant's manifest carries the profile section (the server only ever
+  // runs the true variant).
   std::string key;
   if (caches != nullptr) {
     key = q.canonical_key() + "|manifest=" + (want_manifest ? "1" : "0");

@@ -76,9 +76,10 @@ class CoupledRun {
 
   Communicator& comm() { return *comm_; }
 
-  /// run_iterations per size. With a gated-off `profiler`, each size then
-  /// runs one unmeasured iteration with it enabled, whose spans become that
-  /// size's representative breakdown. plan() per size after all runs.
+  /// run_iterations per size. With a gated-off `profiler`, one unmeasured
+  /// iteration per size then runs with it enabled, after every size has
+  /// been measured, so the timings do not depend on profiling; its spans
+  /// become that size's representative breakdown. plan() per size last.
   SweepResult sweep(metrics::ScheduleProfiler* profiler);
 
  private:
@@ -136,8 +137,8 @@ class ServerCaches {
 /// Run one scenario. `caches` may be nullptr (no reuse, e.g. a one-shot CLI
 /// run). `want_manifest` controls the coupled-mode profiler gating exactly
 /// as the CLI's --metrics-out does: when true, one extra unmeasured
-/// profiled iteration runs per size and the manifest carries the profile
-/// section; the server always passes true. `jobs` is the cell harness's
+/// profiled iteration per size runs after the measured sweep and the
+/// manifest carries the profile section; the server always passes true. `jobs` is the cell harness's
 /// worker count (the CLI's --jobs; the server passes 1, since it already
 /// answers queries on its own pool). Returns nullptr with a one-line
 /// `error` on invalid fault specs or construction failures.

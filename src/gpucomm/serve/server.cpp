@@ -13,8 +13,7 @@ namespace gpucomm::serve {
 
 // The stdio transport: one blocking reader thread shoveling lines into the
 // shared engine (serve/core.hpp). One flush per line so a piping client
-// never stalls on a buffered reply. Controls use the blocking barrier —
-// parking the only reader is exactly what a barrier means here.
+// never stalls on a buffered reply.
 ServeResult serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options) {
   ServeResult result;
   ServerCore core(options, /*always_pool=*/false);
@@ -34,8 +33,7 @@ ServeResult serve_loop(std::istream& in, std::ostream& out, const ServeOptions& 
       return true;
     }
     if (line.text.find_first_not_of(" \t\r") == std::string::npos) return true;
-    return core.handle_line(writer, seq++, line.text, /*deferred_controls=*/false) !=
-           ServerCore::LineAction::kShutdown;
+    return core.handle_line(writer, seq++, line.text) != ServerCore::LineAction::kShutdown;
   };
   LineSplitter splitter(options.max_line_bytes);
   std::vector<LineSplitter::Line> lines;

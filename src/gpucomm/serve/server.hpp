@@ -26,7 +26,7 @@
 // unbounded queueing or hanging.
 //
 // Control queries are barriers: they are answered only after every earlier
-// request on their connection, so "stats" sees a settled cache state and
+// request on their connection, so "stats" sees every earlier query and
 // "shutdown" cannot abandon in-flight work. Cache counters are exposed
 // ONLY through "stats" — scenario responses never embed them, which is
 // what keeps warm and cold response bytes identical.
@@ -50,8 +50,9 @@ struct ServeOptions {
   /// Total cache budget in bytes (ServerCaches split). Ignored when
   /// `caches` is supplied.
   std::size_t cache_bytes = 256u << 20;
-  /// External cache set to use instead of a loop-local one — the socket
-  /// server passes this so caches survive across connections. Optional.
+  /// External cache set to use instead of a server-local one, so that
+  /// several servers in one process share caches (tests and perf_server
+  /// pass one to reuse caches across passes). Optional.
   ServerCaches* caches = nullptr;
   /// Default per-query wall-clock budget in milliseconds (0 = none). The
   /// budget covers queue wait: a query still unstarted when it expires is
@@ -100,7 +101,7 @@ struct ServeResult {
   bool shutdown = false;
   /// Final counter snapshot (after the worker pool drained).
   ServerCounters counters;
-  /// Merged latency histogram snapshot (serve/obs.hpp).
+  /// Latency histogram snapshot (serve/obs.hpp).
   LatencyStats latency;
 };
 

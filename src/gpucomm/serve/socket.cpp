@@ -291,8 +291,7 @@ bool serve_socket(const std::string& path, const ServeOptions& options,
               if (line.text.find_first_not_of(" \t\r") == std::string::npos) {
                 continue;
               }
-              if (core.handle_line(c.writer, c.seq++, line.text,
-                                   /*deferred_controls=*/true) ==
+              if (core.handle_line(c.writer, c.seq++, line.text) ==
                   ServerCore::LineAction::kShutdown) {
                 c.input_done = true;
               }
@@ -305,8 +304,7 @@ bool serve_socket(const std::string& path, const ServeOptions& options,
             std::string partial = c.splitter.take_partial();
             if (!partial.empty() &&
                 partial.find_first_not_of(" \t\r") != std::string::npos) {
-              core.handle_line(c.writer, c.seq++, partial,
-                               /*deferred_controls=*/true);
+              core.handle_line(c.writer, c.seq++, partial);
             }
             c.input_done = true;
             break;

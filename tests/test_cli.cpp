@@ -3,6 +3,10 @@
 // into stderr + exit 2 — what the driver's contract promises).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "byte_mutations.hpp"
 #include "gpucomm/harness/cli_args.hpp"
 
 namespace gpucomm {
@@ -293,11 +297,68 @@ TEST(CliArgs, SharedVocabularyHelpers) {
   EXPECT_STREQ(cli::placement_name(Placement::kScatterSwitches), "switches");
 }
 
+/// True when `text` is non-empty and holds no control byte, so the
+/// diagnostic prints as exactly one line.
+bool one_printable_line(const std::string& text) {
+  if (text.empty()) return false;
+  for (const char c : text) {
+    if (static_cast<unsigned char>(c) < 0x20) return false;
+  }
+  return true;
+}
+
 TEST(CliArgs, ErrorMessageIsOneLine) {
   std::string err;
   EXPECT_FALSE(parse({"--gpus", "abc"}, err).has_value());
   EXPECT_EQ(err.find('\n'), std::string::npos);
   EXPECT_FALSE(err.empty());
+  // Echoed input is escaped, so a newline in it cannot split the line.
+  EXPECT_FALSE(parse({"--system", "leo\nnardo"}, err).has_value());
+  EXPECT_TRUE(one_printable_line(err)) << err;
+  EXPECT_NE(err.find("'leo\\nnardo'"), std::string::npos) << err;
+  EXPECT_FALSE(parse({"--bo\ngus"}, err).has_value());
+  EXPECT_TRUE(one_printable_line(err)) << err;
+}
+
+TEST(CliArgs, RandomMutationsYieldArgsOrOneLineError) {
+  // Seeded flips, inserts, deletes and truncations of the words of valid
+  // invocations: every argv must come back as CliArgs or as one non-empty
+  // printable line — never an exception, and never a diagnostic that
+  // echoes a raw control byte from the input.
+  const std::vector<std::vector<std::string>> seeds = {
+      {"--system", "alps", "--op", "allreduce", "--mechanism", "ccl", "--gpus", "16",
+       "--min", "1024", "--max", "1048576", "--space", "host", "--placement", "groups",
+       "--iters", "7", "--seed", "9", "--sl", "3", "--trace", "t.json"},
+      {"--system", "lumi", "--op", "alltoall", "--mechanism", "mpi", "--gpus", "8",
+       "--jobs", "4", "--nodes", "4", "--no-noise"},
+      {"--serve", "--serve-jobs", "4", "--serve-socket", "s.sock", "--serve-cache-file",
+       "c.bin", "--serve-deadline-ms", "250"},
+  };
+  Rng rng(20261018);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 12000; ++i) {
+    std::vector<std::string> words = seeds[static_cast<std::size_t>(i) % seeds.size()];
+    const std::uint64_t edits = 1 + rng.uniform_int(3);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      std::string& w = words[static_cast<std::size_t>(rng.uniform_int(words.size()))];
+      w = test::mutate(w, rng);
+    }
+    std::vector<const char*> argv;
+    for (const std::string& w : words) argv.push_back(w.c_str());
+    std::string err;
+    std::optional<cli::CliArgs> a;
+    ASSERT_NO_THROW(a = parse(argv, err));
+    if (a.has_value()) {
+      ++accepted;
+      continue;
+    }
+    ++rejected;
+    EXPECT_TRUE(one_printable_line(err)) << err;
+  }
+  // Both outcomes occur: mutated paths and counts can still parse.
+  EXPECT_GT(accepted, 300u);
+  EXPECT_GT(rejected, 10000u);
 }
 
 }  // namespace

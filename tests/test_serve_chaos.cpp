@@ -1,11 +1,11 @@
 // Robustness of the hardened scenario server: bounded line framing, complete
 // writes, crash-safe cache persistence, deadlines and load shedding, and a
 // live unix-socket server under hostile clients (concurrent connections,
-// slow-loris dribbles, dropped connections mid-query, oversized lines,
-// graceful drain via shutdown and SIGTERM). The invariant under every attack
-// is the determinism contract: the same query stream draws byte-identical
-// responses, at any concurrency, any cache state, and across a restart that
-// warms from a disk snapshot.
+// slow-loris dribbles, dropped connections mid-query, malformed and
+// oversized lines, graceful drain via shutdown and SIGTERM). The invariant
+// under every attack is the determinism contract: the same query stream
+// draws byte-identical responses, at any concurrency, any cache state, and
+// across a restart that warms from a disk snapshot.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -236,6 +236,36 @@ TEST(ServeChaosStdio, OverloadedQueueShedsWithRetryHint) {
     if (ok_line.empty()) ok_line = l;
     EXPECT_EQ(l, ok_line);
   }
+}
+
+TEST(ServeChaosStdio, ShutdownBehindQueuedQueriesDrainsThemFirst) {
+  // Two workers, three queries in flight or queued: the shutdown is a
+  // barrier, answered after all three with the full tally, and the reader
+  // stops at it, so the query behind it is never answered.
+  ServeOptions o;
+  o.jobs = 2;
+  o.cache_bytes = 64u << 20;
+  std::ostringstream in;
+  for (int id = 1; id <= 3; ++id) {
+    in << R"({"id": )" << id
+       << R"(, "op": "allreduce", "mechanism": "mpi", "gpus": 4, "min": 1024, "max": 16384, "iters": 3})"
+       << "\n";
+  }
+  in << R"({"id": 9, "control": "shutdown"})" << "\n"
+     << R"({"id": 4, "op": "pingpong", "gpus": 2, "min": 1024, "max": 1024, "iters": 2})" << "\n";
+  ServeResult r;
+  const auto lines = lines_of(run_loop(in.str(), o, &r));
+  ASSERT_EQ(lines.size(), 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NE(lines[static_cast<std::size_t>(i)].find(
+                  "{\"id\":" + std::to_string(i + 1) + ",\"ok\":true"),
+              std::string::npos)
+        << lines[static_cast<std::size_t>(i)];
+  }
+  EXPECT_NE(lines[3].find("\"control\":\"shutdown\""), std::string::npos) << lines[3];
+  EXPECT_NE(lines[3].find("\"drained\":3"), std::string::npos) << lines[3];
+  EXPECT_TRUE(r.shutdown);
+  EXPECT_EQ(r.counters.answered, 3u);
 }
 
 TEST(ServeChaosStdio, StatsCarriesServerCounters) {
@@ -671,6 +701,31 @@ TEST(ServeChaosSocket, OversizedLineAnswersErrorThenClosesConnection) {
   server.shutdown_and_join();
   EXPECT_GE(server.result.counters.line_overflows, 1u);
   EXPECT_GE(server.result.counters.connections_dropped, 1u);
+}
+
+TEST(ServeChaosSocket, MalformedLinesDrawOneErrorEachAndKeepTheConnection) {
+  SocketServer server("malformed", socket_options());
+  const int fd = connect_unix(server.path);
+  ASSERT_GE(fd, 0);
+  const std::string request = std::string("{\"id\":1,\"op\":\n") +  // truncated JSON
+                              std::string("\x00\xff\xfe\x01{\x7f", 6) + "\n" +  // binary
+                              "42\n" +                                 // not an object
+                              "{\"id\":1,\"bogus\":true}\n" +          // unknown field
+                              "{\"id\":1} trailing\n" +                // trailing garbage
+                              "{\"control\":\"ping\",\"id\":7}\n";
+  ASSERT_TRUE(send_all_fd(fd, request));
+  const auto lines = lines_of(read_lines_fd(fd, 6));
+  ::close(fd);
+  ASSERT_EQ(lines.size(), 6u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_NE(lines[static_cast<std::size_t>(i)].find("\"ok\":false"), std::string::npos)
+        << lines[static_cast<std::size_t>(i)];
+  }
+  // The connection survived all five: the ping behind them is answered.
+  EXPECT_NE(lines[5].find("\"control\":\"ping\""), std::string::npos) << lines[5];
+  server.shutdown_and_join();
+  EXPECT_EQ(server.result.counters.parse_errors, 5u);
+  EXPECT_EQ(server.result.counters.connections_dropped, 0u);
 }
 
 TEST(ServeChaosSocket, ShutdownDrainsInFlightWorkAndReportsTally) {

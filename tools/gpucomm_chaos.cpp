@@ -1,33 +1,16 @@
-// Chaos client for the scenario server's unix-socket transport: attacks a
-// *live* server the way misbehaving clients do, and fails loudly when the
-// server breaks its contract. CI's chaos-smoke job and tests/test_serve_chaos
-// drive it; it is also handy interactively against a local server.
+// Replay client for the scenario server's unix-socket transport. It sends
+// the query lines from --in (or --queries canned ones) round-robin across
+// --connections concurrent connections, collects each connection's
+// responses in order, and writes them grouped by connection to --out (or
+// stdout). The same input against any server state — cold, warm, or
+// restarted from a cache snapshot — must produce a byte-identical file, so
+// the file is the comparison artifact of CI's chaos-smoke job. The hostile
+// clients (connect storms, malformed lines, slow-loris dribbles, dropped
+// connections) are in-process tests in tests/test_serve_chaos.cpp.
 //
-// Modes (--mode):
-//   replay     send the query lines from --in (or --queries canned ones)
-//              round-robin across --connections, collect each connection's
-//              responses in order, and write them grouped by connection to
-//              --out. Deterministic: the same input against any server state
-//              produces byte-identical output — the file is the comparison
-//              artifact for warm-vs-cold and pre/post-restart checks.
-//   storm      open --connections at once, each sending the same --queries
-//              canned stream; every connection must receive the byte-
-//              identical response stream (same query => same bytes).
-//   malformed  one connection per abuse case (bad JSON, binary garbage,
-//              non-object document, unknown field, oversized line); each
-//              must draw exactly one ok:false response (the oversized case
-//              may also close the connection), and the server must still
-//              answer a ping afterwards.
-//   slowloris  dribble a valid query one byte at a time (the server must
-//              reassemble partial writes), then hold a half-written line on
-//              a second connection and vanish; the server must stay
-//              responsive throughout.
-//   drop       open --connections, fire --queries each, disconnect without
-//              reading a single response (in-flight work must be discarded,
-//              not crash the server); then ping.
-//
-// Exit status: 0 = contract held, 1 = a chaos assertion failed,
-// 2 = usage or connection error.
+// Exit status: 0 = every connection got all its responses, 1 = a
+// connection failed to connect or lost its responses, 2 = usage error or
+// unreadable/unwritable file.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -40,7 +23,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -51,7 +33,6 @@ namespace {
 
 struct Options {
   std::string socket_path;
-  std::string mode = "replay";
   int connections = 1;
   int queries = 8;
   std::string in_path;
@@ -60,10 +41,20 @@ struct Options {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --socket PATH --mode replay|storm|malformed|slowloris|drop\n"
-               "  [--connections N] [--queries N] [--in FILE] [--out FILE]\n",
+               "usage: %s --socket PATH [--connections 1-64] [--queries 1-4096]\n"
+               "  [--in FILE] [--out FILE]\n",
                argv0);
   return 2;
+}
+
+/// A decimal integer in [min, max] and nothing else ("8x" is rejected).
+bool parse_count(const char* s, long min, long max, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (*s == '\0' || errno != 0 || *end != '\0' || v < min || v > max) return false;
+  out = static_cast<int>(v);
+  return true;
 }
 
 int connect_unix(const std::string& path) {
@@ -111,7 +102,7 @@ bool read_lines(int fd, int count, std::string& out) {
 }
 
 /// Cheap deterministic scenario queries: tiny single-size cell runs so a
-/// chaos pass measures the server, not the simulator.
+/// replay measures the server, not the simulator.
 std::vector<std::string> canned_queries(int count) {
   std::vector<std::string> out;
   out.reserve(static_cast<std::size_t>(count));
@@ -124,16 +115,6 @@ std::vector<std::string> canned_queries(int count) {
                   ",\"harness\":\"cells\"}");
   }
   return out;
-}
-
-bool ping_ok(const std::string& path) {
-  const int fd = connect_unix(path);
-  if (fd < 0) return false;
-  bool ok = send_all(fd, "{\"control\":\"ping\",\"id\":99}\n");
-  std::string reply;
-  ok = ok && read_lines(fd, 1, reply);
-  ::close(fd);
-  return ok && reply.find("\"control\":\"ping\"") != std::string::npos;
 }
 
 int run_replay(const Options& o) {
@@ -202,152 +183,11 @@ int run_replay(const Options& o) {
   return 0;
 }
 
-int run_storm(const Options& o) {
-  const std::vector<std::string> queries = canned_queries(o.queries);
-  std::string request;
-  for (const std::string& q : queries) request += q + "\n";
-  std::vector<std::string> responses(static_cast<std::size_t>(o.connections));
-  std::vector<bool> ok(static_cast<std::size_t>(o.connections), false);
-  std::vector<std::thread> threads;
-  for (int c = 0; c < o.connections; ++c) {
-    threads.emplace_back([&, c] {
-      const int fd = connect_unix(o.socket_path);
-      if (fd < 0) return;
-      ok[static_cast<std::size_t>(c)] =
-          send_all(fd, request) &&
-          read_lines(fd, o.queries, responses[static_cast<std::size_t>(c)]);
-      ::close(fd);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int c = 0; c < o.connections; ++c) {
-    if (!ok[static_cast<std::size_t>(c)]) {
-      std::fprintf(stderr, "chaos storm: connection %d failed\n", c);
-      return 1;
-    }
-    if (responses[static_cast<std::size_t>(c)] != responses[0]) {
-      // Same query stream => byte-identical response stream, on every
-      // connection, no matter how the work interleaved.
-      std::fprintf(stderr, "chaos storm: connection %d diverged from 0\n", c);
-      return 1;
-    }
-  }
-  std::fprintf(stderr, "chaos storm: %d connections x %d queries, identical streams\n",
-               o.connections, o.queries);
-  return 0;
-}
-
-int run_malformed(const Options& o) {
-  const std::string big(2u << 20, 'a');  // over any sane --serve-max-line-bytes
-  struct Case {
-    const char* name;
-    std::string payload;
-    bool may_close;  // oversized lines may close the connection after the error
-  };
-  const std::vector<Case> cases = {
-      {"bad-json", "{\"id\":1,\"op\":\n", false},
-      {"binary", std::string("\x00\xff\xfe\x01{\x7f", 6) + "\n", false},
-      {"non-object", "42\n", false},
-      {"unknown-field", "{\"id\":1,\"bogus\":true}\n", false},
-      {"trailing-garbage", "{\"id\":1} trailing\n", false},
-      {"oversized", big + "\n", true},
-  };
-  for (const Case& c : cases) {
-    const int fd = connect_unix(o.socket_path);
-    if (fd < 0) {
-      std::fprintf(stderr, "chaos malformed: connect failed (%s)\n", c.name);
-      return 2;
-    }
-    if (!send_all(fd, c.payload)) {
-      // The server may close mid-send on abuse; only fatal if it stays down.
-      if (!c.may_close) {
-        std::fprintf(stderr, "chaos malformed: send failed (%s)\n", c.name);
-        ::close(fd);
-        return 1;
-      }
-    }
-    std::string reply;
-    const bool got = read_lines(fd, 1, reply);
-    ::close(fd);
-    if (got && reply.find("\"ok\":false") == std::string::npos) {
-      std::fprintf(stderr, "chaos malformed: %s drew a non-error reply: %s", c.name,
-                   reply.c_str());
-      return 1;
-    }
-    if (!got && !c.may_close) {
-      std::fprintf(stderr, "chaos malformed: %s got no reply\n", c.name);
-      return 1;
-    }
-  }
-  if (!ping_ok(o.socket_path)) {
-    std::fprintf(stderr, "chaos malformed: server unresponsive afterwards\n");
-    return 1;
-  }
-  std::fprintf(stderr, "chaos malformed: %zu abuse cases survived\n", cases.size());
-  return 0;
-}
-
-int run_slowloris(const Options& o) {
-  const std::string query = canned_queries(1)[0] + "\n";
-  const int fd = connect_unix(o.socket_path);
-  if (fd < 0) return 2;
-  for (const char ch : query) {
-    if (!send_all(fd, std::string(1, ch))) {
-      std::fprintf(stderr, "chaos slowloris: dribble send failed\n");
-      ::close(fd);
-      return 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::string reply;
-  const bool got = read_lines(fd, 1, reply);
-  ::close(fd);
-  if (!got || reply.find("\"ok\":true") == std::string::npos) {
-    std::fprintf(stderr, "chaos slowloris: dribbled query not answered\n");
-    return 1;
-  }
-  // Half a line, then vanish: the partial must not wedge or leak.
-  const int fd2 = connect_unix(o.socket_path);
-  if (fd2 < 0) return 2;
-  send_all(fd2, query.substr(0, query.size() / 2));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ::close(fd2);
-  if (!ping_ok(o.socket_path)) {
-    std::fprintf(stderr, "chaos slowloris: server unresponsive afterwards\n");
-    return 1;
-  }
-  std::fprintf(stderr, "chaos slowloris: survived\n");
-  return 0;
-}
-
-int run_drop(const Options& o) {
-  const std::vector<std::string> queries = canned_queries(o.queries);
-  std::string request;
-  for (const std::string& q : queries) request += q + "\n";
-  for (int c = 0; c < o.connections; ++c) {
-    const int fd = connect_unix(o.socket_path);
-    if (fd < 0) {
-      std::fprintf(stderr, "chaos drop: connect failed\n");
-      return 2;
-    }
-    send_all(fd, request);
-    ::close(fd);  // vanish with every response still in flight
-  }
-  if (!ping_ok(o.socket_path)) {
-    std::fprintf(stderr, "chaos drop: server unresponsive afterwards\n");
-    return 1;
-  }
-  std::fprintf(stderr, "chaos drop: %d abandoned connections survived\n",
-               o.connections);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The server closing a connection mid-send (oversized-line abuse) is part
-  // of the contract under test; EPIPE must come back as an errno, not kill
-  // the client.
+  // A server that dies mid-replay must come back as a failed write (exit 1),
+  // not as SIGPIPE killing the client.
   ::signal(SIGPIPE, SIG_IGN);
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -359,18 +199,19 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       o.socket_path = v;
-    } else if (flag == "--mode") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      o.mode = v;
     } else if (flag == "--connections") {
+      // One thread per connection: the bound caps the threads started.
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      o.connections = std::atoi(v);
+      if (v == nullptr || !parse_count(v, 1, 64, o.connections)) {
+        std::fprintf(stderr, "chaos: --connections requires an integer in [1, 64]\n");
+        return usage(argv[0]);
+      }
     } else if (flag == "--queries") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      o.queries = std::atoi(v);
+      if (v == nullptr || !parse_count(v, 1, 4096, o.queries)) {
+        std::fprintf(stderr, "chaos: --queries requires an integer in [1, 4096]\n");
+        return usage(argv[0]);
+      }
     } else if (flag == "--in") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -383,15 +224,8 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (o.socket_path.empty() || o.connections < 1 || o.queries < 1) {
-    return usage(argv[0]);
-  }
-  if (o.mode == "replay") return run_replay(o);
-  if (o.mode == "storm") return run_storm(o);
-  if (o.mode == "malformed") return run_malformed(o);
-  if (o.mode == "slowloris") return run_slowloris(o);
-  if (o.mode == "drop") return run_drop(o);
-  return usage(argv[0]);
+  if (o.socket_path.empty()) return usage(argv[0]);
+  return run_replay(o);
 }
 
 #else  // no AF_UNIX
