@@ -116,10 +116,44 @@ std::vector<Bandwidth> maxmin_fair_rates(const FairshareProblem& problem,
   return rate;
 }
 
+void SlotProblem::reset(std::size_t link_count) {
+  if (slot_of_link_.size() < link_count) {
+    slot_of_link_.resize(link_count, 0);
+    slot_epoch_.resize(link_count, 0);
+  }
+  ++epoch_;
+  link.clear();
+  capacity.clear();
+  crossings.clear();
+  hops.clear();
+  offset.assign(1, 0);
+  cap.clear();
+}
+
+void SlotProblem::end_flow(Bandwidth rate_cap) {
+  offset.push_back(static_cast<std::uint32_t>(hops.size()));
+  cap.push_back(rate_cap);
+}
+
 const std::vector<Bandwidth>& FairshareSolver::solve(
     const std::vector<Bandwidth>& capacity, const std::vector<const Route*>& flows,
     const std::vector<Bandwidth>& caps, FairshareTrace* trace) {
-  const std::size_t n = flows.size();
+  assert(caps.empty() || caps.size() == flows.size());
+  problem_.reset(capacity.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (const LinkId l : *flows[i]) {
+      bool fresh;
+      const std::uint32_t slot = problem_.add_hop(l, fresh);
+      if (fresh) problem_.capacity[slot] = capacity[l];
+    }
+    problem_.end_flow(caps.empty() ? std::numeric_limits<double>::infinity() : caps[i]);
+  }
+  return fill(problem_, trace);
+}
+
+const std::vector<Bandwidth>& FairshareSolver::fill(const SlotProblem& p,
+                                                    FairshareTrace* trace) {
+  const std::size_t n = p.flow_count();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   rate_.assign(n, 0.0);
   if (trace) {
@@ -127,50 +161,20 @@ const std::vector<Bandwidth>& FairshareSolver::solve(
     trace->saturated.clear();
   }
   if (n == 0) return rate_;
-  assert(caps.empty() || caps.size() == n);
 
-  const auto cap_of = [&](std::size_t i) { return caps.empty() ? kInf : caps[i]; };
-
-  // Translate routes to dense slots once. The epoch stamp makes the
-  // link->slot array valid without clearing it between solves; slot
-  // assignment order (first visit, flows then route order) matches the
-  // reference's try_emplace order, so per-link arithmetic is sequenced
-  // identically.
-  if (slot_of_link_.size() < capacity.size()) {
-    slot_of_link_.resize(capacity.size(), 0);
-    slot_epoch_.resize(capacity.size(), 0);
+  remaining_.resize(p.capacity.size());
+  for (std::size_t slot = 0; slot < remaining_.size(); ++slot) {
+    remaining_[slot] = std::max(p.capacity[slot], 0.0);
   }
-  ++epoch_;
-  remaining_.clear();
-  unfrozen_count_.clear();
-  dense_link_.clear();
-  flow_slots_.clear();
-  flow_offset_.clear();
-  flow_offset_.push_back(0);
-  for (const Route* flow : flows) {
-    for (const LinkId l : *flow) {
-      if (slot_epoch_[l] != epoch_) {
-        slot_epoch_[l] = epoch_;
-        slot_of_link_[l] = static_cast<std::uint32_t>(remaining_.size());
-        remaining_.push_back(std::max(capacity[l], 0.0));
-        unfrozen_count_.push_back(0);
-        dense_link_.push_back(l);
-      }
-      const std::uint32_t slot = slot_of_link_[l];
-      ++unfrozen_count_[slot];
-      flow_slots_.push_back(slot);
-    }
-    flow_offset_.push_back(static_cast<std::uint32_t>(flow_slots_.size()));
-  }
-  if (trace) total_count_ = unfrozen_count_;
+  unfrozen_count_.assign(p.crossings.begin(), p.crossings.end());
 
   unfrozen_.clear();
   std::size_t frozen_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (flow_offset_[i] == flow_offset_[i + 1]) {
+    if (p.offset[i] == p.offset[i + 1]) {
       // No link constraint: the flow runs at its cap (callers bound pure
       // local transfers by device limits via the cap).
-      rate_[i] = std::isfinite(cap_of(i)) ? cap_of(i) : 0.0;
+      rate_[i] = std::isfinite(p.cap[i]) ? p.cap[i] : 0.0;
       ++frozen_total;
     } else {
       unfrozen_.push_back(static_cast<std::uint32_t>(i));
@@ -194,24 +198,24 @@ const std::vector<Bandwidth>& FairshareSolver::solve(
     }
     live_slots_.resize(live);
     double cap_min = kInf;
-    for (const std::uint32_t i : unfrozen_) cap_min = std::min(cap_min, cap_of(i));
+    for (const std::uint32_t i : unfrozen_) cap_min = std::min(cap_min, p.cap[i]);
     const double s = std::max(0.0, std::min(link_share, cap_min));
     if (!std::isfinite(s)) break;  // remaining flows are unconstrained
 
     bool froze_any = false;
     std::size_t keep = 0;
     for (const std::uint32_t i : unfrozen_) {
-      const double cap = cap_of(i);
+      const double cap = p.cap[i];
       // kInvalidLink marks a private-cap freeze (not a network bottleneck).
       LinkId bottleneck = kInvalidLink;
       bool at_bottleneck = cap <= s * (1.0 + 1e-12);
       if (!at_bottleneck) {
-        for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-          const std::uint32_t slot = flow_slots_[k];
+        for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
+          const std::uint32_t slot = p.hops[k];
           if (unfrozen_count_[slot] > 0 &&
               remaining_[slot] / unfrozen_count_[slot] <= s * (1.0 + 1e-12)) {
             at_bottleneck = true;
-            bottleneck = dense_link_[slot];
+            bottleneck = p.link[slot];
             break;
           }
         }
@@ -225,8 +229,8 @@ const std::vector<Bandwidth>& FairshareSolver::solve(
       rate_[i] = r;
       ++frozen_total;
       froze_any = true;
-      for (std::uint32_t k = flow_offset_[i]; k < flow_offset_[i + 1]; ++k) {
-        const std::uint32_t slot = flow_slots_[k];
+      for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
+        const std::uint32_t slot = p.hops[k];
         remaining_[slot] = std::max(0.0, remaining_[slot] - r);
         --unfrozen_count_[slot];
       }
@@ -237,9 +241,9 @@ const std::vector<Bandwidth>& FairshareSolver::solve(
   }
   if (trace) {
     for (std::size_t slot = 0; slot < remaining_.size(); ++slot) {
-      const Bandwidth cap = std::max(capacity[dense_link_[slot]], 0.0);
+      const Bandwidth cap = std::max(p.capacity[slot], 0.0);
       if (cap > 0 && remaining_[slot] <= cap * 1e-9) {
-        trace->saturated.emplace_back(dense_link_[slot], total_count_[slot]);
+        trace->saturated.emplace_back(p.link[slot], p.crossings[slot]);
       }
     }
   }

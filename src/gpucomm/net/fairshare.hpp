@@ -51,46 +51,91 @@ struct FairshareTrace {
 std::vector<Bandwidth> maxmin_fair_rates(const FairshareProblem& problem,
                                          FairshareTrace* trace = nullptr);
 
+/// A max-min problem whose routes are already translated to dense link
+/// slots: the input of FairshareSolver::fill. Slots are numbered in
+/// first-visit order (flows in order, each route in order), the order
+/// maxmin_fair_rates assigns its dense indices in, so per-link arithmetic is
+/// sequenced identically. Network builds one per component subproblem and
+/// its congestion pass reads the same translation.
+class SlotProblem {
+ public:
+  /// Start an empty problem over links below `link_count`. The LinkId ->
+  /// slot table is epoch-stamped, so this costs nothing per link.
+  void reset(std::size_t link_count);
+  /// Append `link` to the route of the flow being built and return its
+  /// slot. `fresh` says the link just got its slot; the caller then sets
+  /// capacity[slot].
+  std::uint32_t add_hop(LinkId link, bool& fresh);
+  /// Close the flow being built; `rate_cap` follows FairshareProblem::caps
+  /// (infinity = uncapped).
+  void end_flow(Bandwidth rate_cap);
+
+  std::size_t flow_count() const { return cap.size(); }
+
+  // Per slot.
+  std::vector<LinkId> link;
+  std::vector<Bandwidth> capacity;  // FairshareProblem::capacity semantics
+  std::vector<int> crossings;       // flows crossing the slot's link
+  // Flow i's slots are hops[offset[i] .. offset[i + 1]).
+  std::vector<std::uint32_t> hops;
+  std::vector<std::uint32_t> offset;
+  // Per flow: its private rate ceiling (infinity = uncapped).
+  std::vector<Bandwidth> cap;
+
+ private:
+  // LinkId -> slot, valid only when slot_epoch_[link] == epoch_.
+  std::vector<std::uint32_t> slot_of_link_;
+  std::vector<std::uint64_t> slot_epoch_;
+  std::uint64_t epoch_ = 0;
+};
+
+inline std::uint32_t SlotProblem::add_hop(LinkId l, bool& fresh) {
+  fresh = slot_epoch_[l] != epoch_;
+  if (fresh) {
+    slot_epoch_[l] = epoch_;
+    slot_of_link_[l] = static_cast<std::uint32_t>(link.size());
+    link.push_back(l);
+    capacity.push_back(0);
+    crossings.push_back(0);
+  }
+  const std::uint32_t slot = slot_of_link_[l];
+  ++crossings[slot];
+  hops.push_back(slot);
+  return slot;
+}
+
 /// Allocation-free progressive filling for the reallocation hot path.
 ///
 /// Produces exactly the rates of maxmin_fair_rates — same freeze order, same
 /// floating-point operation sequence — but:
-///  - routes are taken by pointer (no per-call copies),
-///  - the LinkId -> dense-slot map is an epoch-stamped array instead of a
-///    per-call unordered_map, so no hashing in the filling loop and no
-///    O(links) clear between solves,
-///  - routes are translated to dense slots once up front (flat array),
+///  - it fills a SlotProblem, whose routes are translated to dense slots
+///    once up front (flat array, no hashing in the filling loop),
 ///  - frozen flows leave the scan entirely (ordered compaction) instead of
 ///    being skipped by an O(n) rescan every filling round, and likewise
 ///    saturated links leave the per-round share scan,
 ///  - every vector is owned by the solver and reused across solves.
 class FairshareSolver {
  public:
-  /// `capacity` is indexed by LinkId (entries for links not used by any flow
-  /// are ignored); `flows[i]` points at flow i's route; `caps` follows
-  /// FairshareProblem::caps semantics. The returned reference is owned by
-  /// the solver and valid until the next solve().
+  /// Rates of `problem`'s flows. The returned reference is owned by the
+  /// solver and valid until the next fill() or solve().
+  const std::vector<Bandwidth>& fill(const SlotProblem& problem,
+                                     FairshareTrace* trace = nullptr);
+
+  /// Translate, then fill. `capacity` is indexed by LinkId (entries for
+  /// links not used by any flow are ignored); `flows[i]` points at flow i's
+  /// route; `caps` follows FairshareProblem::caps semantics.
   const std::vector<Bandwidth>& solve(const std::vector<Bandwidth>& capacity,
                                       const std::vector<const Route*>& flows,
                                       const std::vector<Bandwidth>& caps,
                                       FairshareTrace* trace = nullptr);
 
  private:
-  // LinkId -> dense slot, valid only when slot_epoch_[link] == epoch_.
-  std::vector<std::uint32_t> slot_of_link_;
-  std::vector<std::uint64_t> slot_epoch_;
-  std::uint64_t epoch_ = 0;
-  // Per dense slot (links used by at least one flow, first-visit order).
+  SlotProblem problem_;  // solve()'s translation
+  // Per slot.
   std::vector<Bandwidth> remaining_;
   std::vector<int> unfrozen_count_;
-  std::vector<int> total_count_;  // filled only when tracing
-  std::vector<LinkId> dense_link_;
   std::vector<std::uint32_t> live_slots_;  // slots with unfrozen flows left
-  // Flattened route translation: flow i's slots are
-  // flow_slots_[flow_offset_[i] .. flow_offset_[i + 1]).
-  std::vector<std::uint32_t> flow_slots_;
-  std::vector<std::uint32_t> flow_offset_;
-  std::vector<std::uint32_t> unfrozen_;  // unfrozen flow ids, ascending
+  std::vector<std::uint32_t> unfrozen_;    // unfrozen flow ids, ascending
   std::vector<Bandwidth> rate_;
 };
 

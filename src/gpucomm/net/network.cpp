@@ -39,15 +39,19 @@ std::uint64_t hash_key(const std::vector<std::uint64_t>& key) {
 }  // namespace
 
 /// Everything one solver shard needs to turn a component into rates without
-/// touching another shard's state: the fairshare solver, subproblem assembly
-/// scratch, the exact-compare allocation cache, congestion-coupling scratch,
-/// and its share of the counters. Component subproblems are link-disjoint,
-/// so shards only ever write disjoint slots/links of the shared arrays.
+/// touching another shard's state: the fairshare solver, the component's
+/// route translation, the exact-compare allocation cache, congestion-coupling
+/// scratch, and its share of the counters. Component subproblems are
+/// link-disjoint, so shards only ever write disjoint slots/links of the
+/// shared arrays.
 struct Network::ShardCtx {
   FairshareSolver solver;
   FairshareTrace trace;
-  std::vector<const Route*> routes;
-  std::vector<Bandwidth> caps;
+  // The component's routes translated to dense link slots, read by the fill
+  // and the congestion pass; slot_vl[s] is the VL problem.capacity[s] was
+  // computed for.
+  SlotProblem problem;
+  std::vector<int> slot_vl;
   std::vector<std::uint64_t> key;
 
   struct CacheEntry {
@@ -62,25 +66,28 @@ struct Network::ShardCtx {
   std::vector<CacheEntry> cache;  // FIFO ring, capacity kCacheEntries
   std::size_t cache_next = 0;
 
-  // Congestion scratch (epoch-stamped; replaces the per-call unordered_maps
-  // of the pre-PR-7 whole-set implementation). One LinkVl per (link, vl) with flows,
-  // chained per link; one DevVl per warm (switch, vl), chained per device.
-  struct LinkVl {
+  // Congestion scratch, over the fill's link slots. One SlotVl per (slot,
+  // vl) with flows, chained per slot, and only on slots crossed by at least
+  // flow_threshold flows: no (link, vl) on a lighter one can reach the
+  // threshold. cg_hop[k] is hop k's SlotVl (-1 on a light slot). One DevVl
+  // per warm (switch, vl), chained per device (epoch-stamped).
+  struct SlotVl {
     int vl = 0;
     int count = 0;
     double sum = 0;
     std::int32_t flows_head = -1;
     std::int32_t next = -1;
-    LinkId link = kInvalidLink;
+    std::uint32_t slot = 0;
     bool congested = false;
   };
   struct DevVl {
     int vl = 0;
     std::int32_t next = -1;
   };
-  std::vector<std::uint64_t> cg_link_epoch, cg_dev_epoch;
-  std::vector<std::int32_t> cg_link_first, cg_dev_first;
-  std::vector<LinkVl> cg_lvl;
+  std::vector<std::int32_t> cg_slot_first, cg_hop;
+  std::vector<SlotVl> cg_svl;
+  std::vector<std::uint64_t> cg_dev_epoch;
+  std::vector<std::int32_t> cg_dev_first;
   std::vector<DevVl> cg_dvl;
   std::vector<std::uint32_t> cg_ent_slot;
   std::vector<std::int32_t> cg_ent_next;
@@ -176,7 +183,7 @@ void Network::ensure_tables() {
     link_sat_.resize(links, 0);
     link_sat_count_.resize(links, 0);
     link_vis_.resize(links, 0);
-    capacity_.resize(links, 0.0);
+    link_switch_.resize(links, 0);
   }
   const std::size_t devices = graph_.device_count();
   if (switch_head_.size() < devices) {
@@ -416,13 +423,29 @@ void Network::drain_list(const std::vector<std::int32_t>& head, std::vector<std:
   }
 }
 
+bool Network::link_needs_drain(LinkId l) {
+  if (!closure_switches_) return true;
+  // Under the switch closure, every flow on a link with a switch endpoint is
+  // on that switch's list, which the closure drains anyway.
+  std::uint8_t& kind = link_switch_[l];
+  if (kind == 0) {
+    const Link& lk = graph_.link(l);
+    const bool adjacent = graph_.device(lk.src).kind == DeviceKind::kSwitch ||
+                          graph_.device(lk.dst).kind == DeviceKind::kSwitch;
+    kind = adjacent ? 2 : 1;
+  }
+  return kind == 1;
+}
+
 void Network::close_component(std::size_t start) {
   // Frontier drain: each discovered slot drains the lists of its route's
   // links, which enqueue further slots. Index-based because comp_slots_
   // grows in place.
   for (std::size_t i = start; i < comp_slots_.size(); ++i) {
     const std::uint32_t slot = comp_slots_[i];
-    for (const LinkId l : route_[slot]) drain_list(link_head_, link_mark_, l);
+    for (const LinkId l : route_[slot]) {
+      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l);
+    }
     if (!closure_switches_) continue;
     // Congestion couples flows through shared switch buffers even when they
     // share no link: a hot flow warms every switch on its route and same-VL
@@ -434,11 +457,18 @@ void Network::close_component(std::size_t start) {
       drain_list(switch_head_, dev_mark_, ent_key_[e]);
     }
   }
-  if (comp_slots_.size() == start) return;
+  const std::size_t size = comp_slots_.size() - start;
+  if (size == 0) return;
   // Component members solve in ascending FlowId order so every per-link
-  // subtraction sequence matches the whole-set solver it replaced, bit for bit.
-  std::sort(comp_slots_.begin() + static_cast<std::ptrdiff_t>(start), comp_slots_.end(),
-            [this](std::uint32_t a, std::uint32_t b) { return id_[a] < id_[b]; });
+  // subtraction sequence matches the whole-set solver it replaced, bit for
+  // bit. order_ already holds the whole active set in that order.
+  const auto first = comp_slots_.begin() + static_cast<std::ptrdiff_t>(start);
+  if (size == order_.size()) {
+    std::copy(order_.begin(), order_.end(), first);
+  } else {
+    std::sort(first, comp_slots_.end(),
+              [this](std::uint32_t a, std::uint32_t b) { return id_[a] < id_[b]; });
+  }
   comp_offset_.push_back(static_cast<std::uint32_t>(comp_slots_.size()));
 }
 
@@ -509,7 +539,7 @@ void Network::reallocate_and_schedule() {
     // remaining flow couples the two endpoints any more.
     for (const LinkId l : pending_seed_links_) {
       const std::size_t start = comp_slots_.size();
-      drain_list(link_head_, link_mark_, l);
+      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l);
       if (closure_switches_) {
         const Link& lk = graph_.link(l);
         for (const DeviceId d : {lk.src, lk.dst}) drain_list(switch_head_, dev_mark_, d);
@@ -592,14 +622,16 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   const unsigned bucket = static_cast<unsigned>(std::bit_width(n)) - 1;
   ++ctx.stats.component_size_log2[std::min(bucket, 20u)];
 
-  // Assemble the subproblem; for a cached component the key records the
-  // exact solver input (routes, vl, caps, per-occurrence effective
+  // Assemble the subproblem, translating routes to link slots once for the
+  // fill and the congestion pass; for a cached component the key records
+  // the exact solver input (routes, vl, caps, per-occurrence effective
   // capacities, congestion config, whether a trace is being filled) in the
   // same unambiguous word encoding the pre-PR-7 solver used for its
   // whole-problem epoch cache.
   const bool cached = n < kCacheMaxFlows;
-  ctx.routes.clear();
-  ctx.caps.clear();
+  SlotProblem& p = ctx.problem;
+  p.reset(graph_.link_count());
+  ctx.slot_vl.clear();
   ctx.key.clear();
   if (cached) {
     ctx.key.push_back(n);
@@ -609,27 +641,33 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t slot = slots[i];
-    // When flows on different VLs share a link each sees the full
-    // (noise-adjusted) capacity in the problem, and the max-min allocator
-    // shares it across all of them -- a work-conserving approximation of
-    // round-robin VL arbitration.
+    const int vl = vl_[slot];
+    // One capacity per link, which the max-min allocator shares across all
+    // its flows -- a work-conserving approximation of round-robin VL
+    // arbitration. When flows on different VLs share a link, it is the
+    // capacity for the VL of the highest-FlowId flow on it (the noise
+    // discount applies only on the noisy VL).
     for (const LinkId l : route_[slot]) {
-      const Bandwidth cap = effective_capacity(l, vl_[slot]);
-      capacity_[l] = cap;
+      bool fresh;
+      const std::uint32_t ls = p.add_hop(l, fresh);
+      if (fresh) ctx.slot_vl.push_back(vl);
+      if (fresh || ctx.slot_vl[ls] != vl) {
+        ctx.slot_vl[ls] = vl;
+        p.capacity[ls] = effective_capacity(l, vl);
+      }
       if (cached) {
         ctx.key.push_back(l);
-        ctx.key.push_back(std::bit_cast<std::uint64_t>(cap));
+        ctx.key.push_back(std::bit_cast<std::uint64_t>(p.capacity[ls]));
       }
     }
     const Bandwidth flow_cap =
         rate_cap_[slot] > 0 ? rate_cap_[slot] : std::numeric_limits<double>::infinity();
     if (cached) {
       ctx.key.push_back(kKeyDelimiter);
-      ctx.key.push_back(static_cast<std::uint64_t>(vl_[slot]));
+      ctx.key.push_back(static_cast<std::uint64_t>(vl));
       ctx.key.push_back(std::bit_cast<std::uint64_t>(flow_cap));
     }
-    ctx.routes.push_back(&route_[slot]);
-    ctx.caps.push_back(flow_cap);
+    p.end_flow(flow_cap);
   }
   std::uint64_t h = 0;
   if (cached) {
@@ -656,8 +694,7 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
     ++ctx.stats.cache_misses;
   }
 
-  const std::vector<Bandwidth>& rates =
-      ctx.solver.solve(capacity_, ctx.routes, ctx.caps, tracing ? &ctx.trace : nullptr);
+  const std::vector<Bandwidth>& rates = ctx.solver.fill(p, tracing ? &ctx.trace : nullptr);
   for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = rates[i];
   if (congestion_.rate_factor < 1.0) apply_congestion_component(ctx, slots, n);
   if (tracing) {
@@ -698,52 +735,47 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // inside the component: flows sharing a link share its component, and the
   // switch closure (close_component) merges components whose flows share a
   // switch, so a per-component pass reproduces the global computation.
-  if (ctx.cg_link_epoch.size() < graph_.link_count()) {
-    ctx.cg_link_epoch.resize(graph_.link_count(), 0);
-    ctx.cg_link_first.resize(graph_.link_count(), -1);
-  }
+  const SlotProblem& p = ctx.problem;
+  const int threshold = congestion_.flow_threshold;
   if (ctx.cg_dev_epoch.size() < graph_.device_count()) {
     ctx.cg_dev_epoch.resize(graph_.device_count(), 0);
     ctx.cg_dev_first.resize(graph_.device_count(), -1);
   }
   ++ctx.cg_epoch;
-  ctx.cg_lvl.clear();
+  ctx.cg_slot_first.assign(p.link.size(), -1);
+  ctx.cg_hop.resize(p.hops.size());
+  ctx.cg_svl.clear();
   ctx.cg_dvl.clear();
   ctx.cg_ent_slot.clear();
   ctx.cg_ent_next.clear();
 
-  const auto find_lvl = [&ctx](LinkId l, int vl) -> std::int32_t {
-    if (ctx.cg_link_epoch[l] != ctx.cg_epoch) return -1;
-    for (std::int32_t i = ctx.cg_link_first[l]; i != -1; i = ctx.cg_lvl[i].next) {
-      if (ctx.cg_lvl[i].vl == vl) return i;
-    }
-    return -1;
-  };
-
   // Pass 1: per (link, vl) flow count, allocated-rate sum (ascending-FlowId
-  // accumulation order, matching the pre-PR-7 whole-set pass), and an intrusive list
-  // of the crossing flows.
+  // accumulation order, matching the pre-PR-7 whole-set pass), and an
+  // intrusive list of the crossing flows, on the heavy slots only.
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t slot = slots[i];
-    if (route_[slot].empty()) continue;
     const int vl = vl_[slot];
-    for (const LinkId l : route_[slot]) {
-      std::int32_t lv = find_lvl(l, vl);
-      if (lv == -1) {
-        if (ctx.cg_link_epoch[l] != ctx.cg_epoch) {
-          ctx.cg_link_epoch[l] = ctx.cg_epoch;
-          ctx.cg_link_first[l] = -1;
+    for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
+      const std::uint32_t ls = p.hops[k];
+      std::int32_t sv = -1;
+      if (p.crossings[ls] >= threshold) {
+        sv = ctx.cg_slot_first[ls];
+        while (sv != -1 && ctx.cg_svl[static_cast<std::size_t>(sv)].vl != vl) {
+          sv = ctx.cg_svl[static_cast<std::size_t>(sv)].next;
         }
-        lv = static_cast<std::int32_t>(ctx.cg_lvl.size());
-        ctx.cg_lvl.push_back({vl, 0, 0.0, -1, ctx.cg_link_first[l], l, false});
-        ctx.cg_link_first[l] = lv;
+        if (sv == -1) {
+          sv = static_cast<std::int32_t>(ctx.cg_svl.size());
+          ctx.cg_svl.push_back({vl, 0, 0.0, -1, ctx.cg_slot_first[ls], ls, false});
+          ctx.cg_slot_first[ls] = sv;
+        }
+        ShardCtx::SlotVl& e = ctx.cg_svl[static_cast<std::size_t>(sv)];
+        ++e.count;
+        e.sum += rate_[slot];
+        ctx.cg_ent_slot.push_back(slot);
+        ctx.cg_ent_next.push_back(e.flows_head);
+        e.flows_head = static_cast<std::int32_t>(ctx.cg_ent_slot.size()) - 1;
       }
-      ShardCtx::LinkVl& e = ctx.cg_lvl[static_cast<std::size_t>(lv)];
-      ++e.count;
-      e.sum += rate_[slot];
-      ctx.cg_ent_slot.push_back(slot);
-      ctx.cg_ent_next.push_back(e.flows_head);
-      e.flows_head = static_cast<std::int32_t>(ctx.cg_ent_slot.size()) - 1;
+      ctx.cg_hop[k] = sv;
     }
   }
 
@@ -751,9 +783,9 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // from many *distinct sources* -- a single rank streaming a deep window
   // through its own NIC is well-behaved traffic, not congestion.
   bool any = false;
-  for (ShardCtx::LinkVl& e : ctx.cg_lvl) {
-    if (e.count < congestion_.flow_threshold) continue;
-    if (e.sum < 0.98 * effective_capacity(e.link, e.vl)) continue;
+  for (ShardCtx::SlotVl& e : ctx.cg_svl) {
+    if (e.count < threshold) continue;
+    if (e.sum < 0.98 * effective_capacity(p.link[e.slot], e.vl)) continue;
     ctx.cg_origins.clear();
     for (std::int32_t ent = e.flows_head; ent != -1; ent = ctx.cg_ent_next[ent]) {
       ctx.cg_origins.push_back(graph_.link(route_[ctx.cg_ent_slot[ent]].front()).src);
@@ -761,7 +793,7 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
     std::sort(ctx.cg_origins.begin(), ctx.cg_origins.end());
     const auto distinct =
         std::unique(ctx.cg_origins.begin(), ctx.cg_origins.end()) - ctx.cg_origins.begin();
-    if (static_cast<int>(distinct) < congestion_.flow_threshold) continue;
+    if (static_cast<int>(distinct) < threshold) continue;
     e.congested = true;
     any = true;
   }
@@ -785,12 +817,8 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
     const std::uint32_t slot = slots[i];
     const int vl = vl_[slot];
     bool hot = false;
-    for (const LinkId l : route_[slot]) {
-      const std::int32_t lv = find_lvl(l, vl);
-      if (lv != -1 && ctx.cg_lvl[static_cast<std::size_t>(lv)].congested) {
-        hot = true;
-        break;
-      }
+    for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1] && !hot; ++k) {
+      hot = ctx.cg_hop[k] != -1 && ctx.cg_svl[static_cast<std::size_t>(ctx.cg_hop[k])].congested;
     }
     if (!hot) continue;
     for (const LinkId l : route_[slot]) {

@@ -249,9 +249,13 @@ class Network {
   /// switch_head_, one switch's) entry list, unless it was drained already.
   void drain_list(const std::vector<std::int32_t>& head, std::vector<std::uint64_t>& mark,
                   std::uint32_t key);
+  /// Whether closing a component must drain link `l`'s own list: always
+  /// without the congestion closure, and under it only when neither
+  /// endpoint is a switch (whose list already holds every flow on `l`).
+  bool link_needs_drain(LinkId l);
   /// Drain the lists of every link and (under congestion closure) every
   /// switch the flows comp_slots_[start..] touch, until no flow is added;
-  /// then sort the new range by FlowId and close it as one subproblem
+  /// then put the new range in FlowId order and close it as one subproblem
   /// (none when the range is empty).
   void close_component(std::size_t start);
   /// Partition every active flow into components (order_ walk).
@@ -329,6 +333,9 @@ class Network {
   // Congestion closure (rate_factor < 1): flows are on switch lists and
   // components expand through them. Set by set_congestion.
   bool closure_switches_ = false;
+  // Per link, filled on first use by link_needs_drain: 0 = not yet known,
+  // 1 = no switch endpoint, 2 = a switch endpoint.
+  std::vector<std::uint8_t> link_switch_;
 
   // --- event seeds accumulated between coalesced reallocations ---
   std::vector<std::uint32_t> pending_new_slots_;  // flows started since last
@@ -341,10 +348,6 @@ class Network {
   int shards_ = 1;
   std::vector<std::unique_ptr<ShardCtx>> shard_ctx_;
   std::unique_ptr<net::ShardPool> pool_;
-  // LinkId-indexed capacity table shared by all shards: components are
-  // link-disjoint, so concurrent shards write disjoint entries. Only entries
-  // for links in the subproblem being assembled are (re)written and read.
-  std::vector<Bandwidth> capacity_;
   // Persisted telemetry trace state (filled only when telemetry_ is set):
   // which links the last allocation saturated and by how many flows. Emission
   // walks the active set, so stale entries for unused links are never read.

@@ -13,7 +13,6 @@
 #include "gpucomm/metrics/version.hpp"
 #include "gpucomm/runtime/clock.hpp"
 #include "gpucomm/systems/registry.hpp"
-#include "gpucomm/telemetry/sink.hpp"
 
 namespace gpucomm::serve {
 
@@ -81,14 +80,12 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
     sweep = sweep_cells(s, *topo, jobs);
   } else {
     Cluster cluster(*topo, s.cluster);
-    telemetry::MultiSink sinks;
+    CoupledRun run(s, cluster);
+    sweep = run.sweep();
     if (want_manifest) {
       profiler = std::make_unique<metrics::ScheduleProfiler>();
-      profiler->set_enabled(false);
-      sinks.add(profiler.get());
-      cluster.set_telemetry(&sinks);
+      run.profile(sweep, *profiler);
     }
-    sweep = CoupledRun(s, cluster).sweep(profiler.get());
   }
 
   Tabulated t = tabulate(s, sweep);
@@ -166,7 +163,7 @@ CoupledRun::CoupledRun(const Scenario& s, Cluster& cluster) : s_(s), cluster_(cl
 
 CoupledRun::~CoupledRun() = default;
 
-SweepResult CoupledRun::sweep(metrics::ScheduleProfiler* profiler) {
+SweepResult CoupledRun::sweep() {
   SweepResult r;
   r.stalled = stalls(s_, *comm_);
   r.samples.resize(s_.sizes.size());
@@ -176,17 +173,16 @@ SweepResult CoupledRun::sweep(metrics::ScheduleProfiler* profiler) {
         cluster_, s_.runs[i], [&] { return run_op(*comm_, s_.op, b); },
         [&] { return comm_->last_op_failed(); });
   }
-  // After every measurement, so that profiling cannot move the cluster's
-  // noise stream under a later size.
-  for (std::size_t i = 0; i < s_.sizes.size() && profiler != nullptr && !r.stalled; ++i) {
-    profiler->set_enabled(true);
-    run_op(*comm_, s_.op, s_.sizes[i]);
-    profiler->set_enabled(false);
-  }
   for (const Bytes b : s_.sizes) {
     r.plans.push_back(metrics::plan_info(b, comm_->plan(s_.op, b)));
   }
   return r;
+}
+
+void CoupledRun::profile(const SweepResult& measured, metrics::ScheduleProfiler& profiler) {
+  if (measured.stalled) return;
+  cluster_.set_telemetry(&profiler);
+  for (const Bytes b : s_.sizes) run_op(*comm_, s_.op, b);
 }
 
 SweepResult sweep_cells(const Scenario& s, const TopologySnapshot& topo, int jobs) {

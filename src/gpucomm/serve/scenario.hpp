@@ -76,11 +76,16 @@ class CoupledRun {
 
   Communicator& comm() { return *comm_; }
 
-  /// run_iterations per size. With a gated-off `profiler`, one unmeasured
-  /// iteration per size then runs with it enabled, after every size has
-  /// been measured, so the timings do not depend on profiling; its spans
-  /// become that size's representative breakdown. plan() per size last.
-  SweepResult sweep(metrics::ScheduleProfiler* profiler);
+  /// run_iterations per size, then plan() per size.
+  SweepResult sweep();
+
+  /// One unmeasured iteration per size with `profiler` attached as the
+  /// cluster's only sink, so it records exactly those iterations; their
+  /// spans become each size's representative breakdown. Call it after
+  /// sweep() and after closing any whole-run sink, so that neither the
+  /// timings nor those reports depend on profiling. Nothing runs for a
+  /// stalled sweep.
+  void profile(const SweepResult& measured, metrics::ScheduleProfiler& profiler);
 
  private:
   const Scenario& s_;

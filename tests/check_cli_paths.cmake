@@ -7,7 +7,10 @@
 #  (b) the manifest and stdout of a --jobs 1 cell sweep with --jobs 4;
 #  (c) the table of a coupled multi-size sweep with the tables the same run
 #      prints with --metrics-out and with --profile, whose profiled
-#      iterations must not move the noise stream under a later size.
+#      iterations must not move the noise stream under a later size;
+#  (d) the --counters output, --timeseries CSV and --trace of a coupled
+#      sweep with those of the same run with --metrics-out and with
+#      --profile, whose profiled iterations must not reach those reports.
 #
 #   cmake -DCLI=<gpucomm_cli> -DWORK_DIR=<temp dir> -P check_cli_paths.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -62,4 +65,40 @@ file(READ "${WORK_DIR}/scattered_profile.out" profiled_table LIMIT ${table_lengt
 if(NOT profiled_table STREQUAL table)
   message(FATAL_ERROR "--profile changed the table: compare ${WORK_DIR}/scattered.out "
                       "with the head of ${WORK_DIR}/scattered_profile.out")
+endif()
+
+# With --profile the breakdowns sit between the counters and the heatmap;
+# without it, stdout must be the rest, unchanged.
+set(observed ${coupled} --counters)
+foreach(run observed observed_manifest observed_profile)
+  set(extra)
+  if(run STREQUAL "observed_manifest")
+    set(extra --metrics-out "${WORK_DIR}/${run}.json")
+  elseif(run STREQUAL "observed_profile")
+    set(extra --profile)
+  endif()
+  run_bare(${run} ${observed} --timeseries "${WORK_DIR}/${run}.csv"
+           --trace "${WORK_DIR}/${run}.trace.json" ${extra})
+endforeach()
+foreach(run observed_manifest observed_profile)
+  expect_same(observed.csv ${run}.csv)
+  expect_same(observed.trace.json ${run}.trace.json)
+endforeach()
+expect_same(observed.out observed_manifest.out)
+file(READ "${WORK_DIR}/observed.out" unprofiled)
+file(READ "${WORK_DIR}/observed_profile.out" profiled)
+string(LENGTH "${unprofiled}" unprofiled_length)
+string(LENGTH "${profiled}" profiled_length)
+string(FIND "${profiled}" "== profile:" profile_at)
+if(profile_at EQUAL -1 OR profile_at GREATER unprofiled_length)
+  message(FATAL_ERROR "${WORK_DIR}/observed_profile.out has no profile after the counters")
+endif()
+math(EXPR tail_at "${profiled_length} - ${unprofiled_length} + ${profile_at}")
+string(SUBSTRING "${unprofiled}" 0 ${profile_at} unprofiled_head)
+string(SUBSTRING "${unprofiled}" ${profile_at} -1 unprofiled_tail)
+string(SUBSTRING "${profiled}" 0 ${profile_at} profiled_head)
+string(SUBSTRING "${profiled}" ${tail_at} -1 profiled_tail)
+if(NOT profiled_head STREQUAL unprofiled_head OR NOT profiled_tail STREQUAL unprofiled_tail)
+  message(FATAL_ERROR "--profile changed the other reports: compare ${WORK_DIR}/observed.out "
+                      "with ${WORK_DIR}/observed_profile.out")
 endif()

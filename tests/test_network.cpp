@@ -156,6 +156,30 @@ TEST(NetworkTest, OtherServiceLevelIsolatedFromNoise) {
   EXPECT_NEAR(done.micros(), solo_us + 1, 0.5);
 }
 
+TEST(NetworkTest, MixedVlLinkTakesTheCapacityOfItsNewestFlowsVl) {
+  // Pins today's rule: a link crossed by flows on several VLs gets one
+  // capacity, the one for the VL of its highest-FlowId flow, and the two
+  // flows share it. Noise halves the link on VL 0 only, so the start order
+  // decides whether they share 100 or 50 Gb/s.
+  for (const bool noisy_first : {true, false}) {
+    Fixture f;
+    HalfNoise noise;
+    f.net->set_noise(&noise);
+    const int first_vl = noisy_first ? 0 : 1;
+    const FlowId older = f.net->start_flow({{f.ab}, 1_MiB, first_vl, 0}, nullptr);
+    const FlowId newer = f.net->start_flow({{f.ab}, 1_MiB, 1 - first_vl, 0}, nullptr);
+    Bandwidth older_rate = 0, newer_rate = 0;
+    f.engine.after(nanoseconds(10), [&] {
+      older_rate = f.net->flow_rate(older);
+      newer_rate = f.net->flow_rate(newer);
+    });
+    f.engine.run();
+    const Bandwidth link = noisy_first ? gbps(100) : gbps(50);
+    EXPECT_DOUBLE_EQ(older_rate, link / 2) << "noisy_first=" << noisy_first;
+    EXPECT_DOUBLE_EQ(newer_rate, link / 2) << "noisy_first=" << noisy_first;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Randomized event-stream differential suite (PR 7).
 //
@@ -578,6 +602,98 @@ TEST(NetworkComponents, VacatedTrunkGathersBothSwitchesIntoOneSubproblem) {
       EXPECT_EQ(after.component_solves - before.component_solves, 0u);
     }
   }
+}
+
+TEST(NetworkComponents, SharedLinkCouplesUnderTheClosure) {
+  // Under the congestion closure the BFS drains a switch-adjacent link
+  // through its switch's list, and a link with no switch endpoint through
+  // its own list. Either way two flows sharing only that link form one
+  // 2-flow subproblem.
+  for (const bool direct : {true, false}) {
+    SwitchFixture f(/*congestion=*/true);
+    const Route shared = direct ? Route{f.direct[0]} : Route{f.trunk};
+    f.net->start_flow({shared, 1_MiB, 0, 0}, nullptr);
+    f.net->start_flow({shared, 1_MiB, 0, 0}, nullptr);
+    net::SolverStats first;
+    f.engine.after(nanoseconds(10), [&] { first = f.net->solver_stats(); });
+    f.engine.run();
+    EXPECT_EQ(first.reallocations, 1u) << "direct=" << direct;
+    EXPECT_EQ(first.component_size_log2[0], 0u) << "direct=" << direct;
+    EXPECT_EQ(first.component_size_log2[1], 1u) << "direct=" << direct;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Congestion coupling. The differential suite compares two modes that share
+// one congestion pass, so it cannot see which flows an incast degrades.
+
+/// A SwitchFixture whose congestion coupling halves the rate of every flow
+/// crossing a switch warmed by an incast: 4 flows from 4 distinct GPUs
+/// saturating one (link, VL).
+struct IncastFixture : SwitchFixture {
+  IncastFixture() : SwitchFixture(/*congestion=*/false) {
+    net->set_congestion({/*flow_threshold=*/4, /*rate_factor=*/0.5});
+  }
+
+  /// gpu (0, k) -> switch 0 -> trunk -> switch 1 -> gpu (1, 0).
+  Route over_trunk(int k) const { return {up[0][k], trunk, up[1][0] + 1}; }
+
+  /// Starts each (route, vl) flow at once and returns the rates of the
+  /// first allocation.
+  std::vector<Bandwidth> rates(const std::vector<std::pair<Route, int>>& flows) {
+    std::vector<FlowId> ids;
+    for (const auto& [route, vl] : flows) {
+      ids.push_back(net->start_flow({route, 1_MiB, vl, 0}, nullptr));
+    }
+    std::vector<Bandwidth> out;
+    engine.after(nanoseconds(10), [&] {
+      for (const FlowId id : ids) out.push_back(net->flow_rate(id));
+    });
+    engine.run();
+    return out;
+  }
+};
+
+TEST(NetworkCongestion, IncastDegradesSameVlTrafficThroughItsSwitches) {
+  // Four GPUs of switch 0 saturate the trunk on VL 0 at 25 Gb/s each. The
+  // incast warms both switches on VL 0, so its own flows and a VL-0 victim
+  // through switch 1 (on links no incast flow crosses) run at half rate; a
+  // VL-1 victim through switch 1 does not.
+  IncastFixture f;
+  std::vector<std::pair<Route, int>> flows;
+  for (int k = 0; k < 4; ++k) flows.emplace_back(f.over_trunk(k), 0);
+  flows.emplace_back(f.via_switch(1, 1, 2), 0);
+  flows.emplace_back(f.via_switch(1, 2, 3), 1);
+  const std::vector<Bandwidth> rates = f.rates(flows);
+  ASSERT_EQ(rates.size(), 6u);
+  for (int k = 0; k < 4; ++k) EXPECT_DOUBLE_EQ(rates[k], gbps(25) * 0.5) << "incast " << k;
+  EXPECT_DOUBLE_EQ(rates[4], gbps(100) * 0.5);
+  EXPECT_DOUBLE_EQ(rates[5], gbps(100));
+}
+
+TEST(NetworkCongestion, FlowsCountPerLinkAndVl) {
+  // Two VL-0 and two VL-1 flows from four GPUs saturate the trunk: neither
+  // (trunk, VL) reaches four flows, so nothing is degraded.
+  IncastFixture f;
+  std::vector<std::pair<Route, int>> flows;
+  for (int k = 0; k < 4; ++k) flows.emplace_back(f.over_trunk(k), k < 2 ? 0 : 1);
+  flows.emplace_back(f.via_switch(1, 1, 2), 0);
+  const std::vector<Bandwidth> rates = f.rates(flows);
+  ASSERT_EQ(rates.size(), 5u);
+  for (int k = 0; k < 4; ++k) EXPECT_DOUBLE_EQ(rates[k], gbps(25)) << "trunk flow " << k;
+  EXPECT_DOUBLE_EQ(rates[4], gbps(100));
+}
+
+TEST(NetworkCongestion, OneSourceIsNoIncast) {
+  // Four VL-0 flows saturate the trunk, but from one GPU: nothing is
+  // degraded.
+  IncastFixture f;
+  std::vector<std::pair<Route, int>> flows(4, {f.over_trunk(0), 0});
+  flows.emplace_back(f.via_switch(1, 1, 2), 0);
+  const std::vector<Bandwidth> rates = f.rates(flows);
+  ASSERT_EQ(rates.size(), 5u);
+  for (int k = 0; k < 4; ++k) EXPECT_DOUBLE_EQ(rates[k], gbps(25)) << "trunk flow " << k;
+  EXPECT_DOUBLE_EQ(rates[4], gbps(100));
 }
 
 TEST(NetworkTest, ManySequentialFlowsDeterministic) {

@@ -30,7 +30,9 @@
 // schedule identities incl. wire_exact, full latency/goodput percentiles,
 // and any profile/time-series/counter sections that were enabled); the file
 // is byte-identical across runs with the same configuration and seed. None
-// of these flags changes the simulated timings.
+// of these flags changes the simulated timings or another flag's report:
+// the profiled iterations run after the measured ones, with only the
+// profiler attached.
 //
 // --faults takes a fault-schedule file, or an inline spec with ';' between
 // events ("at 100us down link 4; at 300us up link 4" — see
@@ -247,18 +249,16 @@ int run_observed(const cli::CliArgs& a) {
     sinks.add(counters.get());
   }
   if (a.profile || !a.metrics_out.empty()) {
-    // Gated: enabled only for one representative iteration per size, so a
-    // long sweep does not accumulate every warmup/measured iteration.
+    // Attached by CoupledRun::profile for one representative iteration per
+    // size only, so a long sweep does not accumulate every iteration.
     profiler = std::make_unique<metrics::ScheduleProfiler>();
-    profiler->set_enabled(false);
-    sinks.add(profiler.get());
   }
   if (!a.timeseries_path.empty()) {
     timeseries = std::make_unique<metrics::TimeSeries>(
         cluster.graph(), microseconds(static_cast<double>(a.bucket_us)));
     sinks.add(timeseries.get());
   }
-  if (recorder || counters || profiler || timeseries) cluster.set_telemetry(&sinks);
+  if (recorder || counters || timeseries) cluster.set_telemetry(&sinks);
 
   serve::CoupledRun run(s, cluster);
   if (a.dump_schedule) {
@@ -267,20 +267,27 @@ int run_observed(const cli::CliArgs& a) {
     dump_schedules(run.comm(), s);
     return 0;
   }
-  const serve::Tabulated t = serve::tabulate(s, run.sweep(profiler.get()));
+  const serve::SweepResult sweep = run.sweep();
+  const serve::Tabulated t = serve::tabulate(s, sweep);
   std::fputs(t.header.c_str(), stdout);
   std::fputs(t.table.c_str(), stdout);
 
+  // The whole-run sinks and solver counters cover the measured iterations:
+  // they close here, and the profiled iterations reach the profiler alone.
+  const SimTime end = cluster.engine().now();
+  const net::SolverStats solver = cluster.network().solver_stats();
+  if (counters) counters->finalize(end);
+  if (timeseries) timeseries->finalize(end);
+  if (profiler) run.profile(sweep, *profiler);
+
   if (counters) {
-    counters->finalize(cluster.engine().now());
-    telemetry::print_report(std::cout, *counters, cluster.engine().now());
-    print_solver_stats(cluster.network().solver_stats());
+    telemetry::print_report(std::cout, *counters, end);
+    print_solver_stats(solver);
   }
   if (profiler && a.profile) {
     metrics::print_profile(std::cout, profiler->build(), &cluster.graph());
   }
   if (timeseries) {
-    timeseries->finalize(cluster.engine().now());
     timeseries->render_heatmap(std::cout);
     std::ofstream csv(a.timeseries_path);
     if (csv) timeseries->write_csv(csv);
