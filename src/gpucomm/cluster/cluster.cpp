@@ -38,7 +38,6 @@ Cluster::Cluster(const TopologySnapshot& topo, ClusterOptions options)
 
 void Cluster::finish_init(const ClusterOptions& options) {
   network_ = std::make_unique<Network>(engine_, graph_);
-  network_->set_shards(options.net_shards);
   network_->set_congestion(
       {config_.congestion.flow_threshold, config_.congestion.rate_factor});
   if (options.enable_noise && config_.noise.production_noise) {

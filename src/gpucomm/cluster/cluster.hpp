@@ -32,9 +32,10 @@ struct ClusterOptions {
   /// Instantiate the production-noise field when the system has one
   /// (Leonardo). Disable to model a drained system.
   bool enable_noise = true;
-  /// Worker shards for the flow network's rate solver (Network::set_shards).
-  /// Rates are bit-identical at any shard count; this trades threads for
-  /// wall-clock on large machines.
+  /// Shard count of the removed sharded solving. Nothing reads it: the flow
+  /// network solves its components one after another. It stays declared
+  /// only because perfbench/bench.cpp sets it to 1, and the benchmark may
+  /// only change in a change of its own.
   int net_shards = 1;
   std::uint64_t seed = 42;
 };

@@ -26,7 +26,6 @@ void ScheduleProfiler::integrate(FlowRec& r, SimTime now) {
 
 void ScheduleProfiler::flow_issued(telemetry::FlowToken token, const telemetry::FlowTag& tag,
                                    Bytes, SimTime now) {
-  if (!enabled_) return;
   FlowRec& r = rec(token);
   r.tag = tag;
   r.issued = now;
@@ -34,7 +33,6 @@ void ScheduleProfiler::flow_issued(telemetry::FlowToken token, const telemetry::
 
 void ScheduleProfiler::flow_started(telemetry::FlowToken token, const telemetry::FlowTag& tag,
                                     const Route&, int, Bytes, SimTime now) {
-  if (!enabled_) return;
   FlowRec& r = rec(token);
   r.tag = tag;
   r.started = now;
@@ -43,7 +41,6 @@ void ScheduleProfiler::flow_started(telemetry::FlowToken token, const telemetry:
 
 void ScheduleProfiler::flow_rate(telemetry::FlowToken token, const Route&, Bandwidth rate,
                                  Bandwidth standalone, SimTime now) {
-  if (!enabled_) return;
   FlowRec& r = rec(token);
   integrate(r, now);
   r.rate = rate;
@@ -55,7 +52,6 @@ void ScheduleProfiler::flow_rate(telemetry::FlowToken token, const Route&, Bandw
 
 void ScheduleProfiler::flow_throttled(telemetry::FlowToken token, LinkId bottleneck,
                                       SimTime) {
-  if (!enabled_) return;
   FlowRec& r = rec(token);
   ++r.throttle_events;
   r.bottleneck = bottleneck;
@@ -64,7 +60,6 @@ void ScheduleProfiler::flow_throttled(telemetry::FlowToken token, LinkId bottlen
 
 void ScheduleProfiler::flow_completed(telemetry::FlowToken token, const Route&, Bytes,
                                       SimTime serialized, SimTime delivered) {
-  if (!enabled_) return;
   FlowRec& r = rec(token);
   integrate(r, serialized);
   r.serialized = serialized;
@@ -75,7 +70,6 @@ void ScheduleProfiler::flow_completed(telemetry::FlowToken token, const Route&, 
 
 void ScheduleProfiler::flow_interrupted(telemetry::FlowToken token, const Route&, Bytes,
                                         SimTime now) {
-  if (!enabled_) return;
   FlowRec& r = rec(token);
   integrate(r, now);
   r.interrupted = true;
@@ -85,13 +79,11 @@ void ScheduleProfiler::flow_interrupted(telemetry::FlowToken token, const Route&
 
 void ScheduleProfiler::sched_span(const char* mechanism, const char* algorithm,
                                   const char* kind, int round, SimTime start, SimTime end) {
-  if (!enabled_) return;
   spans_.push_back({mechanism, algorithm, kind, round, start, end});
 }
 
 void ScheduleProfiler::op_span(const char* mechanism, const char* op, Bytes bytes,
                                SimTime start, SimTime end) {
-  if (!enabled_) return;
   ops_.push_back({mechanism, op, bytes, start, end});
 }
 

@@ -19,6 +19,11 @@
 // Hotspots aggregate the squeeze time of critical-chain flows by the
 // bottleneck link the allocator attributed it to — the "top bottleneck
 // links on the critical path" table of `gpucomm_cli --profile`.
+//
+// The profiler records every event it receives, so attach it only around
+// the operations to attribute: `gpucomm_cli --profile` attaches it as the
+// cluster's only sink for one unmeasured iteration per size, after the
+// measured sweep (serve::CoupledRun::profile).
 #pragma once
 
 #include <cstdint>
@@ -76,12 +81,6 @@ struct OpProfile {
 class ScheduleProfiler final : public telemetry::Sink {
  public:
   ScheduleProfiler() = default;
-
-  /// While disabled the profiler drops every event (and allocates nothing),
-  /// so it can stay attached to a long run and capture only representative
-  /// operations (gpucomm_cli profiles one extra iteration per size).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
 
   // Sink interface.
   void flow_issued(telemetry::FlowToken token, const telemetry::FlowTag& tag, Bytes bytes,
@@ -145,9 +144,8 @@ class ScheduleProfiler final : public telemetry::Sink {
   FlowRec& rec(telemetry::FlowToken token);
   void integrate(FlowRec& r, SimTime now);
 
-  bool enabled_ = true;
-  // Keyed (not dense) so a gated profiler attached late in a long run does
-  // not allocate records for the tokens it never saw.
+  // Keyed (not dense) so a profiler attached late in a long run allocates
+  // records only for the tokens it sees, not for every earlier token.
   std::map<telemetry::FlowToken, FlowRec> flows_;
   std::vector<SpanRec> spans_;
   std::vector<OpRec> ops_;

@@ -7,8 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "gpucomm/net/shard_pool.hpp"
-
 namespace gpucomm {
 
 namespace {
@@ -18,7 +16,7 @@ constexpr double kEpsilonBits = 1e-6;
 // the double bit patterns in the key come from finite capacities, so the
 // sentinel cannot collide with a payload word.
 constexpr std::uint64_t kKeyDelimiter = UINT64_MAX;
-// Per-shard allocation cache: FIFO ring of exact-compare entries, sized so
+// Allocation cache: FIFO ring of exact-compare entries, sized so
 // the steady-state component mix of a large alltoall (many small recurring
 // subproblems) stays resident. Only components under kCacheMaxFlows flows
 // are keyed, looked up and stored: a larger component's membership changes
@@ -38,13 +36,10 @@ std::uint64_t hash_key(const std::vector<std::uint64_t>& key) {
 }
 }  // namespace
 
-/// Everything one solver shard needs to turn a component into rates without
-/// touching another shard's state: the fairshare solver, the component's
-/// route translation, the exact-compare allocation cache, congestion-coupling
-/// scratch, and its share of the counters. Component subproblems are
-/// link-disjoint, so shards only ever write disjoint slots/links of the
-/// shared arrays.
-struct Network::ShardCtx {
+/// Everything the solver needs to turn a component into rates: the fairshare
+/// solver, the component's route translation, the exact-compare allocation
+/// cache and congestion-coupling scratch.
+struct Network::SolverCtx {
   FairshareSolver solver;
   FairshareTrace trace;
   // The component's routes translated to dense link slots, read by the fill
@@ -93,14 +88,13 @@ struct Network::ShardCtx {
   std::vector<std::int32_t> cg_ent_next;
   std::vector<DeviceId> cg_origins;
   std::uint64_t cg_epoch = 0;
-
-  net::SolverStats stats;  // component/cache/shard counters only
 };
 
 Network::Network(Engine& engine, const Graph& graph)
-    : engine_(engine), graph_(graph), last_advance_(engine.now()) {
-  shard_ctx_.push_back(std::make_unique<ShardCtx>());
-}
+    : engine_(engine),
+      graph_(graph),
+      ctx_(std::make_unique<SolverCtx>()),
+      last_advance_(engine.now()) {}
 
 Network::~Network() { net::SolverStatsRegistry::global().add(solver_stats()); }
 
@@ -132,25 +126,6 @@ void Network::set_congestion(SwitchCongestion c) {
 void Network::set_telemetry(telemetry::Sink* sink) {
   telemetry_ = sink;
   request_full_solve(FullReason::kConfig);
-}
-
-void Network::set_shards(int shards) {
-  shards_ = std::clamp(shards, 1, 64);
-  while (shard_ctx_.size() < static_cast<std::size_t>(shards_)) {
-    shard_ctx_.push_back(std::make_unique<ShardCtx>());
-  }
-  if (pool_ != nullptr && pool_->workers() < shards_ - 1) pool_.reset();
-}
-
-const net::SolverStats& Network::solver_stats() const {
-  stats_merged_ = stats_;
-  if (stats_merged_.shard_solves.size() < static_cast<std::size_t>(shards_)) {
-    stats_merged_.shard_solves.resize(static_cast<std::size_t>(shards_), 0);
-  }
-  for (const auto& ctx : shard_ctx_) {
-    if (ctx != nullptr) stats_merged_.merge(ctx->stats);
-  }
-  return stats_merged_;
 }
 
 void Network::request_full_solve(FullReason reason) {
@@ -584,43 +559,20 @@ void Network::reallocate_and_schedule() {
 }
 
 void Network::solve_components() {
-  const std::size_t ncomp = comp_offset_.size() - 1;
-  if (ncomp == 0) return;
-  if (shards_ <= 1 || ncomp <= 1) {
-    for (std::size_t i = 0; i < ncomp; ++i) {
-      solve_component(*shard_ctx_[0], 0, comp_offset_[i], comp_offset_[i + 1]);
-    }
-    return;
+  for (std::size_t i = 0; i + 1 < comp_offset_.size(); ++i) {
+    solve_component(comp_offset_[i], comp_offset_[i + 1]);
   }
-  // Component i -> shard i % shards_: a pure function of discovery order, so
-  // the work split (and every cache stream) is reproducible run to run.
-  if (pool_ == nullptr || pool_->workers() < shards_ - 1) {
-    pool_ = std::make_unique<net::ShardPool>(shards_ - 1);
-  }
-  const int tasks = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(shards_), ncomp));
-  pool_->run(tasks, [&](int shard) {
-    ShardCtx& ctx = *shard_ctx_[static_cast<std::size_t>(shard)];
-    for (std::size_t i = static_cast<std::size_t>(shard); i < ncomp;
-         i += static_cast<std::size_t>(shards_)) {
-      solve_component(ctx, shard, comp_offset_[i], comp_offset_[i + 1]);
-    }
-  });
 }
 
-void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
-                              std::uint32_t end) {
+void Network::solve_component(std::uint32_t begin, std::uint32_t end) {
+  SolverCtx& ctx = *ctx_;
   const std::uint32_t* slots = comp_slots_.data() + begin;
   const std::uint32_t n = end - begin;
   const bool tracing = telemetry_ != nullptr;
 
-  ++ctx.stats.component_solves;
-  if (ctx.stats.shard_solves.size() <= static_cast<std::size_t>(shard)) {
-    ctx.stats.shard_solves.resize(static_cast<std::size_t>(shard) + 1, 0);
-  }
-  ++ctx.stats.shard_solves[static_cast<std::size_t>(shard)];
+  ++stats_.component_solves;
   const unsigned bucket = static_cast<unsigned>(std::bit_width(n)) - 1;
-  ++ctx.stats.component_size_log2[std::min(bucket, 20u)];
+  ++stats_.component_size_log2[std::min(bucket, 20u)];
 
   // Assemble the subproblem, translating routes to link slots once for the
   // fill and the congestion pass; for a cached component the key records
@@ -672,12 +624,12 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   std::uint64_t h = 0;
   if (cached) {
     h = hash_key(ctx.key);
-    for (const ShardCtx::CacheEntry& e : ctx.cache) {
+    for (const SolverCtx::CacheEntry& e : ctx.cache) {
       if (e.hash != h || e.key != ctx.key) continue;
       // Identical subproblem: reapply the cached post-congestion rates (and
       // trace state). Exact comparison of the whole key, so a stale hit is
       // impossible.
-      ++ctx.stats.cache_hits;
+      ++stats_.cache_hits;
       for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = e.rates[i];
       if (tracing) {
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -691,12 +643,12 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
       }
       return;
     }
-    ++ctx.stats.cache_misses;
+    ++stats_.cache_misses;
   }
 
   const std::vector<Bandwidth>& rates = ctx.solver.fill(p, tracing ? &ctx.trace : nullptr);
   for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = rates[i];
-  if (congestion_.rate_factor < 1.0) apply_congestion_component(ctx, slots, n);
+  if (congestion_.rate_factor < 1.0) apply_congestion_component(slots, n);
   if (tracing) {
     for (std::uint32_t i = 0; i < n; ++i) {
       bottleneck_[slots[i]] = ctx.trace.bottleneck[i];
@@ -709,7 +661,7 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   }
 
   if (!cached) return;
-  ShardCtx::CacheEntry fresh;
+  SolverCtx::CacheEntry fresh;
   fresh.hash = h;
   fresh.key = ctx.key;
   fresh.rates.resize(n);
@@ -726,8 +678,7 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
   }
 }
 
-void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slots,
-                                         std::uint32_t count) {
+void Network::apply_congestion_component(const std::uint32_t* slots, std::uint32_t count) {
   // A (link, vl) is incast-congested when >= flow_threshold flows saturate
   // it. The backlog propagates upstream through the buffers of every switch
   // the congesting flows traverse (credit/PFC backpressure), so flows of the
@@ -735,6 +686,7 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // inside the component: flows sharing a link share its component, and the
   // switch closure (close_component) merges components whose flows share a
   // switch, so a per-component pass reproduces the global computation.
+  SolverCtx& ctx = *ctx_;
   const SlotProblem& p = ctx.problem;
   const int threshold = congestion_.flow_threshold;
   if (ctx.cg_dev_epoch.size() < graph_.device_count()) {
@@ -768,7 +720,7 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
           ctx.cg_svl.push_back({vl, 0, 0.0, -1, ctx.cg_slot_first[ls], ls, false});
           ctx.cg_slot_first[ls] = sv;
         }
-        ShardCtx::SlotVl& e = ctx.cg_svl[static_cast<std::size_t>(sv)];
+        SolverCtx::SlotVl& e = ctx.cg_svl[static_cast<std::size_t>(sv)];
         ++e.count;
         e.sum += rate_[slot];
         ctx.cg_ent_slot.push_back(slot);
@@ -783,7 +735,7 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // from many *distinct sources* -- a single rank streaming a deep window
   // through its own NIC is well-behaved traffic, not congestion.
   bool any = false;
-  for (ShardCtx::SlotVl& e : ctx.cg_svl) {
+  for (SolverCtx::SlotVl& e : ctx.cg_svl) {
     if (e.count < threshold) continue;
     if (e.sum < 0.98 * effective_capacity(p.link[e.slot], e.vl)) continue;
     ctx.cg_origins.clear();

@@ -19,11 +19,10 @@
 // links, plus shared switches when congestion coupling is enabled), solves
 // each component as an independent subproblem, and splices the rates back.
 // Events that cannot be localized (link state changes, noise epochs, model
-// rewiring) fall back to a full partitioned solve. Components are assigned
-// round-robin to solver shards that run concurrently; because components
-// share no state and the per-shard allocation caches are exact-compare, the
-// resulting rates are byte-identical at any shard count and to the
-// kFullResolve reference mode (docs/PERFORMANCE.md, tests/test_network).
+// rewiring) fall back to a full partitioned solve. Components are solved one
+// after another in discovery order; because they share no links and the
+// allocation cache is exact-compare, the resulting rates are byte-identical
+// to the kFullResolve reference mode (docs/PERFORMANCE.md, tests/test_network).
 #pragma once
 
 #include <cstdint>
@@ -40,10 +39,6 @@
 #include "gpucomm/topology/graph.hpp"
 
 namespace gpucomm {
-
-namespace net {
-class ShardPool;
-}  // namespace net
 
 using FlowId = std::uint64_t;
 
@@ -86,8 +81,7 @@ class NoiseField {
   /// Start a new background epoch (called by the harness between
   /// iterations). A field may defer the draws to the first read that needs
   /// them, so an epoch nobody reads costs nothing, provided every read
-  /// answers as if they had run here; solver shards read concurrently, so
-  /// that settle point must be thread-safe.
+  /// answers as if they had run here.
   virtual void resample() = 0;
   /// Monotone stamp that changes whenever background_utilization()'s answers
   /// may have changed (i.e. on resample). The incremental solver re-solves
@@ -152,15 +146,8 @@ class Network {
   void set_solver_mode(SolverMode mode) { mode_ = mode; }
   SolverMode solver_mode() const { return mode_; }
 
-  /// Number of concurrent solver shards for partitioned solves (clamped to
-  /// [1, 64]). Component subproblems are assigned round-robin in discovery
-  /// order; rates are byte-identical at any shard count.
-  void set_shards(int shards);
-  int shards() const { return shards_; }
-
-  /// Live solver counters for this network (see solver_stats.hpp). The
-  /// returned reference is invalidated by the next call.
-  const net::SolverStats& solver_stats() const;
+  /// Live solver counters for this network (see solver_stats.hpp).
+  const net::SolverStats& solver_stats() const { return stats_; }
 
   /// Begin a transfer. `on_delivered` fires (via the engine) when the last
   /// byte has arrived at the destination.
@@ -193,10 +180,9 @@ class Network {
   void on_link_state_change();
 
  private:
-  /// Per-shard solver context (fairshare solver, subproblem scratch,
-  /// exact-compare allocation cache, congestion scratch, counters). Defined
-  /// in network.cpp; one per shard so partitioned solves share nothing.
-  struct ShardCtx;
+  /// Solver context (fairshare solver, subproblem scratch, exact-compare
+  /// allocation cache, congestion scratch). Defined in network.cpp.
+  struct SolverCtx;
 
   /// A flow leaving the active set, with everything deliver()/interrupt()
   /// still need after its slot has been recycled.
@@ -262,14 +248,13 @@ class Network {
   void partition_all();
 
   // --- solving ---
-  /// Solve comp_offset_ ranges [first..comp count) across shards_ and write
-  /// rates (and telemetry trace state) back to the slots.
+  /// Solve every comp_offset_ range in order and write rates (and telemetry
+  /// trace state) back to the slots.
   void solve_components();
-  void solve_component(ShardCtx& ctx, int shard, std::uint32_t begin, std::uint32_t end);
+  void solve_component(std::uint32_t begin, std::uint32_t end);
   /// Post-allocation congestion coupling for one component: degrade flows
   /// crossing switches with an incast-saturated port on their VL.
-  void apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slots,
-                                  std::uint32_t count);
+  void apply_congestion_component(const std::uint32_t* slots, std::uint32_t count);
   /// Emit flow_rate / flow_throttled / link_saturated for the allocation just
   /// computed, reconstructed from the persisted per-slot/per-link trace state
   /// in the exact order the pre-PR-7 whole-set solver emitted them. Only called when
@@ -345,9 +330,7 @@ class Network {
 
   // --- solving state ---
   SolverMode mode_ = SolverMode::kIncremental;
-  int shards_ = 1;
-  std::vector<std::unique_ptr<ShardCtx>> shard_ctx_;
-  std::unique_ptr<net::ShardPool> pool_;
+  std::unique_ptr<SolverCtx> ctx_;
   // Persisted telemetry trace state (filled only when telemetry_ is set):
   // which links the last allocation saturated and by how many flows. Emission
   // walks the active set, so stale entries for unused links are never read.
@@ -367,8 +350,7 @@ class Network {
   double bits_interrupted_ = 0;
   std::uint64_t flows_interrupted_ = 0;
 
-  net::SolverStats stats_;                  // event-level counters
-  mutable net::SolverStats stats_merged_;   // solver_stats() scratch
+  net::SolverStats stats_;
   // Removal scratch reused across events.
   std::vector<RemovedFlow> removed_scratch_;
 };

@@ -19,12 +19,6 @@ void SolverStats::merge(const SolverStats& other) {
   for (std::size_t b = 0; b < component_size_log2.size(); ++b) {
     component_size_log2[b] += other.component_size_log2[b];
   }
-  if (shard_solves.size() < other.shard_solves.size()) {
-    shard_solves.resize(other.shard_solves.size(), 0);
-  }
-  for (std::size_t s = 0; s < other.shard_solves.size(); ++s) {
-    shard_solves[s] += other.shard_solves[s];
-  }
 }
 
 SolverStatsRegistry& SolverStatsRegistry::global() {

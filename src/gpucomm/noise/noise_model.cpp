@@ -42,16 +42,11 @@ ProductionNoise::ProductionNoise(const Graph& graph, NoiseParams params, Rng rng
 void ProductionNoise::resample() {
   if (!params_.production_noise) return;  // utilization stays 0: same version
   ++version_;
-  // No reader runs now: the engine thread resamples between solves, and the
-  // shard pool's dispatch orders this before any worker's next read.
-  unsettled_.fetch_add(1, std::memory_order_relaxed);
+  ++unsettled_;
 }
 
 void ProductionNoise::settle() const {
-  const std::lock_guard<std::mutex> lock(settle_mu_);
-  // Another reader may have settled while this one waited for the lock.
-  for (std::uint64_t n = unsettled_.load(std::memory_order_relaxed); n > 0; --n) coin_pass();
-  unsettled_.store(0, std::memory_order_release);
+  for (; unsettled_ > 0; --unsettled_) coin_pass();
 }
 
 void ProductionNoise::coin_pass() const {
@@ -88,7 +83,7 @@ void ProductionNoise::coin_pass() const {
 
 double ProductionNoise::utilization(LinkId link) const {
   if (class_[link] == LinkClass::kQuiet) return 0.0;
-  if (unsettled_.load(std::memory_order_acquire) != 0) settle();
+  if (unsettled_ != 0) settle();
   const double memo = util_[link];
   if (memo >= 0) return memo;
   const bool global = class_[link] == LinkClass::kGlobal;

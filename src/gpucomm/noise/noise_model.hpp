@@ -16,11 +16,12 @@
 // leaves its node reads only quiet links, so it pays for no coin and no
 // lognormal, while the stream, every value and version() are exactly those
 // of drawing every link eagerly on every resample.
+//
+// Reads are single-threaded: each Cluster builds its own field, and only that
+// cluster's simulation reads it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "gpucomm/net/network.hpp"
@@ -51,11 +52,9 @@ class ProductionNoise final : public NoiseField {
 
   /// The link's utilization this epoch: 0 for a quiet link; otherwise the
   /// field is settled first, then the value is drawn and memoized on first
-  /// read. Shard workers call it concurrently; the memo is race-free because
-  /// components solved at the same time never share a link, and settle()
-  /// is the double-checked settle point.
+  /// read.
   double utilization(LinkId link) const;
-  /// Runs the coin passes of the unsettled epochs, oldest first, once.
+  /// Runs the coin passes of the unsettled epochs, oldest first.
   void settle() const;
   /// One epoch's coin pass (see the file comment).
   void coin_pass() const;
@@ -63,13 +62,9 @@ class ProductionNoise final : public NoiseField {
   NoiseParams params_;
   std::vector<LinkClass> class_;
   std::uint64_t version_ = 1;
-  // Epochs resample() opened whose coin pass has not run yet. Written by
-  // resample() on the engine thread between solves, and zeroed (release)
-  // by settle() under settle_mu_; every noisy read loads it (acquire).
-  mutable std::atomic<std::uint64_t> unsettled_{0};
-  // Guards the settle point: only its holder runs coin passes, which write
-  // the members below while unsettled_ is nonzero.
-  mutable std::mutex settle_mu_;
+  // Epochs resample() opened whose coin pass has not run yet; settle()
+  // zeroes it.
+  mutable std::uint64_t unsettled_ = 0;
   mutable Rng rng_;
   mutable Rng epoch_start_;  // rng_ when the last coin pass began
   // Per link: how many outputs past epoch_start_ its value draws begin.

@@ -145,10 +145,6 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.begin_array();
   for (const std::uint64_t count : solver.component_size_log2) w.value(count);
   w.end_array();
-  w.key("shard_solves");
-  w.begin_array();
-  for (const std::uint64_t count : solver.shard_solves) w.value(count);
-  w.end_array();
   w.end_object();
   // Server load counters (serve/server.hpp). Like cache counters these are
   // stats-only: scenario responses never carry them.

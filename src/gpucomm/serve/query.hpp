@@ -47,11 +47,6 @@ struct ScenarioQuery {
   bool noise = true;
   /// Node-count override; 0 derives the count from gpus.
   int nodes = 0;
-  /// Flow-network solver shards (ClusterOptions::net_shards). Rates are
-  /// bit-identical at any value, so — like metrics_out — this is NOT part of
-  /// the canonical cache key: a response computed at one shard count
-  /// answers the same query at any other.
-  int net_shards = 1;
   /// "cells" runs every (size, rep) as an independent simulation with a
   /// derived seed — the deterministic cell harness; "coupled" keeps one
   /// cluster and one noise stream across the sweep. Matches the manifest's

@@ -125,7 +125,6 @@ Scenario resolve_scenario(const ScenarioQuery& q) {
   s.cluster.nodes = nodes;
   s.cluster.placement = q.placement;
   s.cluster.enable_noise = q.noise;
-  s.cluster.net_shards = q.net_shards;
   s.cluster.seed = q.seed;
   s.comm.env = q.tuned ? s.config.tuned_env() : s.config.default_env;
   s.comm.space = q.space;

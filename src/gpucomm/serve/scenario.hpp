@@ -40,7 +40,7 @@ struct Scenario {
   Mechanism mechanism = Mechanism::kMpi;
   CollectiveOp op = CollectiveOp::kPingPong;
   /// Build the cluster with these: nodes derived from gpus unless
-  /// overridden, placement, noise, shards and seed from the query.
+  /// overridden, placement, noise and seed from the query.
   ClusterOptions cluster;
   CommOptions comm;
   fault::FaultSchedule faults;

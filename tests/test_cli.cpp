@@ -318,6 +318,10 @@ TEST(CliArgs, ErrorMessageIsOneLine) {
   EXPECT_NE(err.find("'leo\\nnardo'"), std::string::npos) << err;
   EXPECT_FALSE(parse({"--bo\ngus"}, err).has_value());
   EXPECT_TRUE(one_printable_line(err)) << err;
+  // A removed flag is an unknown one.
+  EXPECT_FALSE(parse({"--net-shards", "4"}, err).has_value());
+  EXPECT_TRUE(one_printable_line(err)) << err;
+  EXPECT_NE(err.find("unknown flag '--net-shards'"), std::string::npos) << err;
 }
 
 TEST(CliArgs, RandomMutationsYieldArgsOrOneLineError) {

@@ -203,19 +203,6 @@ TEST(MetricsProfiler, RoundSpansCoverScheduleRounds) {
   EXPECT_GE(rounds, 1);
 }
 
-TEST(MetricsProfiler, DisabledProfilerRecordsNothing) {
-  const SystemConfig cfg = system_by_name("leonardo");
-  Cluster cluster(cfg, ClusterOptions{});
-  metrics::ScheduleProfiler profiler;
-  profiler.set_enabled(false);
-  cluster.set_telemetry(&profiler);
-  CommOptions opt;
-  opt.env = cfg.tuned_env();
-  CclComm comm(cluster, first_n_gpus(cluster, 4), opt);
-  comm.time_allreduce(64_KiB);
-  EXPECT_TRUE(profiler.build().empty());
-}
-
 TEST(MetricsProfiler, ProfilerAttachmentDoesNotMoveSimulatedTime) {
   const SimTime with = MeteredRun(256_KiB).elapsed;
 

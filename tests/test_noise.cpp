@@ -6,13 +6,9 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "gpucomm/cluster/cluster.hpp"
-#include "gpucomm/cluster/placement.hpp"
-#include "gpucomm/comm/ccl/ccl_comm.hpp"
-#include "gpucomm/comm/mpi/mpi_comm.hpp"
 #include "gpucomm/noise/noise_model.hpp"
 #include "gpucomm/systems/registry.hpp"
 
@@ -324,76 +320,6 @@ TEST(NoiseOracle, CoinlessAndZeroMeanLinksMatchEagerField) {
   expect_matches_eager(params, ReadPattern::kFull);
   expect_matches_eager(params, ReadPattern::kInterleavedDelays);
   expect_matches_eager(params, ReadPattern::kUnreadEpochs);
-}
-
-TEST(NoiseOracle, ConcurrentFirstReadsSettleOnce) {
-  // Shard workers can reach the settle point together. Threads reading
-  // disjoint links after back-to-back resamples must run the deferred coin
-  // passes exactly once, or the field and the stream after it drift from
-  // the eager oracle.
-  const Cluster cluster(leonardo_config(), {.nodes = 4, .placement = Placement::kScatterGroups});
-  const Graph& g = cluster.graph();
-  const NoiseParams params = leonardo_config().noise;
-  ProductionNoise lazy(g, params, Rng(99));
-  EagerNoise eager(g, params, Rng(99));
-  constexpr LinkId kThreads = 4;
-  std::vector<double> got(g.link_count());
-  for (int round = 0; round < 8; ++round) {
-    for (int r = 0; r <= round % 3; ++r) {
-      lazy.resample();
-      eager.resample();
-    }
-    std::vector<std::thread> readers;
-    for (LinkId t = 0; t < kThreads; ++t) {
-      readers.emplace_back([&lazy, &got, t] {
-        for (LinkId l = t; l < got.size(); l += kThreads) got[l] = lazy.background_utilization(l);
-      });
-    }
-    for (std::thread& reader : readers) reader.join();
-    LinkId loaded = kInvalidLink;
-    for (LinkId l = 0; l < got.size(); ++l) {
-      const double want = eager.background_utilization(l);
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[l]), std::bit_cast<std::uint64_t>(want))
-          << "link " << l << " round " << round;
-      if (loaded == kInvalidLink && want > 0) loaded = l;
-    }
-    ASSERT_NE(loaded, kInvalidLink);
-    ASSERT_EQ(lazy.queueing_delay(loaded).ps, eager.queueing_delay(loaded).ps) << "round " << round;
-  }
-}
-
-TEST(NoiseOracle, ShardWorkersReadTheFieldDeterministically) {
-  // Shard workers draw link values on first read while solving disjoint
-  // components concurrently, and whichever shard reads the field first
-  // settles the coin passes that back-to-back resamples deferred;
-  // completions must not depend on the shard count.
-  const SystemConfig cfg = leonardo_config();
-  auto run = [&cfg](int shards) {
-    Cluster cluster(cfg,
-                    {.nodes = 4, .placement = Placement::kScatterGroups, .net_shards = shards});
-    CommOptions opt;
-    opt.env = cfg.tuned_env();
-    const std::vector<int> gpus = first_n_gpus(cluster, cluster.total_gpus());
-    MpiComm mpi(cluster, gpus, opt);
-    CclComm ccl(cluster, gpus, opt);
-    std::vector<std::int64_t> ps;
-    for (int iter = 0; iter < 2; ++iter) {
-      for (int r = 0; r < 2 + iter; ++r) cluster.noise_field()->resample();
-      ps.push_back(mpi.time_alltoall(2_MiB).ps);
-      for (int r = 0; r < 3 - iter; ++r) cluster.noise_field()->resample();
-      ps.push_back(ccl.time_alltoall(2_MiB).ps);
-    }
-    const std::vector<std::uint64_t>& per_shard = cluster.network().solver_stats().shard_solves;
-    const std::uint64_t on_workers =
-        std::accumulate(per_shard.begin() + std::min<std::size_t>(1, per_shard.size()),
-                        per_shard.end(), std::uint64_t{0});
-    return std::make_pair(ps, on_workers);
-  };
-  const auto [serial, serial_workers] = run(1);
-  const auto [sharded, sharded_workers] = run(4);
-  EXPECT_EQ(serial, sharded);
-  EXPECT_EQ(serial_workers, 0u);
-  EXPECT_GT(sharded_workers, 0u) << "no component was solved on a worker";
 }
 
 }  // namespace

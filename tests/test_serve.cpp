@@ -131,6 +131,7 @@ TEST(QueryParse, FullQueryRoundTrips) {
 TEST(QueryParse, StrictRejections) {
   const char* bad[] = {
       R"({"bogus": 1})",                        // unknown field
+      R"({"net_shards": 4})",                   // removed field
       R"({"gpus": "four"})",                    // wrong type
       R"({"gpus": 2.5})",                       // non-integral number
       R"({"gpus": 0})",                         // out of range
