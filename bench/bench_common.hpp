@@ -50,16 +50,10 @@ inline JsonCapture& capture() {
   return c;
 }
 
-/// --jobs worker count; 0 = flag absent (bench picks its own default).
+/// --jobs worker count; 1 = flag absent (serial).
 inline int& jobs_store() {
-  static int n = 0;
+  static int n = 1;
   return n;
-}
-
-/// --full-machine; false = flag absent (sweeps stop at the paper ceiling).
-inline bool& full_machine_store() {
-  static bool on = false;
-  return on;
 }
 
 /// --exact-point GPU count; 0 = flag absent (normal sweep).
@@ -84,8 +78,8 @@ inline void write_json_capture() {
   w.kv("benchmark", c.benchmark);
   w.kv("version", metrics::build_version());
   // Host core count, so archived trend documents from different runner
-  // generations stay interpretable (a 1.0x pool speedup on a 1-CPU runner
-  // is expected, not a regression).
+  // generations stay interpretable: wall-clock rows such as perf_server's
+  // concurrent soak pass depend on it.
   w.kv("host_cpus", static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   w.key("tables").begin_array();
   for (const auto& [name, table] : c.tables) {
@@ -111,47 +105,34 @@ inline void write_json_capture() {
 
 }  // namespace detail
 
-/// Whether a bench's sweep decomposes into independent deterministic cells
-/// (docs/PERFORMANCE.md). Benches whose iterations share one cluster must
-/// stay kUnsupported so `--jobs` is a usage error, not a silent serial run.
-enum class Parallel { kUnsupported, kCells };
+/// Whether a bench is the Fig. 9/10 scalability sweep (scalability.hpp). Its
+/// exact-sim points are independent deterministic cells that run on the
+/// `--jobs` pool (docs/PERFORMANCE.md), and `--exact-point <gpus>` collapses
+/// it to a single exact-sim measurement (the CI scale-smoke entry point).
+/// Every other bench shares one cluster across its iterations, so both
+/// flags are usage errors there, not a silent serial run.
+enum class Sweep { kPaper, kScalability };
 
-/// Whether a bench is a scalability sweep that `--full-machine` can extend
-/// past the paper's 4,096-GPU ceiling (8k/16k model-projection rows) and
-/// `--exact-point <gpus>` can collapse to a single exact-sim measurement
-/// (the CI scale-smoke entry point). Only fig09/fig10 declare kExtendable.
-enum class Sweep { kPaper, kExtendable };
-
-/// Worker count from `--jobs N`, or 0 when the flag was absent (the bench
-/// picks its own default — typically 1 so plain invocations stay serial).
+/// Worker count from `--jobs N`, or 1 when the flag was absent.
 inline int jobs() { return detail::jobs_store(); }
-
-/// True when `--full-machine` was passed: sweep to 16,384 GPUs instead of
-/// stopping at the paper's measurement caps. Default CI stays fast.
-inline bool full_machine() { return detail::full_machine_store(); }
 
 /// GPU count from `--exact-point <gpus>`, or 0 when the flag was absent.
 inline int exact_point() { return detail::exact_point_store(); }
 
 /// Parse shared bench flags (call first in main). Recognizes
-/// `--json <path>`, for benches declaring Parallel::kCells `--jobs <N>`,
-/// and for benches declaring Sweep::kExtendable `--full-machine` and
+/// `--json <path>`, and for Sweep::kScalability `--jobs <N>` and
 /// `--exact-point <gpus>`. Strict in the cli::parse_cli style: an unknown
 /// flag, a missing value, or a malformed number prints one line naming the
 /// problem (plus the usage line) on stderr and exits with status 2, so a
 /// typo does not silently run the full sweep.
-inline void init(int argc, char** argv, Parallel parallel = Parallel::kUnsupported,
-                 Sweep sweep = Sweep::kPaper) {
+inline void init(int argc, char** argv, Sweep sweep = Sweep::kPaper) {
   detail::JsonCapture& c = detail::capture();
   c.benchmark =
       argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "bench";
   const auto fail = [&](const std::string& message) {
     std::cerr << c.benchmark << ": " << message << "\n"
               << "usage: " << c.benchmark << " [--json <path>]"
-              << (parallel == Parallel::kCells ? " [--jobs <N>]" : "")
-              << (sweep == Sweep::kExtendable
-                      ? " [--full-machine] [--exact-point <gpus>]"
-                      : "")
+              << (sweep == Sweep::kScalability ? " [--jobs <N>] [--exact-point <gpus>]" : "")
               << "\n";
     std::exit(2);
   };
@@ -160,13 +141,8 @@ inline void init(int argc, char** argv, Parallel parallel = Parallel::kUnsupport
     if (arg == "--json") {
       if (i + 1 >= argc) fail("--json requires an output path");
       c.path = argv[++i];
-    } else if (arg == "--full-machine") {
-      if (sweep != Sweep::kExtendable) {
-        fail("--full-machine is not supported by this bench (not a scalability sweep)");
-      }
-      detail::full_machine_store() = true;
     } else if (arg == "--exact-point") {
-      if (sweep != Sweep::kExtendable) {
+      if (sweep != Sweep::kScalability) {
         fail("--exact-point is not supported by this bench (not a scalability sweep)");
       }
       if (i + 1 >= argc) fail("--exact-point requires a GPU count in [1, 16384]");
@@ -177,7 +153,7 @@ inline void init(int argc, char** argv, Parallel parallel = Parallel::kUnsupport
       }
       detail::exact_point_store() = static_cast<int>(n);
     } else if (arg == "--jobs") {
-      if (parallel != Parallel::kCells) {
+      if (sweep != Sweep::kScalability) {
         fail("--jobs is not supported by this bench (its sweep is not cell-decomposable)");
       }
       if (i + 1 >= argc) fail("--jobs requires a worker count in [1, 1024]");

@@ -3,10 +3,11 @@
 # On a mismatch it names the first differing file.
 #
 #   cmake -DBENCH=<bench binary> -DDATA_DIR=<temp dir> -DREF_DIR=<repo data/>
-#         -P check_repro.cmake
+#         [-DARGS="<bench flags>"] -P check_repro.cmake
 file(REMOVE_RECURSE "${DATA_DIR}")
 set(ENV{GPUCOMM_DATA_DIR} "${DATA_DIR}")
-execute_process(COMMAND "${BENCH}" RESULT_VARIABLE rc OUTPUT_QUIET)
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${BENCH}" ${args} RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${rc}")
 endif()

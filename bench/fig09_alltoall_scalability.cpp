@@ -6,138 +6,22 @@
 // scale model takes over (marked in the source column). The paper's endpoint
 // caps are honored: Leonardo stops at 1,024 GPUs (256-node job limit), Alps
 // MPI at 2,048 (512 accessible nodes), NCCL/RCCL alltoall stalls at
-// 512/1,024 GPUs (reported as "stall").
+// 512/1,024 GPUs (reported as "stall"). The sweep and `--exact-point` are
+// shared with Fig. 10 (scalability.hpp).
 //
 // Expected shape (paper): *CCL above MPI everywhere, gap narrowing with
 // scale; ~75% efficiency at 1,024 GPUs on Alps/Leonardo, slightly lower on
 // LUMI.
-//
-// `--full-machine` extends every system's sweep to 16,384 GPUs; rows past a
-// system's paper measurement cap are model projections (ROADMAP item 1:
-// full Alps/Leonardo/LUMI and beyond). `--exact-point <gpus>` instead runs
-// a single LUMI GPU-aware-MPI point through the exact flow simulation at
-// any scale — the CI scale-smoke entry (4,096 GPUs under a wall-clock
-// budget, feasible since the incremental network core).
-#include <chrono>
-
-#include "bench_common.hpp"
-#include "gpucomm/harness/parallel.hpp"
-#include "gpucomm/scale/scale_model.hpp"
-
-using namespace gpucomm;
-using namespace gpucomm::bench;
-
-namespace {
-constexpr Bytes kBuffer = 2_MiB;
-constexpr int kExactLimitGpus = 64;
-
-/// The paper's per-system measurement caps (job-size limits, Sec. V-C).
-int system_cap(const SystemConfig& cfg, Library lib) {
-  if (cfg.name == "leonardo") return 1024;
-  if (cfg.name == "alps") return lib == Library::kMpi ? 2048 : 4096;
-  return 4096;
-}
-
-double exact_goodput(const SystemConfig& cfg, Library lib, int gpus) {
-  ClusterOptions copt;
-  copt.nodes = gpus / cfg.gpus_per_node;
-  // Production-like allocation: jobs spread over many switches (Sec. III-A).
-  copt.placement = Placement::kScatterSwitches;
-  Cluster cluster(cfg, copt);
-  CommOptions opt;
-  opt.env = cfg.tuned_env();
-  auto comm = make_comm(lib == Library::kCcl ? Mechanism::kCcl : Mechanism::kMpi, cluster,
-                        first_n_gpus(cluster, gpus), opt);
-  return goodput_gbps(kBuffer, comm->time_alltoall(kBuffer));
-}
-
-}  // namespace
-
-/// NCCL/RCCL alltoall hangs at the paper's reported rank counts; those rows
-/// are reported as "stall" without simulating.
-bool stalls(const SystemConfig& cfg, Library lib, int gpus) {
-  return lib == Library::kCcl && cfg.ccl.alltoall_stall_ranks > 0 &&
-         gpus >= cfg.ccl.alltoall_stall_ranks;
-}
+#include "scalability.hpp"
 
 int main(int argc, char** argv) {
-  gpucomm::bench::init(argc, argv, gpucomm::bench::Parallel::kCells,
-                       gpucomm::bench::Sweep::kExtendable);
-  header("Fig. 9", "2 MiB alltoall scalability (per-GPU goodput, Gb/s)");
-
-  if (const int gpus = gpucomm::bench::exact_point(); gpus > 0) {
-    // Single exact-sim point on LUMI with GPU-aware MPI (the only library x
-    // system pair the paper measured at 4,096 GPUs without a stall), timed
-    // so the CI scale-smoke job can enforce a wall-clock budget.
-    const SystemConfig cfg = system_by_name("lumi");
-    if (gpus % cfg.gpus_per_node != 0) {
-      std::cerr << "fig09: --exact-point must be a multiple of " << cfg.gpus_per_node
-                << " (LUMI GPUs per node)\n";
-      return 2;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const double goodput = exact_goodput(cfg, Library::kMpi, gpus);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    Table t({"gpus", "library", "goodput_gbps", "source", "wall_s"});
-    t.add_row({std::to_string(gpus), to_string(Library::kMpi), fmt(goodput, 2),
-               "exact-sim", fmt(wall_s, 1)});
-    emit(t, "fig09_exact_point.csv");
-    return 0;
-  }
-
-  // Exact-sim points are independent deterministic simulations: run them as
-  // cells on the --jobs worker pool (serial when absent) and consume in the
-  // same canonical order below, so the tables are byte-identical for any
-  // worker count (docs/PERFORMANCE.md).
-  const std::vector<SystemConfig> systems = all_systems();
-  struct Cell {
-    const SystemConfig* cfg;
-    Library lib;
-    int gpus;
-  };
-  std::vector<Cell> cells;
-  for (const SystemConfig& cfg : systems) {
-    for (int gpus = cfg.gpus_per_node; gpus <= kExactLimitGpus; gpus *= 2) {
-      for (const Library lib : {Library::kCcl, Library::kMpi}) {
-        if (gpus <= system_cap(cfg, lib) && !stalls(cfg, lib, gpus)) {
-          cells.push_back({&cfg, lib, gpus});
-        }
-      }
-    }
-  }
-  std::vector<double> exact(cells.size());
-  run_cells(std::max(1, gpucomm::bench::jobs()), cells.size(), [&](std::size_t i) {
-    exact[i] = exact_goodput(*cells[i].cfg, cells[i].lib, cells[i].gpus);
-  });
-
-  std::size_t next_cell = 0;
-  for (const SystemConfig& cfg : systems) {
-    std::cout << "\n--- " << cfg.name << " (asymptotic expected "
-              << fmt(cfg.nic_bw_per_gpu / 1e9, 0) << " Gb/s per GPU) ---\n";
-    Table t({"gpus", "library", "goodput_gbps", "source"});
-    const int sweep_cap = gpucomm::bench::full_machine() ? 16384 : 4096;
-    for (int gpus = cfg.gpus_per_node; gpus <= sweep_cap; gpus *= 2) {
-      for (const Library lib : {Library::kCcl, Library::kMpi}) {
-        // Past a system's paper measurement cap only --full-machine sweeps
-        // on, and those rows are marked as projections.
-        const bool beyond_cap = gpus > system_cap(cfg, lib);
-        if (beyond_cap && !gpucomm::bench::full_machine()) continue;
-        if (stalls(cfg, lib, gpus)) {
-          t.add_row({std::to_string(gpus), to_string(lib), "stall", "benchmark hang"});
-          continue;
-        }
-        if (gpus <= kExactLimitGpus) {
-          t.add_row({std::to_string(gpus), to_string(lib), fmt(exact[next_cell++], 2),
-                     "exact-sim"});
-        } else {
-          const ScaleResult r = alltoall_at_scale(cfg, lib, kBuffer, gpus);
-          t.add_row({std::to_string(gpus), to_string(lib), fmt(r.goodput_gbps, 2),
-                     beyond_cap ? "model (projection)" : "model"});
-        }
-      }
-    }
-    emit(t, "fig09_" + cfg.name + ".csv");
-  }
-  return 0;
+  using namespace gpucomm;
+  return bench::run_scalability(
+      argc, argv,
+      {.figure = "Fig. 9",
+       .description = "2 MiB alltoall scalability (per-GPU goodput, Gb/s)",
+       .stem = "fig09",
+       .op = CollKind::kAlltoall,
+       .buffer = 2_MiB,
+       .exact_limit_gpus = 64});
 }

@@ -1,116 +1,25 @@
 // Fig. 10: 1 GiB allreduce scalability up to 4,096 GPUs, *CCL vs GPU-aware
 // MPI.
 //
+// Up to 32 GPUs the exact flow simulation runs; beyond that the analytic
+// scale model takes over (marked in the source column), within the same
+// per-system caps as Fig. 9. The sweep and `--exact-point` are shared with
+// Fig. 9 (scalability.hpp).
+//
 // Expected shape (paper): *CCL above MPI everywhere; Leonardo's MPI
 // (host-staged allreduce) is dramatically low and flat; *CCL shows a sharp
 // drop from 256 to 512 GPUs on Alps and LUMI (Sec. V-D).
-//
-// `--full-machine` extends every system's sweep to 16,384 GPUs; rows past a
-// system's paper measurement cap are model projections. `--exact-point
-// <gpus>` runs a single LUMI GPU-aware-MPI allreduce point through the
-// exact flow simulation (the fig09 variant is the one CI smoke-tests).
-#include <chrono>
-
-#include "bench_common.hpp"
-#include "gpucomm/harness/parallel.hpp"
-#include "gpucomm/scale/scale_model.hpp"
-
-using namespace gpucomm;
-using namespace gpucomm::bench;
-
-namespace {
-constexpr Bytes kBuffer = 1_GiB;
-constexpr int kExactLimitGpus = 32;  // allreduce rounds are costlier to simulate
-
-int system_cap(const SystemConfig& cfg, Library lib) {
-  if (cfg.name == "leonardo") return 1024;
-  if (cfg.name == "alps") return lib == Library::kMpi ? 2048 : 4096;
-  return 4096;
-}
-
-double exact_goodput(const SystemConfig& cfg, Library lib, int gpus) {
-  ClusterOptions copt;
-  copt.nodes = gpus / cfg.gpus_per_node;
-  // Production-like allocation: jobs spread over many switches (Sec. III-A).
-  copt.placement = Placement::kScatterSwitches;
-  Cluster cluster(cfg, copt);
-  CommOptions opt;
-  opt.env = cfg.tuned_env();
-  auto comm = make_comm(lib == Library::kCcl ? Mechanism::kCcl : Mechanism::kMpi, cluster,
-                        first_n_gpus(cluster, gpus), opt);
-  return goodput_gbps(kBuffer, comm->time_allreduce(kBuffer));
-}
-
-}  // namespace
+#include "scalability.hpp"
 
 int main(int argc, char** argv) {
-  gpucomm::bench::init(argc, argv, gpucomm::bench::Parallel::kCells,
-                       gpucomm::bench::Sweep::kExtendable);
-  header("Fig. 10", "1 GiB allreduce scalability (per-GPU goodput, Gb/s)");
-
-  if (const int gpus = gpucomm::bench::exact_point(); gpus > 0) {
-    const SystemConfig cfg = system_by_name("lumi");
-    if (gpus % cfg.gpus_per_node != 0) {
-      std::cerr << "fig10: --exact-point must be a multiple of " << cfg.gpus_per_node
-                << " (LUMI GPUs per node)\n";
-      return 2;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const double goodput = exact_goodput(cfg, Library::kMpi, gpus);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    Table t({"gpus", "library", "goodput_gbps", "source", "wall_s"});
-    t.add_row({std::to_string(gpus), to_string(Library::kMpi), fmt(goodput, 2),
-               "exact-sim", fmt(wall_s, 1)});
-    emit(t, "fig10_exact_point.csv");
-    return 0;
-  }
-
-  // Each exact-sim point is an independent deterministic simulation: collect
-  // them as cells, run on the --jobs worker pool (serial when absent), and
-  // consume in the same canonical order below — the tables are byte-identical
-  // for any worker count (docs/PERFORMANCE.md).
-  const std::vector<SystemConfig> systems = all_systems();
-  struct Cell {
-    const SystemConfig* cfg;
-    Library lib;
-    int gpus;
-  };
-  std::vector<Cell> cells;
-  for (const SystemConfig& cfg : systems) {
-    for (int gpus = cfg.gpus_per_node; gpus <= kExactLimitGpus; gpus *= 2) {
-      for (const Library lib : {Library::kCcl, Library::kMpi}) {
-        if (gpus <= system_cap(cfg, lib)) cells.push_back({&cfg, lib, gpus});
-      }
-    }
-  }
-  std::vector<double> exact(cells.size());
-  run_cells(std::max(1, gpucomm::bench::jobs()), cells.size(), [&](std::size_t i) {
-    exact[i] = exact_goodput(*cells[i].cfg, cells[i].lib, cells[i].gpus);
-  });
-
-  std::size_t next_cell = 0;
-  for (const SystemConfig& cfg : systems) {
-    std::cout << "\n--- " << cfg.name << " ---\n";
-    Table t({"gpus", "library", "goodput_gbps", "source"});
-    const int sweep_cap = gpucomm::bench::full_machine() ? 16384 : 4096;
-    for (int gpus = cfg.gpus_per_node; gpus <= sweep_cap; gpus *= 2) {
-      for (const Library lib : {Library::kCcl, Library::kMpi}) {
-        // Past a system's paper measurement cap only --full-machine sweeps
-        // on, and those rows are marked as projections.
-        const bool beyond_cap = gpus > system_cap(cfg, lib);
-        if (beyond_cap && !gpucomm::bench::full_machine()) continue;
-        if (gpus <= kExactLimitGpus) {
-          t.add_row({std::to_string(gpus), to_string(lib), fmt(exact[next_cell++], 2),
-                     "exact-sim"});
-        } else {
-          const ScaleResult r = allreduce_at_scale(cfg, lib, kBuffer, gpus);
-          t.add_row({std::to_string(gpus), to_string(lib), fmt(r.goodput_gbps, 2),
-                     beyond_cap ? "model (projection)" : "model"});
-        }
-      }
-    }
-    emit(t, "fig10_" + cfg.name + ".csv");
-  }
-  return 0;
+  using namespace gpucomm;
+  return bench::run_scalability(
+      argc, argv,
+      {.figure = "Fig. 10",
+       .description = "1 GiB allreduce scalability (per-GPU goodput, Gb/s)",
+       .stem = "fig10",
+       .op = CollKind::kAllreduce,
+       .buffer = 1_GiB,
+       // the pinned switch point; ROADMAP item 4 re-picks it
+       .exact_limit_gpus = 32});
 }

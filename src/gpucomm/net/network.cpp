@@ -167,31 +167,11 @@ void Network::ensure_tables() {
   }
 }
 
-void Network::ensure_id_slot(FlowId id) {
-  if (id - id_base_ >= slot_of_id_.size()) {
-    // Trim the dead prefix (ids below the oldest live flow) when it
-    // dominates the index, so memory tracks the active set rather than every
-    // id ever issued. order_ is ascending, so the oldest live id is O(1).
-    // `id` itself is live from the caller's perspective (start_flow indexes
-    // it right after this call), so with no older flows it is the base.
-    const FlowId live_base = order_.empty() ? id : id_[order_.front()];
-    // Flows that die on arrival (downed route / no constraint) consume an id
-    // without ever touching the index, so live_base can run past the end.
-    const std::size_t dead = std::min(static_cast<std::size_t>(live_base - id_base_),
-                                      slot_of_id_.size());
-    if (dead > 1024 && dead * 2 > slot_of_id_.size()) {
-      slot_of_id_.erase(slot_of_id_.begin(),
-                        slot_of_id_.begin() + static_cast<std::ptrdiff_t>(dead));
-      id_base_ = live_base;
-    }
-    slot_of_id_.resize(static_cast<std::size_t>(id - id_base_) + 1, 0);
-  }
-}
-
 Bandwidth Network::flow_rate(FlowId id) const {
-  if (id < id_base_ || id - id_base_ >= slot_of_id_.size()) return 0;
-  const std::uint32_t slot = slot_of_id_[static_cast<std::size_t>(id - id_base_)];
-  return slot != 0 ? rate_[slot - 1] : 0;
+  const auto it = std::lower_bound(
+      order_.begin(), order_.end(), id,
+      [this](std::uint32_t slot, FlowId want) { return id_[slot] < want; });
+  return it != order_.end() && id_[*it] == id ? rate_[*it] : 0;
 }
 
 std::uint32_t Network::acquire_slot() {
@@ -325,7 +305,6 @@ FlowId Network::start_flow(FlowSpec spec, std::function<void(SimTime)> on_delive
   }
 
   advance_residuals();
-  ensure_id_slot(id);
   const std::uint32_t slot = acquire_slot();
   id_[slot] = id;
   route_[slot] = std::move(spec.route);
@@ -338,7 +317,6 @@ FlowId Network::start_flow(FlowSpec spec, std::function<void(SimTime)> on_delive
   bottleneck_[slot] = kInvalidLink;
   on_delivered_[slot] = std::move(on_delivered);
   on_interrupted_[slot] = std::move(spec.on_interrupted);
-  slot_of_id_[static_cast<std::size_t>(id - id_base_)] = slot + 1;
   order_.push_back(slot);
   link_flow_entries(slot);
   pending_new_slots_.push_back(slot);
@@ -359,7 +337,6 @@ Network::RemovedFlow Network::extract_flow(std::uint32_t slot) {
   f.on_interrupted = std::move(on_interrupted_[slot]);
   on_delivered_[slot] = nullptr;
   on_interrupted_[slot] = nullptr;
-  slot_of_id_[static_cast<std::size_t>(f.id - id_base_)] = 0;
   free_slots_.push_back(slot);
   return f;
 }

@@ -155,9 +155,8 @@ class Network {
 
   std::size_t active_flows() const { return order_.size(); }
 
-  /// Current allocated rate of a flow (0 if unknown/finished). O(1) via the
-  /// dense FlowId -> slot index, so per-flow attribution on large runs stays
-  /// linear.
+  /// Current allocated rate of a flow (0 if unknown/finished). A binary
+  /// search of the active set, which is kept in FlowId order. Test hook.
   Bandwidth flow_rate(FlowId id) const;
 
   /// Bits delivered since construction (all flows). Test hook.
@@ -215,16 +214,13 @@ class Network {
 
   // --- slot management ---
   std::uint32_t acquire_slot();
-  /// Detach `slot` from the active set (entry lists, order_ position handled
-  /// by the caller's compaction, id index) and move its payload out.
+  /// Detach `slot` from the active set (entry lists; order_ position handled
+  /// by the caller's compaction) and move its payload out.
   RemovedFlow extract_flow(std::uint32_t slot);
   void link_flow_entries(std::uint32_t slot);
   void unlink_flow_entries(std::uint32_t slot);
   /// Grow the per-link/per-device tables to the graph's current size.
   void ensure_tables();
-  /// Make room in slot_of_id_ for `id`, trimming the dead prefix when it
-  /// dominates the index (keeps the index O(active), not O(ids ever issued)).
-  void ensure_id_slot(FlowId id);
   void request_full_solve(FullReason reason);
 
   // --- partitioning ---
@@ -288,12 +284,6 @@ class Network {
   std::vector<std::function<void(Bytes, SimTime)>> on_interrupted_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> order_;  // live slots, ascending FlowId
-
-  // Dense FlowId -> slot lookup: slot_of_id_[id - id_base_] = slot + 1 (0 =
-  // unknown/finished). The dead prefix below the oldest live id is trimmed
-  // amortized-O(1) so the index scales with the active set.
-  std::vector<std::uint32_t> slot_of_id_;
-  FlowId id_base_ = 1;
 
   // --- per-link and per-switch intrusive flow-entry lists ---
   // One entry per (flow, route link) occurrence and, while the congestion

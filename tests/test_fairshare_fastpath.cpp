@@ -2,8 +2,8 @@
 // and traces to maxmin_fair_rates (the documented reference) on any input —
 // the regression-timing pins depend on it. These tests hold the two together
 // on randomized problems and the edge cases (caps, empty routes,
-// zero-capacity links), and exercise the Network-level fast paths: the O(1)
-// flow_rate index and the epoch cache that skips re-solving when a
+// zero-capacity links), and exercise the Network-level paths: the flow_rate
+// lookup by FlowId and the epoch cache that skips re-solving when a
 // reallocation's input is unchanged.
 #include <gtest/gtest.h>
 
@@ -145,8 +145,8 @@ TEST(FairshareFastpath, FlowRateIndexSurvivesCompletions) {
     EXPECT_DOUBLE_EQ(f.net->flow_rate(large), gbps(50));
     EXPECT_DOUBLE_EQ(f.net->flow_rate(FlowId{999}), 0.0);
   });
-  // After the small flow completes and leaves active_, the survivor must be
-  // re-rated and still found through the (reindexed) FlowId map.
+  // After the small flow completes and leaves the active set, the survivor
+  // must be re-rated and still found by its FlowId.
   f.engine.after(microseconds(300), [&] {
     EXPECT_DOUBLE_EQ(f.net->flow_rate(small), 0.0);
     EXPECT_DOUBLE_EQ(f.net->flow_rate(large), gbps(100));
