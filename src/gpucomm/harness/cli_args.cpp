@@ -28,7 +28,13 @@ bool known(const Names& names, const std::string& value) {
 }
 
 /// `text` quoted for a diagnostic, escaped so that it stays on one line.
-std::string quoted(const std::string& text) { return "'" + metrics::json_escape(text) + "'"; }
+/// Appends only: GCC 12's -Wrestrict misfires on literal + string.
+std::string quoted(const std::string& text) {
+  std::string out = "'";
+  out += metrics::json_escape(text);
+  out += '\'';
+  return out;
+}
 
 }  // namespace
 

@@ -131,6 +131,8 @@ void Network::set_telemetry(telemetry::Sink* sink) {
 void Network::request_full_solve(FullReason reason) {
   // First cause wins: a pending kFirst/kLinkState is not downgraded.
   if (full_reason_ == FullReason::kNone) full_reason_ = reason;
+  // Whatever forced the full solve may have moved a kept slot's capacity.
+  whole_set_flows_ = 0;
 }
 
 Bandwidth Network::effective_capacity(LinkId link, int vl) const {
@@ -325,6 +327,9 @@ FlowId Network::start_flow(FlowSpec spec, std::function<void(SimTime)> on_delive
 }
 
 Network::RemovedFlow Network::extract_flow(std::uint32_t slot) {
+  // A removal can split the whole set, and it leaves a hole in the kept
+  // translation.
+  whole_set_flows_ = 0;
   unlink_flow_entries(slot);
   RemovedFlow f;
   f.id = id_[slot];
@@ -436,6 +441,38 @@ void Network::partition_all() {
   for (const std::uint32_t slot : order_) bfs_component(slot);
 }
 
+bool Network::whole_set_grows() {
+  const std::uint32_t kept = whole_set_flows_;
+  if (kept == 0 || order_.size() == kept || graph_.link_count() != whole_set_links_) {
+    return false;
+  }
+  // Lists are push-front, so a walk passes the started flows' entries first
+  // and stops at the first entry of a flow the kept subproblem holds.
+  const FlowId first_new = id_[order_[kept]];
+  const auto holds_kept = [this, first_new](const std::vector<std::int32_t>& head,
+                                            std::uint32_t key) {
+    for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) {
+      if (id_[ent_slot_[e]] < first_new) return true;
+    }
+    return false;
+  };
+  for (std::size_t i = kept; i < order_.size(); ++i) {
+    const std::uint32_t slot = order_[i];
+    bool joins = false;
+    for (const LinkId l : route_[slot]) {
+      if (link_needs_drain(l) && holds_kept(link_head_, l)) {
+        joins = true;
+        break;
+      }
+    }
+    for (std::int32_t e = sw_ent_head_[slot]; e != -1 && !joins; e = ent_next_flow_[e]) {
+      joins = holds_kept(switch_head_, ent_key_[e]);
+    }
+    if (!joins) return false;
+  }
+  return true;
+}
+
 void Network::reallocate_and_schedule() {
   advance_residuals();
 
@@ -465,6 +502,7 @@ void Network::reallocate_and_schedule() {
   comp_offset_.assign(1, 0);
   ++mark_epoch_;
 
+  std::uint32_t kept = 0;  // leading flows already translated in ctx_->problem
   if (mode_ == SolverMode::kFullResolve) {
     // Re-solve every component from scratch: the pre-PR-7 O(network)-per-
     // event cost model, kept as the reference the differential tests compare
@@ -481,6 +519,16 @@ void Network::reallocate_and_schedule() {
       case FullReason::kConfig: ++stats_.fallback_config; break;
       case FullReason::kNone: break;
     }
+  } else if (pending_seed_links_.empty() && whole_set_grows()) {
+    // Only starts since the whole active set was solved as one subproblem,
+    // and each started flow shares a drained list with a flow of it: the
+    // seeded BFS below would find order_ as one component and book a
+    // threshold fallback. Skip it, and extend the kept translation.
+    comp_slots_.assign(order_.begin(), order_.end());
+    comp_offset_.push_back(static_cast<std::uint32_t>(order_.size()));
+    kept = whole_set_flows_;
+    ++stats_.full_solves;
+    ++stats_.fallback_threshold;
   } else {
     // Incremental: re-solve only the components containing an event seed --
     // flows started since the last reallocation, and the links a completed
@@ -514,7 +562,13 @@ void Network::reallocate_and_schedule() {
   pending_seed_links_.clear();
   full_reason_ = FullReason::kNone;
 
-  solve_components();
+  solve_components(kept);
+  // Below kCacheMaxFlows a solve keys every flow anyway, so only a larger
+  // whole-set subproblem is worth extending.
+  const bool whole_set = comp_offset_.size() == 2 && comp_offset_[1] == order_.size() &&
+                         order_.size() >= kCacheMaxFlows;
+  whole_set_flows_ = whole_set ? static_cast<std::uint32_t>(order_.size()) : 0;
+  whole_set_links_ = graph_.link_count();
   if (telemetry_ != nullptr) emit_allocation();
 
   SimTime earliest = SimTime::infinity();
@@ -535,13 +589,13 @@ void Network::reallocate_and_schedule() {
   }
 }
 
-void Network::solve_components() {
+void Network::solve_components(std::uint32_t kept) {
   for (std::size_t i = 0; i + 1 < comp_offset_.size(); ++i) {
-    solve_component(comp_offset_[i], comp_offset_[i + 1]);
+    solve_component(comp_offset_[i], comp_offset_[i + 1], i == 0 ? kept : 0);
   }
 }
 
-void Network::solve_component(std::uint32_t begin, std::uint32_t end) {
+void Network::solve_component(std::uint32_t begin, std::uint32_t end, std::uint32_t kept) {
   SolverCtx& ctx = *ctx_;
   const std::uint32_t* slots = comp_slots_.data() + begin;
   const std::uint32_t n = end - begin;
@@ -556,11 +610,15 @@ void Network::solve_component(std::uint32_t begin, std::uint32_t end) {
   // the exact solver input (routes, vl, caps, per-occurrence effective
   // capacities, congestion config, whether a trace is being filled) in the
   // same unambiguous word encoding the pre-PR-7 solver used for its
-  // whole-problem epoch cache.
+  // whole-problem epoch cache. A kept translation (never of a cached size)
+  // already holds the first `kept` flows, in the order this loop would have
+  // appended them.
   const bool cached = n < kCacheMaxFlows;
   SlotProblem& p = ctx.problem;
-  p.reset(graph_.link_count());
-  ctx.slot_vl.clear();
+  if (kept == 0) {
+    p.reset(graph_.link_count());
+    ctx.slot_vl.clear();
+  }
   ctx.key.clear();
   if (cached) {
     ctx.key.push_back(n);
@@ -568,7 +626,7 @@ void Network::solve_component(std::uint32_t begin, std::uint32_t end) {
     ctx.key.push_back(static_cast<std::uint64_t>(congestion_.flow_threshold));
     ctx.key.push_back(std::bit_cast<std::uint64_t>(congestion_.rate_factor));
   }
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::uint32_t i = kept; i < n; ++i) {
     const std::uint32_t slot = slots[i];
     const int vl = vl_[slot];
     // One capacity per link, which the max-min allocator shares across all

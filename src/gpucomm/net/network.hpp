@@ -19,7 +19,11 @@
 // links, plus shared switches when congestion coupling is enabled), solves
 // each component as an independent subproblem, and splices the rates back.
 // Events that cannot be localized (link state changes, noise epochs, model
-// rewiring) fall back to a full partitioned solve. Components are solved one
+// rewiring) fall back to a full partitioned solve. When the last solve held
+// every active flow in one subproblem and flows have only started since,
+// each sharing a list with a flow of that subproblem, the active set is one
+// component again: the partition is skipped and the started flows' routes
+// are appended to the kept translation. Components are solved one
 // after another in discovery order; because they share no links and the
 // allocation cache is exact-compare, the resulting rates are byte-identical
 // to the kFullResolve reference mode (docs/PERFORMANCE.md, tests/test_network).
@@ -242,12 +246,17 @@ class Network {
   void close_component(std::size_t start);
   /// Partition every active flow into components (order_ walk).
   void partition_all();
+  /// Whether only starts happened since a whole-set solve (whole_set_flows_)
+  /// and every started flow shares a drained list with a flow of that solve:
+  /// the active set is then one component again, order_.
+  bool whole_set_grows();
 
   // --- solving ---
   /// Solve every comp_offset_ range in order and write rates (and telemetry
-  /// trace state) back to the slots.
-  void solve_components();
-  void solve_component(std::uint32_t begin, std::uint32_t end);
+  /// trace state) back to the slots. The first range's leading `kept` flows
+  /// are still translated in ctx_->problem.
+  void solve_components(std::uint32_t kept);
+  void solve_component(std::uint32_t begin, std::uint32_t end, std::uint32_t kept);
   /// Post-allocation congestion coupling for one component: degrade flows
   /// crossing switches with an incast-saturated port on their VL.
   void apply_congestion_component(const std::uint32_t* slots, std::uint32_t count);
@@ -317,6 +326,13 @@ class Network {
   std::vector<LinkId> pending_seed_links_;        // links of removed flows
   FullReason full_reason_ = FullReason::kFirst;
   std::uint64_t noise_version_seen_ = 0;
+  // When the last reallocation solved the whole active set as one subproblem
+  // (of at least kCacheMaxFlows flows), its flow count: ctx_->problem still
+  // holds the translation of order_'s first whole_set_flows_ flows, for
+  // graph_ at whole_set_links_ links. 0 once a flow leaves or a full solve
+  // is requested.
+  std::uint32_t whole_set_flows_ = 0;
+  std::size_t whole_set_links_ = 0;
 
   // --- solving state ---
   SolverMode mode_ = SolverMode::kIncremental;

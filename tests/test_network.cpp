@@ -261,6 +261,10 @@ struct DiffReplay {
     bool noise = false;
     /// Attach an AllocationRecorder and return its stream in Result::telemetry.
     bool telemetry = false;
+    /// Grow one giant component: every wave starts 6-9 cross-leaf flows of
+    /// 256 KiB to 2 MiB, which outlive the next wave, so most waves only add
+    /// flows to a whole-set subproblem of 32 flows or more.
+    bool grow = false;
     /// When set, receives the network's final solver counters.
     net::SolverStats* stats_out = nullptr;
     std::uint64_t seed = 1;
@@ -345,20 +349,23 @@ struct DiffReplay {
     constexpr int kWaves = 60;
     for (int w = 0; w < kWaves; ++w) {
       const SimTime t = microseconds(static_cast<double>(w) * 25.0);
-      // 1-5 new flows per wave: mixed intra-leaf and cross-leaf, two VLs,
-      // an occasional private rate cap.
-      const int count = 1 + static_cast<int>(rng.uniform_int(5));
+      // 1-5 new flows per wave (6-9 cross-leaf ones under `grow`): mixed
+      // intra-leaf and cross-leaf, two VLs, an occasional private rate cap.
+      const int count = o.grow ? 6 + static_cast<int>(rng.uniform_int(4))
+                               : 1 + static_cast<int>(rng.uniform_int(5));
       std::vector<Start> starts;
       for (int i = 0; i < count; ++i) {
         const int sl = static_cast<int>(rng.uniform_int(kLeaves));
         const int sg = static_cast<int>(rng.uniform_int(kGpusPerLeaf));
-        int dl = static_cast<int>(rng.uniform_int(kLeaves));
+        int dl = o.grow ? (sl + 1 + static_cast<int>(rng.uniform_int(kLeaves - 1))) % kLeaves
+                        : static_cast<int>(rng.uniform_int(kLeaves));
         int dg = static_cast<int>(rng.uniform_int(kGpusPerLeaf));
         if (dl == sl && dg == sg) dg = (dg + 1) % kGpusPerLeaf;
         const int s = static_cast<int>(rng.uniform_int(kSpines));
         Start st;
         st.route = route(sl, sg, dl, dg, s);
-        st.bytes = static_cast<Bytes>(1_KiB << rng.uniform_int(12));  // 1 KiB .. 2 MiB
+        st.bytes = o.grow ? static_cast<Bytes>(256_KiB << rng.uniform_int(4))   // 256 KiB .. 2 MiB
+                          : static_cast<Bytes>(1_KiB << rng.uniform_int(12));  // 1 KiB .. 2 MiB
         st.vl = rng.bernoulli(0.3) ? 1 : 0;
         st.cap = rng.bernoulli(0.2) ? gbps(rng.uniform(5.0, 60.0)) : 0;
         starts.push_back(std::move(st));
@@ -418,6 +425,7 @@ void expect_differential_identity(DiffReplay::Options o) {
   EXPECT_EQ(ref.delivered, got.delivered);
   EXPECT_EQ(ref.interrupted, got.interrupted);
   EXPECT_EQ(ref.rate_bits, got.rate_bits);
+  EXPECT_EQ(ref.telemetry, got.telemetry);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.bits_delivered),
             std::bit_cast<std::uint64_t>(got.bits_delivered));
 }
@@ -461,6 +469,33 @@ TEST(NetworkDifferential, CombinedChurnFaultsCongestionNoise) {
   o.noise = true;
   o.seed = 2026;
   expect_differential_identity(o);
+}
+
+TEST(NetworkDifferential, GrowingWholeSetBitIdentity) {
+  // Start-only events on a whole-set subproblem of 32 flows or more extend
+  // its kept translation instead of re-partitioning. Plain; under the
+  // congestion closure; with noise, where a started flow on the other VL
+  // must refresh a shared trunk's capacity; and traced.
+  for (int variant = 0; variant < 4; ++variant) {
+    DiffReplay::Options o;
+    o.grow = true;
+    o.seed = 300 + static_cast<std::uint64_t>(variant);
+    o.congestion = variant == 1;
+    o.noise = variant == 2;
+    o.telemetry = variant == 3;
+    net::SolverStats stats;
+    o.stats_out = &stats;
+    SCOPED_TRACE(variant);
+    expect_differential_identity(o);
+    // The replay reaches the regime: subproblems of 32 flows or more, most
+    // of them whole-set threshold fallbacks.
+    std::uint64_t giant = 0;
+    for (std::size_t b = 5; b < stats.component_size_log2.size(); ++b) {
+      giant += stats.component_size_log2[b];
+    }
+    EXPECT_GT(giant, 100u);
+    EXPECT_GT(stats.fallback_threshold, 100u);
+  }
 }
 
 TEST(NetworkDifferential, CacheHitsRestoreTraceState) {
@@ -605,6 +640,66 @@ TEST(NetworkComponents, SharedLinkCouplesUnderTheClosure) {
     EXPECT_EQ(first.component_size_log2[0], 0u) << "direct=" << direct;
     EXPECT_EQ(first.component_size_log2[1], 1u) << "direct=" << direct;
   }
+}
+
+TEST(NetworkComponents, StartsExtendAWholeSetOnlyWithFlowsThatJoinIt) {
+  // 32 flows on the trunk are one whole-set subproblem. A start that shares
+  // the trunk gives one 33-flow subproblem. A start on a direct link, beside
+  // one on the trunk, gives two: the 33 trunk flows and the lone one.
+  for (const bool congestion : {false, true}) {
+    for (const bool disjoint : {false, true}) {
+      SwitchFixture f(congestion);
+      std::vector<FlowId> trunk_flows;
+      for (int i = 0; i < 32; ++i) {
+        trunk_flows.push_back(f.net->start_flow({{f.trunk}, 1_MiB, 0, 0}, nullptr));
+      }
+      net::SolverStats before, after;
+      std::vector<Bandwidth> rates;
+      f.engine.after(nanoseconds(10), [&] {
+        before = f.net->solver_stats();
+        if (disjoint) f.net->start_flow({{f.direct[0]}, 1_MiB, 0, 0}, nullptr);
+        trunk_flows.push_back(f.net->start_flow({{f.trunk}, 1_MiB, 0, 0}, nullptr));
+      });
+      f.engine.after(nanoseconds(20), [&] {
+        after = f.net->solver_stats();
+        for (const FlowId id : trunk_flows) rates.push_back(f.net->flow_rate(id));
+      });
+      f.engine.run();
+      SCOPED_TRACE(testing::Message() << "congestion=" << congestion << " disjoint=" << disjoint);
+      for (const Bandwidth r : rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 33);
+      ASSERT_EQ(after.reallocations - before.reallocations, 1u);
+      EXPECT_EQ(after.full_solves - before.full_solves, 1u);
+      EXPECT_EQ(after.fallback_threshold - before.fallback_threshold, 1u);
+      EXPECT_EQ(after.component_solves - before.component_solves, disjoint ? 2u : 1u);
+      EXPECT_EQ(after.component_size_log2[0] - before.component_size_log2[0], disjoint ? 1u : 0u);
+      EXPECT_EQ(after.component_size_log2[5] - before.component_size_log2[5], 1u);
+    }
+  }
+}
+
+TEST(NetworkComponents, AWholeSetThatDrainsAtOnceIsNotExtended) {
+  // 32 equal trunk flows finish together and leave the network empty. The
+  // 40 flows started later on a direct link are a fresh subproblem: each
+  // gets a fortieth of the link, whatever the drained set looked like.
+  SwitchFixture f(/*congestion=*/false);
+  for (int i = 0; i < 32; ++i) f.net->start_flow({{f.trunk}, 1_MiB, 0, 0}, nullptr);
+  // 32 MiB over 100 Gb/s take about 2.7 ms.
+  std::vector<FlowId> later;
+  std::size_t active_before = 0;
+  f.engine.after(milliseconds(5), [&] {
+    active_before = f.net->active_flows();
+    for (int i = 0; i < 40; ++i) {
+      later.push_back(f.net->start_flow({{f.direct[0]}, 1_MiB, 0, 0}, nullptr));
+    }
+  });
+  std::vector<Bandwidth> rates;
+  f.engine.after(milliseconds(5) + nanoseconds(10), [&] {
+    for (const FlowId id : later) rates.push_back(f.net->flow_rate(id));
+  });
+  f.engine.run();
+  EXPECT_EQ(active_before, 0u);
+  ASSERT_EQ(rates.size(), 40u);
+  for (const Bandwidth r : rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 40);
 }
 
 // ---------------------------------------------------------------------------
