@@ -20,12 +20,6 @@
 
 namespace gpucomm {
 
-enum class Placement : std::uint8_t {
-  kPacked,           // fill switch after switch (same-switch neighbours)
-  kScatterSwitches,  // round-robin switches inside one group (same-group pairs)
-  kScatterGroups,    // round-robin groups (different-group pairs; production-like)
-};
-
 struct ClusterOptions {
   int nodes = 1;
   Placement placement = Placement::kPacked;
@@ -104,9 +98,6 @@ class Cluster {
   /// attached all routing paths are branch-identical to a healthy machine.
   void set_faults(const fault::FaultModel* faults);
   const fault::FaultModel* faults() const { return faults_; }
-
-  /// True when `link` is currently usable (always true without a provider).
-  bool link_usable(LinkId link) const { return faults_ == nullptr || faults_->link_up(link); }
 
   /// Attach a telemetry sink (nullptr detaches). Forwards to the network and
   /// is picked up lazily by communicators, so it can be set any time before

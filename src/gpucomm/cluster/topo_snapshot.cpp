@@ -14,38 +14,18 @@ std::unique_ptr<Fabric> make_fabric(Graph& g, const SystemConfig& cfg, Placement
   if (spec.kind == FabricKind::kDragonfly) {
     DragonflyParams p = spec.dragonfly;
     p.wire.rate = cfg.nic.rate;  // the NIC wire runs at the NIC's rate
-    switch (placement) {
-      case Placement::kPacked: p.attach = DragonflyParams::Attach::kPacked; break;
-      case Placement::kScatterSwitches:
-        p.attach = DragonflyParams::Attach::kScatterSwitches;
-        break;
-      case Placement::kScatterGroups: p.attach = DragonflyParams::Attach::kScatterGroups; break;
-    }
+    p.placement = placement;
     return std::make_unique<Dragonfly>(g, p);
   }
   if (spec.kind == FabricKind::kDragonflyPlus) {
     DragonflyPlusParams p = spec.dragonfly_plus;
     p.edge.rate = cfg.nic.rate;  // the NIC wire runs at the NIC's rate
-    switch (placement) {
-      case Placement::kPacked: p.attach = DragonflyPlusParams::Attach::kPacked; break;
-      case Placement::kScatterSwitches:
-        p.attach = DragonflyPlusParams::Attach::kScatterSwitches;
-        break;
-      case Placement::kScatterGroups:
-        p.attach = DragonflyPlusParams::Attach::kScatterGroups;
-        break;
-    }
+    p.placement = placement;
     return std::make_unique<DragonflyPlus>(g, p);
   }
   FatTreeParams p = spec.fat_tree;
   p.edge_link.rate = cfg.nic.rate;
-  switch (placement) {
-    case Placement::kPacked: p.attach = FatTreeParams::Attach::kPacked; break;
-    case Placement::kScatterSwitches:
-      p.attach = FatTreeParams::Attach::kScatterSwitches;
-      break;
-    case Placement::kScatterGroups: p.attach = FatTreeParams::Attach::kScatterGroups; break;
-  }
+  p.placement = placement;
   return std::make_unique<FatTree>(g, p);
 }
 

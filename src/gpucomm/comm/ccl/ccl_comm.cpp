@@ -125,9 +125,11 @@ void CclComm::coll_transfer(int src, int dst, Bytes bytes, double simple_eff_int
     const double ll_rate = std::min(p.ll_bw, nominal);
     const double simple_rate = simple_eff_intra * nominal;
     if (bytes < p.ll_threshold || ll_rate >= simple_rate) {
-      post_flow(route, bytes, 1.0, std::min(cap, p.ll_bw), pre, std::move(done), tag, reroute);
+      post_flow(route, bytes, 1.0, std::min(cap, p.ll_bw), pre, std::move(done), tag, reroute,
+                recovery_cost());
     } else {
-      post_flow(route, bytes, simple_eff_intra, cap, pre, std::move(done), tag, reroute);
+      post_flow(route, bytes, simple_eff_intra, cap, pre, std::move(done), tag, reroute,
+                recovery_cost());
     }
     return;
   }
@@ -137,7 +139,8 @@ void CclComm::coll_transfer(int src, int dst, Bytes bytes, double simple_eff_int
   const Route route = cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu);
   // The net proxy pipelines chunks across peers; no per-segment ramp.
   post_flow(route, bytes, inter_efficiency(false), 0, pre, std::move(done), tag,
-            [this, s, d] { return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu); });
+            [this, s, d] { return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu); },
+            recovery_cost());
 }
 
 void CclComm::coll_message(int src, int dst, Bytes bytes, Bytes op_bytes,
@@ -163,7 +166,8 @@ void CclComm::send(int src, int dst, Bytes bytes, EventFn done) {
     post_flow(route, bytes, fs.efficiency, fs.rate_cap, p.p2p_launch, std::move(done), tag,
               [this, sg = ranks_[src].gpu, dg = ranks_[dst].gpu] {
                 return cluster_.intra_node_route(sg, dg);
-              });
+              },
+              recovery_cost());
     return;
   }
   const Rank& s = ranks_[src];
@@ -181,7 +185,8 @@ void CclComm::send(int src, int dst, Bytes bytes, EventFn done) {
   const Route route = cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu);
   const FlowShape fs = shape(bytes, 0, eff, sys().nic.rate);
   post_flow(route, bytes, fs.efficiency, fs.rate_cap, pre, std::move(done), tag,
-            [this, s, d] { return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu); });
+            [this, s, d] { return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu); },
+            recovery_cost());
 }
 
 std::vector<sched::Schedule> CclComm::plan(CollectiveOp op, Bytes bytes, int root) const {

@@ -10,6 +10,7 @@
 #include "gpucomm/comm/devcopy.hpp"
 #include "gpucomm/comm/mpi/mpi_comm.hpp"
 #include "gpucomm/comm/staging.hpp"
+#include "gpucomm/hw/nic.hpp"
 #include "gpucomm/sched/builders.hpp"
 
 namespace gpucomm {
@@ -86,13 +87,14 @@ struct Communicator::RetryCtx {
   Bandwidth rate_cap = 0;
   telemetry::FlowTag tag;
   RouteFn reroute;
+  SimTime recovery;
   EventFn done;
   int attempt = 0;  // 0 = original post, >= 1 = retransmissions
 };
 
 void Communicator::post_flow(const Route& route, Bytes bytes, double efficiency,
                              Bandwidth rate_cap, SimTime pre_delay, EventFn done,
-                             telemetry::FlowTag tag, RouteFn reroute) {
+                             telemetry::FlowTag tag, RouteFn reroute, SimTime recovery) {
   if (cluster_.faults() == nullptr) {
     FlowSpec spec = make_flow(route, bytes, efficiency, rate_cap);
     if (telemetry::Sink* sink = telemetry()) {
@@ -121,6 +123,7 @@ void Communicator::post_flow(const Route& route, Bytes bytes, double efficiency,
   ctx->rate_cap = rate_cap;
   ctx->tag = tag;
   ctx->reroute = std::move(reroute);
+  ctx->recovery = recovery;
   ctx->done = std::move(done);
   if (pre_delay > SimTime::zero()) {
     engine().after(pre_delay, [this, ctx] { post_attempt(ctx); });
@@ -164,8 +167,57 @@ void Communicator::schedule_retry(const std::shared_ptr<RetryCtx>& ctx) {
   const int shift = std::min(ctx->attempt - 1, 20);
   const SimTime backoff{
       std::min(rec.backoff_base.ps << shift, rec.backoff_max.ps)};
-  engine().after(rec.detect + backoff + recovery_cost(),
-                 [this, ctx] { post_attempt(ctx); });
+  engine().after(rec.detect + backoff + ctx->recovery, [this, ctx] { post_attempt(ctx); });
+}
+
+void Communicator::host_send(int src, int dst, Bytes bytes, double efficiency, EventFn done) {
+  if (!same_node(src, dst)) {
+    nic_send(src, dst, MemSpace::kHost, bytes, efficiency, CollContext{}, std::move(done));
+    return;
+  }
+  // Shared-memory path: software overhead + one cross-process memcpy.
+  const SimTime t = sys().mpi.o_send + copy_.h2h_time(bytes) + sys().mpi.o_recv;
+  record_local("shm", src, dst, bytes, t);
+  engine().after(t, std::move(done));
+}
+
+void Communicator::nic_send(int src, int dst, MemSpace space, Bytes bytes, double efficiency,
+                            const CollContext& ctx, EventFn done) {
+  const MpiParams& mpi = sys().mpi;
+  const NicParams& nic = sys().nic;
+  const bool host = space == MemSpace::kHost;
+  SimTime pre = mpi.o_send + nic.send_overhead;
+  if (bytes > mpi.eager_threshold) pre += mpi.rndv_handshake;
+  if (!host) pre += mpi.gpu_extra;
+  const SimTime post = mpi.o_recv + nic.recv_overhead;
+  telemetry::FlowTag tag;
+  tag.stage = host ? "wire" : "rdma";
+  tag.src_rank = src;
+  tag.dst_rank = dst;
+  tag.algorithm = ctx.algorithm;
+  tag.round = ctx.round;
+  const Rank& s = ranks_[src];
+  const Rank& d = ranks_[dst];
+  if (telemetry::Sink* sink = telemetry()) {
+    sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
+                      engine().now() + nic_message_overhead(nic, /*send=*/true));
+  }
+  const DeviceId from = host ? s.numa_dev : s.gpu_dev;
+  const DeviceId to = host ? d.numa_dev : d.gpu_dev;
+  RouteFn reroute = [this, from, to, sg = s.gpu, dg = d.gpu] {
+    return cluster_.inter_node_route(from, sg, to, dg);
+  };
+  const Route route = reroute();
+  post_flow(route, bytes, efficiency * nic.protocol_efficiency, /*rate_cap=*/0, pre,
+            [this, post, dst_nic = d.nic_dev, bytes, done = std::move(done)]() mutable {
+              if (telemetry::Sink* sink = telemetry()) {
+                sink->nic_message(dst_nic, /*send=*/false, bytes, engine().now(),
+                                  engine().now() +
+                                      nic_message_overhead(sys().nic, /*send=*/false));
+              }
+              engine().after(post, std::move(done));
+            },
+            tag, std::move(reroute), host ? sys().recovery.host_retry : recovery_cost());
 }
 
 SimTime Communicator::straggle(SimTime launch) const {

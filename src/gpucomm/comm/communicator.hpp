@@ -161,27 +161,43 @@ class Communicator {
   /// up as issue-to-start gap in traces.
   ///
   /// With a fault provider attached to the cluster, an interrupted flow is
-  /// retried with exponential backoff plus this mechanism's recovery_cost();
-  /// `reroute` (when given) re-resolves the route before each attempt so the
-  /// retry avoids the links that killed the original. Retries exhausted
-  /// marks the operation failed (last_op_failed) but still fires `done`.
+  /// retried with exponential backoff plus `recovery`, the cost of the
+  /// path's recovery action; `reroute` (when given) re-resolves the route
+  /// before each attempt so the retry avoids the links that killed the
+  /// original. Retries exhausted marks the operation failed (last_op_failed)
+  /// but still fires `done`.
   void post_flow(const Route& route, Bytes bytes, double efficiency, Bandwidth rate_cap,
-                 SimTime pre_delay, EventFn done, telemetry::FlowTag tag = {},
-                 RouteFn reroute = {});
+                 SimTime pre_delay, EventFn done, telemetry::FlowTag tag, RouteFn reroute,
+                 SimTime recovery);
 
-  /// Extra cost of one recovery action, on top of fault detection and
-  /// backoff (RecoveryParams): the staging/devcopy host paths repost from
-  /// the host; *CCL aborts and re-initializes the communicator; MPI
-  /// retransmits the message inside the transport.
+  /// Extra cost of one recovery action on this mechanism's own transfers,
+  /// on top of fault detection and backoff (RecoveryParams): device copies
+  /// repost from the host; *CCL aborts and re-initializes the communicator;
+  /// MPI retransmits the message inside the transport. Host-buffer wires
+  /// always charge recovery.host_retry (nic_send).
   virtual SimTime recovery_cost() const { return sys().recovery.host_retry; }
+
+  /// One host-buffer message (staging, MPI host buffers): a shared-memory
+  /// copy between ranks of one node, else nic_send. `efficiency` inflates
+  /// the wire bytes (collective protocol overhead); 1.0 for plain p2p.
+  void host_send(int src, int dst, Bytes bytes, double efficiency, EventFn done);
+
+  /// One MPI message between ranks on different nodes through their NICs.
+  /// Host buffers leave from the rank's NUMA domain; device buffers leave
+  /// from its GPU by GPUDirect RDMA and pay mpi.gpu_extra. Sender software
+  /// and NIC overhead (plus the rendezvous handshake above the eager
+  /// threshold), then a flow at `efficiency` times the NIC's protocol
+  /// efficiency, then the receiver's overhead; telemetry counts the message
+  /// at both NICs, and `ctx` attributes it to its schedule round. A
+  /// fault-killed flow is retried on a re-resolved route: the host reposts
+  /// a host-buffer wire (recovery.host_retry), the transport retransmits a
+  /// device-buffer message (recovery_cost()).
+  void nic_send(int src, int dst, MemSpace space, Bytes bytes, double efficiency,
+                const CollContext& ctx, EventFn done);
 
   /// Launch delay inflated by the worst straggler factor among this
   /// communicator's GPUs (fault injection; identity without a provider).
   SimTime straggle(SimTime launch) const;
-
-  /// Record that the in-flight operation was abandoned by fault recovery
-  /// (for helper paths outside post_flow, e.g. HostPath wire transfers).
-  void mark_op_failed() { op_failed_ = true; }
 
   /// The cluster's telemetry sink, or nullptr when instrumentation is off.
   telemetry::Sink* telemetry() const { return cluster_.telemetry(); }

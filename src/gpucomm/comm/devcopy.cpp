@@ -39,7 +39,8 @@ void DeviceCopyComm::copy_flow(int src, int dst, Bytes bytes, int concurrent,
   post_flow(route, bytes, eff, cap, sys().gpu.copy_issue + issue_delay, std::move(done), tag,
             [this, sg = ranks_[src].gpu, dg = ranks_[dst].gpu] {
               return cluster_.intra_node_route(sg, dg);
-            });
+            },
+            recovery_cost());
 }
 
 void DeviceCopyComm::send(int src, int dst, Bytes bytes, EventFn done) {

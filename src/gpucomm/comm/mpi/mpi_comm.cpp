@@ -4,19 +4,14 @@
 #include <utility>
 
 #include "gpucomm/hw/link.hpp"
-#include "gpucomm/hw/nic.hpp"
 #include "gpucomm/sched/builders.hpp"
 
 namespace gpucomm {
 
 MpiComm::MpiComm(Cluster& cluster, std::vector<int> gpus, CommOptions options)
     : Communicator(cluster, std::move(gpus), std::move(options)),
-      eff_(resolve_mpi(cluster.config().mpi, opts_.env)),
-      host_(cluster, ranks_, opts_.env.ucx_ib_sl != 0 ? opts_.env.ucx_ib_sl
-                                                      : opts_.service_level,
-            "mpi") {
+      eff_(resolve_mpi(cluster.config().mpi, opts_.env)) {
   if (opts_.env.ucx_ib_sl != 0) opts_.service_level = opts_.env.ucx_ib_sl;
-  host_.set_on_abandoned([this] { mark_op_failed(); });
 }
 
 MpiP2pPath MpiComm::path_for(int src, int dst, Bytes bytes) const {
@@ -40,7 +35,7 @@ void MpiComm::transfer(int src, int dst, Bytes bytes, bool collective, Bytes ram
   switch (path) {
     case MpiP2pPath::kHostShared:
     case MpiP2pPath::kHostNetwork:
-      host_.send(src, dst, bytes, wire_eff_p2p, std::move(done));
+      host_send(src, dst, bytes, wire_eff_p2p, std::move(done));
       return;
 
     case MpiP2pPath::kGdrCopy: {
@@ -80,50 +75,22 @@ void MpiComm::transfer(int src, int dst, Bytes bytes, bool collective, Bytes ram
       tag.round = ctx.round;
       if (bytes <= mpi.eager_threshold) {
         // Eager IPC: a direct small copy, no pipelined rendezvous machinery.
-        post_flow(route, bytes, 1.0, mpi.ipc_eager_bw, pre, std::move(done), tag, reroute);
+        post_flow(route, bytes, 1.0, mpi.ipc_eager_bw, pre, std::move(done), tag, reroute,
+                  recovery_cost());
         return;
       }
       const double eff =
           (collective ? mpi.intra_coll_efficiency : mpi.intra_p2p_efficiency) *
           ramp_factor(ramp_ref, mpi.p2p_rampup);
       pre += mpi.rndv_handshake;
-      post_flow(route, bytes, eff, intra_rate_cap(), pre, std::move(done), tag, reroute);
+      post_flow(route, bytes, eff, intra_rate_cap(), pre, std::move(done), tag, reroute,
+                recovery_cost());
       return;
     }
 
-    case MpiP2pPath::kGdrRdma: {
-      const Rank& s = ranks_[src];
-      const Rank& d = ranks_[dst];
-      SimTime pre = host_.pre_overhead(bytes) + mpi.gpu_extra;
-      const Route route = cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu);
-      const double eff = wire_eff_p2p * sys().nic.protocol_efficiency;
-      const SimTime post = host_.post_overhead();
-      telemetry::FlowTag tag;
-      tag.stage = "rdma";
-      tag.src_rank = src;
-      tag.dst_rank = dst;
-      tag.algorithm = ctx.algorithm;
-      tag.round = ctx.round;
-      const DeviceId dst_nic = d.nic_dev;
-      if (telemetry::Sink* sink = telemetry()) {
-        sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
-                          engine().now() + nic_message_overhead(sys().nic, /*send=*/true));
-      }
-      post_flow(route, bytes, eff, /*rate_cap=*/0, pre,
-                [this, post, dst_nic, bytes, done = std::move(done)]() mutable {
-                  if (telemetry::Sink* sink = telemetry()) {
-                    sink->nic_message(dst_nic, /*send=*/false, bytes, engine().now(),
-                                      engine().now() +
-                                          nic_message_overhead(sys().nic, /*send=*/false));
-                  }
-                  engine().after(post, std::move(done));
-                },
-                tag,
-                [this, s, d] {
-                  return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu);
-                });
+    case MpiP2pPath::kGdrRdma:
+      nic_send(src, dst, MemSpace::kDevice, bytes, wire_eff_p2p, ctx, std::move(done));
       return;
-    }
   }
 }
 
@@ -241,8 +208,8 @@ void MpiComm::allreduce_host_staged(Bytes buffer, EventFn done) {
   hooks.message = [this](const sched::Step& step, const sched::StepCtx& ctx,
                          EventFn msg_done) {
     (void)ctx;
-    host_.send(step.src, step.dst, step.bytes, sys().mpi.net_coll_efficiency,
-               std::move(msg_done));
+    host_send(step.src, step.dst, step.bytes, sys().mpi.net_coll_efficiency,
+              std::move(msg_done));
   };
   hooks.reduce_time = [this](Bytes b) { return transfer_time(b, sys().host.reduce_bw); };
   sched::execute(sched::ring_allreduce(size(), buffer), hooks, std::move(done));

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "gpucomm/comm/communicator.hpp"
-#include "gpucomm/comm/host_path.hpp"
 #include "gpucomm/comm/mpi/mpi_config.hpp"
 #include "gpucomm/comm/mpi/p2p.hpp"
 
@@ -58,7 +57,6 @@ class MpiComm final : public Communicator {
   Bandwidth intra_rate_cap() const;
 
   MpiEffective eff_;
-  HostPath host_;
 };
 
 }  // namespace gpucomm

@@ -4,15 +4,9 @@
 
 namespace gpucomm {
 
-StagingComm::StagingComm(Cluster& cluster, std::vector<int> gpus, CommOptions options)
-    : Communicator(cluster, std::move(gpus), std::move(options)),
-      host_(cluster, ranks_, opts_.service_level, "staging") {
-  host_.set_on_abandoned([this] { mark_op_failed(); });
-}
-
 void StagingComm::send(int src, int dst, Bytes bytes, EventFn done) {
   if (opts_.space == MemSpace::kHost) {
-    host_.send(src, dst, bytes, sys().mpi.net_p2p_efficiency, std::move(done));
+    host_send(src, dst, bytes, sys().mpi.net_p2p_efficiency, std::move(done));
     return;
   }
   // Store-and-forward: D2H, host transfer, H2D — strictly sequential.
@@ -23,7 +17,7 @@ void StagingComm::send(int src, int dst, Bytes bytes, EventFn done) {
             copy_.async_d2h(bytes, std::move(next));
           },
           [this, src, dst, bytes](EventFn next) {
-            host_.send(src, dst, bytes, sys().mpi.net_p2p_efficiency, std::move(next));
+            host_send(src, dst, bytes, sys().mpi.net_p2p_efficiency, std::move(next));
           },
           [this, dst, bytes](EventFn next) {
             record_local("h2d", dst, dst, bytes, copy_.h2d_time(bytes));
@@ -66,15 +60,15 @@ void StagingComm::run_host_schedule(sched::Schedule s, bool per_step_reduce, Byt
                                  : SimTime::zero();
       const int dst = step.dst;
       const Bytes bytes = step.bytes;
-      host_.send(step.src, dst, bytes, sys().mpi.net_coll_efficiency,
-                 [this, dst, bytes, reduce, msg_done = std::move(msg_done)]() mutable {
-                   if (reduce > SimTime::zero()) {
-                     record_local("reduce", dst, dst, bytes, reduce);
-                     engine().after(reduce, std::move(msg_done));
-                   } else {
-                     msg_done();
-                   }
-                 });
+      host_send(step.src, dst, bytes, sys().mpi.net_coll_efficiency,
+                [this, dst, bytes, reduce, msg_done = std::move(msg_done)]() mutable {
+                  if (reduce > SimTime::zero()) {
+                    record_local("reduce", dst, dst, bytes, reduce);
+                    engine().after(reduce, std::move(msg_done));
+                  } else {
+                    msg_done();
+                  }
+                });
     };
     sched::execute(s, hooks, std::move(next));
   });

@@ -4,13 +4,12 @@
 #pragma once
 
 #include "gpucomm/comm/communicator.hpp"
-#include "gpucomm/comm/host_path.hpp"
 
 namespace gpucomm {
 
 class StagingComm final : public Communicator {
  public:
-  StagingComm(Cluster& cluster, std::vector<int> gpus, CommOptions options);
+  using Communicator::Communicator;
 
   Mechanism mechanism() const override { return Mechanism::kStaging; }
   void send(int src, int dst, Bytes bytes, EventFn done) override;
@@ -28,8 +27,6 @@ class StagingComm final : public Communicator {
   /// host path with full round barriers, stage back. With `per_step_reduce`,
   /// the CPU reduces each arriving segment before it counts as delivered.
   void run_host_schedule(sched::Schedule s, bool per_step_reduce, Bytes buffer, EventFn done);
-
-  HostPath host_;
 };
 
 }  // namespace gpucomm

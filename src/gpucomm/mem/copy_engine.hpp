@@ -50,7 +50,6 @@ class CopyEngine {
 
   void async_d2h(Bytes bytes, EventFn done) { engine_.after(d2h_time(bytes), std::move(done)); }
   void async_h2d(Bytes bytes, EventFn done) { engine_.after(h2d_time(bytes), std::move(done)); }
-  void async_h2h(Bytes bytes, EventFn done) { engine_.after(h2h_time(bytes), std::move(done)); }
 
   const GpuParams& gpu() const { return gpu_; }
   const HostMemParams& host() const { return host_; }

@@ -59,7 +59,6 @@ class TimeSeries final : public telemetry::Sink {
     std::uint64_t saturations = 0;
   };
 
-  SimTime bucket_width() const { return width_; }
   /// Number of buckets covering [0, last event seen).
   std::size_t bucket_count() const;
   /// Buckets of one link, possibly shorter than bucket_count() (a link's

@@ -148,7 +148,6 @@ class Network {
   /// Select the solving strategy. Rates are bit-identical in both modes;
   /// only wall-clock and the solver counters differ.
   void set_solver_mode(SolverMode mode) { mode_ = mode; }
-  SolverMode solver_mode() const { return mode_; }
 
   /// Live solver counters for this network (see solver_stats.hpp).
   const net::SolverStats& solver_stats() const { return stats_; }

@@ -210,10 +210,11 @@ struct CongestionParams {
 /// Failure detection and recovery costs (fault-injection subsystem, fault/).
 /// When a fault kills an in-flight transfer, the owning mechanism retries it;
 /// the delay before attempt k (1-based) is
-///   detect + min(backoff_base * 2^(k-1), backoff_max) + mechanism cost,
-/// where the mechanism cost is Communicator::recovery_cost(): a host-mediated
-/// repost for the staging/devcopy paths, a communicator abort +
-/// re-initialization for *CCL, and message-level retransmission for MPI.
+///   detect + min(backoff_base * 2^(k-1), backoff_max) + path cost,
+/// where the path cost is a host-mediated repost for host-buffer wires
+/// (staging, MPI host buffers) and device copies, a communicator abort +
+/// re-initialization for *CCL, and message-level retransmission for MPI's
+/// GPU-buffer messages.
 struct RecoveryParams {
   /// Link death -> the transport declares the in-flight transfer lost
   /// (retransmission / completion timeout).
@@ -227,9 +228,11 @@ struct RecoveryParams {
   /// *CCL communicator abort + re-init: bootstrap all ranks, re-detect
   /// topology, rebuild channels. Dominates *CCL recovery.
   SimTime ccl_reinit = milliseconds(30.0);
-  /// MPI retransmits at the message level (transport-level bookkeeping only).
+  /// MPI GPU-buffer messages are retransmitted at the message level
+  /// (transport-level bookkeeping only).
   SimTime mpi_retransmit = microseconds(50.0);
-  /// Staging/devcopy: the host notices the failed transfer and reposts.
+  /// Host-buffer wires and device copies: the host notices the failed
+  /// transfer and reposts.
   SimTime host_retry = microseconds(200.0);
 };
 

@@ -83,10 +83,10 @@ void Dragonfly::attach_node(Graph& g, const NodeDevices& node) {
   // Find `span` consecutive switches (same group) with room, starting from a
   // policy-dependent cursor.
   int start = next_attach_switch_;
-  if (params_.attach == DragonflyParams::Attach::kScatterGroups) {
+  if (params_.placement == Placement::kScatterGroups) {
     const int group = static_cast<int>(attached_nodes_) % params_.groups;
     start = group * S;
-  } else if (params_.attach == DragonflyParams::Attach::kScatterSwitches) {
+  } else if (params_.placement == Placement::kScatterSwitches) {
     // Spread nodes over distinct switches of group 0, wrapping when the
     // group is exhausted.
     start = (static_cast<int>(attached_nodes_) * span) % S;
@@ -102,7 +102,7 @@ void Dragonfly::attach_node(Graph& g, const NodeDevices& node) {
     if (ok) { found = true; break; }
   }
   if (!found) throw std::runtime_error("dragonfly fabric is full");
-  if (params_.attach == DragonflyParams::Attach::kPacked)
+  if (params_.placement == Placement::kPacked)
     next_attach_switch_ = base;  // keep packing the same switches until full
 
   for (int i = 0; i < nics; ++i) {

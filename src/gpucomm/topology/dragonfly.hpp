@@ -29,7 +29,7 @@ struct DragonflyParams {
   /// neighbours, like a drained system); scatter-switches round-robins the
   /// switches of group 0 (same-group pairs); scatter-groups round-robins
   /// groups (models allocation on a busy production machine).
-  enum class Attach { kPacked, kScatterSwitches, kScatterGroups } attach = Attach::kPacked;
+  Placement placement = Placement::kPacked;
   /// Valiant (non-minimal) global routing: inter-group traffic detours via a
   /// random intermediate group. Doubles the global-hop load but spreads
   /// adversarial patterns; the ablation bench quantifies the trade.

@@ -84,12 +84,12 @@ void DragonflyPlus::attach_node(Graph& g, const NodeDevices& node) {
   const int total_leaves = G * L;
 
   int leaf_flat = -1;
-  if (params_.attach == DragonflyPlusParams::Attach::kScatterGroups) {
+  if (params_.placement == Placement::kScatterGroups) {
     const int group = static_cast<int>(attached_nodes_) % G;
     for (int l = 0; l < L && leaf_flat < 0; ++l) {
       if (leaf_slots_[group * L + l] < params_.nodes_per_leaf) leaf_flat = group * L + l;
     }
-  } else if (params_.attach == DragonflyPlusParams::Attach::kScatterSwitches) {
+  } else if (params_.placement == Placement::kScatterSwitches) {
     const int leaf = static_cast<int>(attached_nodes_) % L;
     if (leaf_slots_[leaf] < params_.nodes_per_leaf) leaf_flat = leaf;
   }

@@ -27,7 +27,7 @@ struct DragonflyPlusParams {
   LinkPreset edge = links::ib_hdr100_edge();
   LinkPreset up = links::ib_hdr200_leafspine();
   LinkPreset global = links::ib_hdr200_global();
-  enum class Attach { kPacked, kScatterSwitches, kScatterGroups } attach = Attach::kPacked;
+  Placement placement = Placement::kPacked;
 };
 
 class DragonflyPlus final : public Fabric {

@@ -11,6 +11,13 @@
 
 namespace gpucomm {
 
+/// Where a fabric attaches consecutive nodes.
+enum class Placement : std::uint8_t {
+  kPacked,           // fill switch after switch (same-switch neighbours)
+  kScatterSwitches,  // round-robin switches inside one group (same-group pairs)
+  kScatterGroups,    // round-robin groups (different-group pairs; production-like)
+};
+
 /// Relative network location of two endpoints (Fig. 8's x-axis).
 enum class NetworkDistance : std::uint8_t { kSameNode, kSameSwitch, kSameGroup, kDiffGroup };
 

@@ -72,12 +72,12 @@ void FatTree::attach_node(Graph& g, const NodeDevices& node) {
   const int total_edges = P * E;
 
   int edge_flat = -1;
-  if (params_.attach == FatTreeParams::Attach::kScatterGroups) {
+  if (params_.placement == Placement::kScatterGroups) {
     const int pod = static_cast<int>(attached_nodes_) % P;
     for (int e = 0; e < E && edge_flat < 0; ++e) {
       if (edge_slots_[pod * E + e] < params_.nodes_per_edge) edge_flat = pod * E + e;
     }
-  } else if (params_.attach == FatTreeParams::Attach::kScatterSwitches) {
+  } else if (params_.placement == Placement::kScatterSwitches) {
     const int e = static_cast<int>(attached_nodes_) % E;
     if (edge_slots_[e] < params_.nodes_per_edge) edge_flat = e;
   }

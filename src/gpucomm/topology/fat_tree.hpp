@@ -27,7 +27,7 @@ struct FatTreeParams {
   LinkPreset edge_link = links::ib_hdr100_edge();       // NIC wire
   LinkPreset up_link = links::ib_hdr200_leafspine();    // edge <-> agg
   LinkPreset core_link = links::ib_hdr200_leafspine();  // agg <-> core
-  enum class Attach { kPacked, kScatterSwitches, kScatterGroups } attach = Attach::kPacked;
+  Placement placement = Placement::kPacked;
 };
 
 class FatTree final : public Fabric {

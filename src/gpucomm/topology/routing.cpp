@@ -12,8 +12,8 @@ bool usable(const RouteOptions& opts, LinkId id, const Link& l) {
 // Minimal-hop search from src to dst that touches only the devices closer to
 // src than dst is, not the whole graph.
 struct ShortestPaths {
-  /// Hop count of the shortest src->dst path; -1 when dst is unreachable.
-  int hops = -1;
+  /// Hop count of the shortest src->dst path; kHopsUnreachable without one.
+  int hops = kHopsUnreachable;
   /// After mark(): hops from src for every device lying on some shortest
   /// src->dst path, -1 for every other device.
   std::vector<int> level;
@@ -69,16 +69,10 @@ void mark(const Graph& g, DeviceId dst, const RouteOptions& opts, ShortestPaths&
 }  // namespace
 
 std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
-                                    const RouteOptions& opts, RouteDiag* diag) {
-  if (diag != nullptr) diag->failure = RouteFailure::kNone;
+                                    const RouteOptions& opts) {
   if (src == dst) return Route{};
   ShortestPaths sp = search(g, src, dst, opts);
-  if (sp.hops < 0 || sp.hops > opts.max_hops) {
-    if (diag != nullptr) {
-      diag->failure = sp.hops < 0 ? RouteFailure::kUnreachable : RouteFailure::kHopBudget;
-    }
-    return std::nullopt;
-  }
+  if (sp.hops < 0) return std::nullopt;
   mark(g, dst, opts, sp);
 
   Route route;
@@ -106,9 +100,7 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
 
 int hop_distance(const Graph& g, DeviceId src, DeviceId dst, const RouteOptions& opts) {
   if (src == dst) return 0;
-  const ShortestPaths sp = search(g, src, dst, opts);
-  if (sp.hops < 0) return kHopsUnreachable;
-  return sp.hops <= opts.max_hops ? sp.hops : kHopsBudgetExceeded;
+  return search(g, src, dst, opts).hops;
 }
 
 Route filtered_fabric_route(const Graph& g, DeviceId src_nic, DeviceId dst_nic,

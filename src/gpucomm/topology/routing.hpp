@@ -20,41 +20,20 @@ namespace gpucomm {
 struct RouteOptions {
   /// If set, only links for which this returns true are usable.
   std::function<bool(LinkId, const Link&)> link_filter;
-  /// Maximum number of hops explored; routes longer than this fail.
-  int max_hops = 64;
-};
-
-/// Why a route query failed. "No path" and "path too long" are different
-/// conditions: the first means the (filtered) graph is disconnected, the
-/// second that a path exists but exceeds the hop budget — a distinction that
-/// matters when fault-induced reroutes lengthen paths.
-enum class RouteFailure : std::uint8_t {
-  kNone,         ///< a route was found
-  kUnreachable,  ///< no path exists under the filter at any hop count
-  kHopBudget,    ///< a path exists but needs more than max_hops links
-};
-
-/// Optional out-diagnostic for shortest_route.
-struct RouteDiag {
-  RouteFailure failure = RouteFailure::kNone;
 };
 
 /// Minimal-hop route src -> dst, lexicographic tie-break on device ids.
-/// Returns std::nullopt when no route within opts.max_hops exists; `diag`
-/// (if given) reports whether that was disconnection or budget exhaustion.
-/// The search runs forward from src and stops at dst's level, so a query
-/// touches the links near src, not the whole graph.
+/// Returns std::nullopt when no route exists under the filter. The search
+/// runs forward from src and stops at dst's level, so a query touches the
+/// links near src, not the whole graph.
 std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
-                                    const RouteOptions& opts = {}, RouteDiag* diag = nullptr);
+                                    const RouteOptions& opts = {});
 
 /// hop_distance sentinel: no path exists at all.
 inline constexpr int kHopsUnreachable = -1;
-/// hop_distance sentinel: a path exists but is longer than opts.max_hops.
-inline constexpr int kHopsBudgetExceeded = -2;
 
-/// Hop distance (number of links), kHopsUnreachable when src and dst are
-/// disconnected, or kHopsBudgetExceeded when the shortest path overruns the
-/// hop budget.
+/// Hop distance (number of links), or kHopsUnreachable when src and dst are
+/// disconnected.
 int hop_distance(const Graph& g, DeviceId src, DeviceId dst, const RouteOptions& opts = {});
 
 /// Fault-aware fallback for the structured fabric routers: a minimal-hop

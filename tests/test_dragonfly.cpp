@@ -15,10 +15,10 @@ struct Fixture {
   std::vector<NodeDevices> nodes;
 
   explicit Fixture(int groups = 4, int span = 1,
-                   DragonflyParams::Attach attach = DragonflyParams::Attach::kPacked) {
+                   Placement placement = Placement::kPacked) {
     params.groups = groups;
     params.switch_span = span;
-    params.attach = attach;
+    params.placement = placement;
     df = std::make_unique<Dragonfly>(g, params);
   }
 
@@ -83,13 +83,13 @@ TEST(DragonflyTest, PackedAttachSpillsToNextSwitch) {
 }
 
 TEST(DragonflyTest, ScatterGroupsRoundRobins) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture f(4, 1, Placement::kScatterGroups);
   f.attach(8);
   for (int n = 0; n < 8; ++n) EXPECT_EQ(f.df->group_of(f.nodes[n].nics[0]), n % 4);
 }
 
 TEST(DragonflyTest, ScatterSwitchesStaysInGroupZero) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterSwitches);
+  Fixture f(4, 1, Placement::kScatterSwitches);
   f.attach(6);
   for (int n = 0; n < 6; ++n) EXPECT_EQ(f.df->group_of(f.nodes[n].nics[0]), 0);
   EXPECT_NE(f.df->switch_of(f.nodes[1].nics[0]), f.df->switch_of(f.nodes[0].nics[0]));
@@ -117,7 +117,7 @@ TEST(DragonflyTest, RouteSameSwitchIsTwoWires) {
 }
 
 TEST(DragonflyTest, RouteValidityAcrossAllClasses) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture f(4, 1, Placement::kScatterGroups);
   f.attach(8);
   Rng rng(7);
   for (int a = 0; a < 8; ++a) {
@@ -138,7 +138,7 @@ TEST(DragonflyTest, RouteValidityAcrossAllClasses) {
 }
 
 TEST(DragonflyTest, InterGroupRouteCrossesExactlyOneGlobalLink) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture f(4, 1, Placement::kScatterGroups);
   f.attach(4);
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
@@ -152,7 +152,7 @@ TEST(DragonflyTest, InterGroupRouteCrossesExactlyOneGlobalLink) {
 }
 
 TEST(DragonflyTest, AdaptiveRoutingSpreadsGlobalLinks) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture f(4, 1, Placement::kScatterGroups);
   f.attach(4);
   Rng rng(11);
   std::set<LinkId> used;
@@ -166,7 +166,7 @@ TEST(DragonflyTest, AdaptiveRoutingSpreadsGlobalLinks) {
 }
 
 TEST(DragonflyTest, FilteredRouteAvoidsDeadLinks) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture f(4, 1, Placement::kScatterGroups);
   f.attach(4);
   // Kill every fabric link a healthy inter-group route uses (not the NIC
   // wires): the filtered route must avoid all of them and still connect.
@@ -204,9 +204,9 @@ TEST(DragonflyTest, EmptyFilterMatchesUnfilteredChoices) {
   // The documented contract: from identical router state, an
   // accept-everything filter consumes the same adaptive choices (rng draws
   // and spreading cursors) as no filter at all.
-  Fixture plain_f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture plain_f(4, 1, Placement::kScatterGroups);
   plain_f.attach(4);
-  Fixture filt_f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture filt_f(4, 1, Placement::kScatterGroups);
   filt_f.attach(4);
   Rng rng_a(21), rng_b(21);
   const LinkFilter all = [](LinkId) { return true; };
@@ -220,7 +220,7 @@ TEST(DragonflyTest, EmptyFilterMatchesUnfilteredChoices) {
 }
 
 TEST(DragonflyTest, ClassifyDistances) {
-  Fixture f(4, 1, DragonflyParams::Attach::kScatterGroups);
+  Fixture f(4, 1, Placement::kScatterGroups);
   f.attach(8);
   // nodes 0 and 4 are both in group 0 (wrap) but on different switches...
   EXPECT_EQ(f.df->classify(f.nodes[0].nics[0], f.nodes[1].nics[0]),

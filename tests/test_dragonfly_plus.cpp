@@ -16,9 +16,9 @@ struct Fixture {
   std::vector<NodeDevices> nodes;
 
   explicit Fixture(int groups = 4,
-                   DragonflyPlusParams::Attach attach = DragonflyPlusParams::Attach::kPacked) {
+                   Placement placement = Placement::kPacked) {
     params.groups = groups;
-    params.attach = attach;
+    params.placement = placement;
     df = std::make_unique<DragonflyPlus>(g, params);
   }
 
@@ -106,12 +106,12 @@ TEST(DragonflyPlusTest, PackedFillsLeafWithTenNodes) {
 
 TEST(DragonflyPlusTest, ScatterModes) {
   {
-    Fixture f(4, DragonflyPlusParams::Attach::kScatterGroups);
+    Fixture f(4, Placement::kScatterGroups);
     f.attach(8);
     for (int n = 0; n < 8; ++n) EXPECT_EQ(f.df->group_of(f.nodes[n].nics[0]), n % 4);
   }
   {
-    Fixture f(4, DragonflyPlusParams::Attach::kScatterSwitches);
+    Fixture f(4, Placement::kScatterSwitches);
     f.attach(6);
     for (int n = 0; n < 6; ++n) EXPECT_EQ(f.df->group_of(f.nodes[n].nics[0]), 0);
     EXPECT_NE(f.df->switch_of(f.nodes[1].nics[0]), f.df->switch_of(f.nodes[0].nics[0]));
@@ -119,7 +119,7 @@ TEST(DragonflyPlusTest, ScatterModes) {
 }
 
 TEST(DragonflyPlusTest, RouteHopCounts) {
-  Fixture f(4, DragonflyPlusParams::Attach::kScatterGroups);
+  Fixture f(4, Placement::kScatterGroups);
   f.attach(8);
   Rng rng(5);
   // Same leaf (nodes 0 and 4 share group 0, leaf 0 under packed fill rules).
@@ -136,7 +136,7 @@ TEST(DragonflyPlusTest, RouteHopCounts) {
 }
 
 TEST(DragonflyPlusTest, SameGroupRouteGoesViaSpine) {
-  Fixture f(4, DragonflyPlusParams::Attach::kScatterSwitches);
+  Fixture f(4, Placement::kScatterSwitches);
   f.attach(2);
   Rng rng(9);
   const Route r = f.df->route(f.g, f.nodes[0].nics[0], f.nodes[1].nics[0], rng);
@@ -146,7 +146,7 @@ TEST(DragonflyPlusTest, SameGroupRouteGoesViaSpine) {
 }
 
 TEST(DragonflyPlusTest, AdaptiveSpineSelectionSpreads) {
-  Fixture f(4, DragonflyPlusParams::Attach::kScatterGroups);
+  Fixture f(4, Placement::kScatterGroups);
   f.attach(4);
   Rng rng(13);
   std::set<LinkId> spines;
@@ -158,7 +158,7 @@ TEST(DragonflyPlusTest, AdaptiveSpineSelectionSpreads) {
 }
 
 TEST(DragonflyPlusTest, RouteContiguity) {
-  Fixture f(4, DragonflyPlusParams::Attach::kScatterGroups);
+  Fixture f(4, Placement::kScatterGroups);
   f.attach(8);
   Rng rng(17);
   for (int a = 0; a < 8; ++a) {
@@ -172,7 +172,7 @@ TEST(DragonflyPlusTest, RouteContiguity) {
 }
 
 TEST(DragonflyPlusTest, FilteredRouteAvoidsDeadLinks) {
-  Fixture f(4, DragonflyPlusParams::Attach::kScatterGroups);
+  Fixture f(4, Placement::kScatterGroups);
   f.attach(4);
   Rng rng(19);
   // Kill the fabric links of a healthy inter-group route; the reroute must

@@ -18,13 +18,13 @@ struct Fixture {
   std::unique_ptr<FatTree> ft;
   std::vector<NodeDevices> nodes;
 
-  explicit Fixture(FatTreeParams::Attach attach = FatTreeParams::Attach::kPacked) {
+  explicit Fixture(Placement placement = Placement::kPacked) {
     params.pods = 4;
     params.edges_per_pod = 4;
     params.aggs_per_pod = 4;
     params.cores = 8;
     params.nodes_per_edge = 4;
-    params.attach = attach;
+    params.placement = placement;
     ft = std::make_unique<FatTree>(g, params);
   }
 
@@ -66,7 +66,7 @@ TEST(FatTreeTest, CoreServesEveryPod) {
 }
 
 TEST(FatTreeTest, RouteHopStructure) {
-  Fixture f(FatTreeParams::Attach::kScatterGroups);
+  Fixture f(Placement::kScatterGroups);
   f.attach(8);
   Rng rng(3);
   // Same edge: 2 links. Same pod: 4 links. Cross pod: 6 links (diameter).
@@ -81,7 +81,7 @@ TEST(FatTreeTest, RouteHopStructure) {
 }
 
 TEST(FatTreeTest, SamePodRouteViaAggregation) {
-  Fixture f(FatTreeParams::Attach::kScatterSwitches);
+  Fixture f(Placement::kScatterSwitches);
   f.attach(2);
   Rng rng(5);
   const Route r = f.ft->route(f.g, f.nodes[0].nics[0], f.nodes[1].nics[0], rng);
@@ -90,7 +90,7 @@ TEST(FatTreeTest, SamePodRouteViaAggregation) {
 }
 
 TEST(FatTreeTest, EcmpSpreadsCores) {
-  Fixture f(FatTreeParams::Attach::kScatterGroups);
+  Fixture f(Placement::kScatterGroups);
   f.attach(4);
   Rng rng(7);
   std::set<LinkId> cores_used;
@@ -104,7 +104,7 @@ TEST(FatTreeTest, EcmpSpreadsCores) {
 }
 
 TEST(FatTreeTest, FilteredRouteAvoidsDeadLinks) {
-  Fixture f(FatTreeParams::Attach::kScatterGroups);
+  Fixture f(Placement::kScatterGroups);
   f.attach(4);
   Rng rng(11);
   // Kill the fabric links of a healthy cross-pod route; ECMP must steer the
@@ -137,7 +137,7 @@ TEST(FatTreeTest, DeadNicWireMakesRouteEmpty) {
 }
 
 TEST(FatTreeTest, ClassifyDistances) {
-  Fixture f(FatTreeParams::Attach::kScatterGroups);
+  Fixture f(Placement::kScatterGroups);
   f.attach(8);
   EXPECT_EQ(f.ft->classify(f.nodes[0].nics[0], f.nodes[1].nics[0]),
             NetworkDistance::kDiffGroup);
@@ -189,7 +189,7 @@ TEST(ValiantRoutingTest, DetourAddsOneGlobalHop) {
   DragonflyParams p;
   p.groups = 6;
   p.valiant = true;
-  p.attach = DragonflyParams::Attach::kScatterGroups;
+  p.placement = Placement::kScatterGroups;
   Dragonfly df(g, p);
   std::vector<NodeDevices> nodes;
   for (int i = 0; i < 4; ++i) {
@@ -214,7 +214,7 @@ TEST(ValiantRoutingTest, MinimalStaysSingleGlobalHop) {
   Graph g;
   DragonflyParams p;
   p.groups = 6;
-  p.attach = DragonflyParams::Attach::kScatterGroups;
+  p.placement = Placement::kScatterGroups;
   Dragonfly df(g, p);
   std::vector<NodeDevices> nodes;
   for (int i = 0; i < 2; ++i) {

@@ -592,6 +592,96 @@ TEST(FaultDeterminism, EmptyScheduleIsBitIdenticalToNoInjector) {
   EXPECT_EQ(run(false), run(true));
 }
 
+// --- pinned recovery timings ------------------------------------------------
+
+// Each row runs three 1 MiB operations back to back on one communicator over
+// ranks 0 and gpus_per_node of a 2-node cluster, under a --faults spec, and
+// pins the summed time, the iterations abandoned by the recovery model and
+// the flows the faults interrupted. Host-buffer wires (staging, MPI host
+// buffers) retry at recovery.host_retry and MPI GPU-buffer RDMA messages at
+// recovery.mpi_retransmit, so swapping either cost moves a row.
+struct RecoveryRow {
+  const char* system;
+  const char* mechanism;
+  MemSpace space;
+  const char* op;  // "pingpong" or "allreduce"
+  const char* faults;
+  std::int64_t ps;
+  int fails;
+  std::uint64_t interrupted;
+};
+
+// Links 24040, 24540 and 36552 are node 0's first NIC wire (NIC -> switch)
+// and NIC 833 is Leonardo node 0's first NIC.
+constexpr RecoveryRow kRecoveryGolden[] = {
+    // Transient wire cut mid-message: one retry, which succeeds.
+    {"leonardo", "mpi", MemSpace::kHost, "pingpong", "at 20us down link 24040 for 300us",
+     3005963200, 0, 1},
+    {"leonardo", "mpi", MemSpace::kHost, "allreduce", "at 20us down link 24040 for 300us",
+     2889156481, 0, 1},
+    {"leonardo", "mpi", MemSpace::kDevice, "pingpong", "at 20us down link 24040 for 300us",
+     2820463200, 0, 1},
+    {"alps", "mpi", MemSpace::kHost, "pingpong", "at 20us down link 24540 for 300us", 634491760,
+     0, 1},
+    {"alps", "mpi", MemSpace::kHost, "allreduce", "at 20us down link 24540 for 300us", 572693335,
+     0, 1},
+    {"alps", "mpi", MemSpace::kDevice, "pingpong", "at 20us down link 24540 for 300us",
+     516581760, 0, 1},
+    {"lumi", "mpi", MemSpace::kHost, "pingpong", "at 20us down link 36552 for 300us", 683231760,
+     0, 1},
+    {"lumi", "mpi", MemSpace::kHost, "allreduce", "at 20us down link 36552 for 300us", 686045283,
+     0, 1},
+    {"lumi", "mpi", MemSpace::kDevice, "pingpong", "at 20us down link 36552 for 300us",
+     515831760, 0, 1},
+    // Permanent NIC failure mid-wire: the retry fails over to a peer NIC.
+    {"leonardo", "staging", MemSpace::kDevice, "pingpong", "at 60us fail nic 833", 3585651206, 0,
+     1},
+    {"leonardo", "staging", MemSpace::kDevice, "allreduce", "at 60us fail nic 833", 3174469211,
+     0, 2},
+    // Both nodes hang off switch 0: every iteration exhausts its retries.
+    // MPI's wire is interrupted; staging's starts after the failure, so its
+    // retries find no route at all.
+    {"leonardo", "mpi", MemSpace::kHost, "pingpong", "at 10us fail switch 0", 380418880000, 3, 1},
+    {"leonardo", "staging", MemSpace::kDevice, "pingpong", "at 10us fail switch 0", 380999070552,
+     3, 0},
+};
+
+TEST(FaultGolden, RecoveryTimingsArePicosecondPinned) {
+  for (const RecoveryRow& row : kRecoveryGolden) {
+    SCOPED_TRACE(std::string(row.system) + " " + row.mechanism + " " + row.op + ", " +
+                 row.faults);
+    Fixture f(row.system, 2);
+    std::string err;
+    const auto sched = fault::parse_fault_schedule(row.faults, &err);
+    ASSERT_TRUE(sched.has_value()) << err;
+    fault::FaultInjector inj(f.cluster, *sched);
+    CommOptions opt = f.opt;
+    opt.space = row.space;
+    const auto comm = make_comm(*mechanism_named(row.mechanism), f.cluster, f.pair(), opt);
+    const bool pingpong = std::string(row.op) == "pingpong";
+    std::int64_t ps = 0;
+    int fails = 0;
+    for (int i = 0; i < 3; ++i) {
+      ps += (pingpong ? comm->time_pingpong(0, 1, 1_MiB) : comm->time_allreduce(1_MiB)).ps;
+      fails += comm->last_op_failed() ? 1 : 0;
+    }
+    EXPECT_EQ(ps, row.ps);
+    EXPECT_EQ(fails, row.fails);
+    EXPECT_EQ(f.cluster.network().flows_interrupted(), row.interrupted);
+  }
+}
+
+TEST(FaultGolden, PinnedFaultTargetsAreNodeZerosFirstNic) {
+  const std::pair<const char*, LinkId> wires[] = {
+      {"leonardo", 24040}, {"alps", 24540}, {"lumi", 36552}};
+  for (const auto& [system, wire] : wires) {
+    const Fixture f(system, 2);
+    EXPECT_EQ(f.nic_wire(0), wire) << system;
+    EXPECT_EQ(f.cluster.graph().link(wire).src, f.cluster.node(0).nics.front()) << system;
+  }
+  EXPECT_EQ(Fixture("leonardo", 2).cluster.node(0).nics.front(), 833);
+}
+
 // --- telemetry --------------------------------------------------------------
 
 TEST(FaultTelemetry, DowntimeCountersAndTraceEventsRecorded) {

@@ -1,30 +1,43 @@
-// The host-buffer MPI transfer path shared by staging, host benchmarks and
-// Open MPI's host-staged allreduce.
+// The host-buffer message path shared by staging, host benchmarks and Open
+// MPI's host-staged allreduce (Communicator::host_send): a shared-memory copy
+// between ranks of one node, a NIC message (Communicator::nic_send) between
+// nodes.
 #include <gtest/gtest.h>
 
 #include "gpucomm/cluster/cluster.hpp"
-#include "gpucomm/comm/host_path.hpp"
+#include "gpucomm/comm/communicator.hpp"
 #include "gpucomm/systems/registry.hpp"
 
 namespace gpucomm {
 namespace {
 
+/// Exposes the protected host path; the mechanism's operations are never
+/// called.
+class HostSender final : public Communicator {
+ public:
+  using Communicator::Communicator;
+  using Communicator::host_send;
+
+  Mechanism mechanism() const override { return Mechanism::kStaging; }
+  void send(int, int, Bytes, EventFn) override {}
+  void alltoall(Bytes, EventFn) override {}
+  void allreduce(Bytes, EventFn) override {}
+};
+
 struct Fixture {
   SystemConfig cfg;
   Cluster cluster;
-  std::vector<Rank> ranks;
-  HostPath path;
+  HostSender comm;
 
   explicit Fixture(const std::string& name)
       : cfg(system_by_name(name)),
         cluster(cfg, {.nodes = 2, .enable_noise = false}),
-        ranks(make_ranks(cluster, {0, 1, cfg.gpus_per_node})),
-        path(cluster, ranks, /*service_level=*/0) {}
+        comm(cluster, {0, 1, cfg.gpus_per_node}, CommOptions{}) {}
 
   SimTime timed_send(int src, int dst, Bytes bytes, double eff = 1.0) {
     bool done = false;
     const SimTime start = cluster.engine().now();
-    path.send(src, dst, bytes, eff, [&done] { done = true; });
+    comm.host_send(src, dst, bytes, eff, [&done] { done = true; });
     cluster.engine().run_until([&done] { return done; });
     return cluster.engine().now() - start;
   }
@@ -65,11 +78,17 @@ TEST(HostPathTest, EfficiencyInflatesWireTime) {
   EXPECT_NEAR(t_half.seconds() / t_full.seconds(), 2.0, 0.15);
 }
 
-TEST(HostPathTest, OverheadAccessors) {
+TEST(HostPathTest, OverheadsBracketTheWire) {
+  // Sender software and NIC overhead run before the wire and the
+  // receiver's after it: a 1-byte message costs both plus the wire latency.
   Fixture f("alps");
-  EXPECT_GT(f.path.pre_overhead(1), SimTime::zero());
-  EXPECT_GT(f.path.pre_overhead(1_GiB), f.path.pre_overhead(1));  // rendezvous included
-  EXPECT_GT(f.path.post_overhead(), SimTime::zero());
+  const SimTime overheads =
+      f.cfg.mpi.o_send + f.cfg.nic.send_overhead + f.cfg.mpi.o_recv + f.cfg.nic.recv_overhead;
+  EXPECT_GT(f.cfg.mpi.o_send + f.cfg.nic.send_overhead, SimTime::zero());
+  EXPECT_GT(f.cfg.mpi.o_recv + f.cfg.nic.recv_overhead, SimTime::zero());
+  const SimTime t = f.timed_send(0, 2, 1);
+  EXPECT_GT(t, overheads);
+  EXPECT_LT(t, overheads + microseconds(5.0));
 }
 
 TEST(HostPathTest, LatencyOrderingAcrossSystems) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <queue>
 #include <set>
 
@@ -101,38 +100,12 @@ TEST(RoutingTest, UnreachableReturnsNullopt) {
   EXPECT_EQ(hop_distance(g, a, b), kHopsUnreachable);
 }
 
-TEST(RoutingTest, DiagDistinguishesDisconnectionFromHopBudget) {
-  // Disconnected endpoints: kUnreachable, regardless of budget.
-  Graph g;
-  const DeviceId a = g.add_device({DeviceKind::kGpu, 0, 0, ""});
-  const DeviceId b = g.add_device({DeviceKind::kGpu, 1, 0, ""});
-  RouteDiag diag;
-  EXPECT_FALSE(shortest_route(g, a, b, {}, &diag).has_value());
-  EXPECT_EQ(diag.failure, RouteFailure::kUnreachable);
-
-  // Connected but over budget: kHopBudget, and the -2 sentinel.
-  LineFixture f;
-  RouteOptions opts;
-  opts.max_hops = 2;
-  EXPECT_FALSE(shortest_route(f.g, f.d[0], f.d[3], opts, &diag).has_value());
-  EXPECT_EQ(diag.failure, RouteFailure::kHopBudget);
-  EXPECT_EQ(hop_distance(f.g, f.d[0], f.d[3], opts), kHopsBudgetExceeded);
-
-  // A successful query resets the diagnostic.
-  opts.max_hops = 3;
-  EXPECT_TRUE(shortest_route(f.g, f.d[0], f.d[3], opts, &diag).has_value());
-  EXPECT_EQ(diag.failure, RouteFailure::kNone);
-}
-
 TEST(RoutingTest, LinkFilterDisconnectionIsUnreachable) {
-  // A filter that rejects every link partitions the graph: the failure is
-  // disconnection (no path at any hop count), not budget exhaustion.
+  // A filter that rejects every link partitions the graph.
   LineFixture f;
   RouteOptions opts;
   opts.link_filter = [](LinkId, const Link&) { return false; };
-  RouteDiag diag;
-  EXPECT_FALSE(shortest_route(f.g, f.d[0], f.d[3], opts, &diag).has_value());
-  EXPECT_EQ(diag.failure, RouteFailure::kUnreachable);
+  EXPECT_FALSE(shortest_route(f.g, f.d[0], f.d[3], opts).has_value());
   EXPECT_EQ(hop_distance(f.g, f.d[0], f.d[3], opts), kHopsUnreachable);
 }
 
@@ -141,15 +114,6 @@ TEST(RoutingTest, HopDistance) {
   EXPECT_EQ(hop_distance(f.g, f.d[0], f.d[0]), 0);
   EXPECT_EQ(hop_distance(f.g, f.d[0], f.d[1]), 1);
   EXPECT_EQ(hop_distance(f.g, f.d[0], f.d[3]), 3);
-}
-
-TEST(RoutingTest, MaxHopsLimits) {
-  LineFixture f;
-  RouteOptions opts;
-  opts.max_hops = 2;
-  EXPECT_FALSE(shortest_route(f.g, f.d[0], f.d[3], opts).has_value());
-  opts.max_hops = 3;
-  EXPECT_TRUE(shortest_route(f.g, f.d[0], f.d[3], opts).has_value());
 }
 
 // The reference router: a reverse breadth-first search from dst over a
@@ -169,7 +133,7 @@ std::vector<std::vector<LinkId>> in_links(const Graph& g, const RouteOptions& op
 }
 
 std::vector<int> distances_to(const Graph& g, DeviceId dst,
-                              const std::vector<std::vector<LinkId>>& in, int max_hops) {
+                              const std::vector<std::vector<LinkId>>& in) {
   std::vector<int> dist(g.device_count(), -1);
   std::queue<DeviceId> q;
   dist[dst] = 0;
@@ -177,7 +141,6 @@ std::vector<int> distances_to(const Graph& g, DeviceId dst,
   while (!q.empty()) {
     const DeviceId cur = q.front();
     q.pop();
-    if (dist[cur] >= max_hops) continue;
     for (const LinkId id : in[cur]) {
       const DeviceId prev = g.link(id).src;
       if (dist[prev] < 0) {
@@ -189,23 +152,11 @@ std::vector<int> distances_to(const Graph& g, DeviceId dst,
   return dist;
 }
 
-RouteFailure classify_failure(const Graph& g, DeviceId src, DeviceId dst,
-                              const std::vector<std::vector<LinkId>>& in) {
-  const std::vector<int> full =
-      distances_to(g, dst, in, std::numeric_limits<int>::max());
-  return full[src] < 0 ? RouteFailure::kUnreachable : RouteFailure::kHopBudget;
-}
-
 std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
-                                    const RouteOptions& opts, RouteDiag* diag) {
-  if (diag != nullptr) diag->failure = RouteFailure::kNone;
+                                    const RouteOptions& opts) {
   if (src == dst) return Route{};
-  const std::vector<std::vector<LinkId>> in = in_links(g, opts);
-  const std::vector<int> dist = distances_to(g, dst, in, opts.max_hops);
-  if (dist[src] < 0) {
-    if (diag != nullptr) diag->failure = classify_failure(g, src, dst, in);
-    return std::nullopt;
-  }
+  const std::vector<int> dist = distances_to(g, dst, in_links(g, opts));
+  if (dist[src] < 0) return std::nullopt;
   Route route;
   DeviceId cur = src;
   while (cur != dst) {
@@ -230,39 +181,30 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
 
 int hop_distance(const Graph& g, DeviceId src, DeviceId dst, const RouteOptions& opts) {
   if (src == dst) return 0;
-  const std::vector<std::vector<LinkId>> in = in_links(g, opts);
-  const std::vector<int> dist = distances_to(g, dst, in, opts.max_hops);
-  if (dist[src] >= 0) return dist[src];
-  return classify_failure(g, src, dst, in) == RouteFailure::kUnreachable
-             ? kHopsUnreachable
-             : kHopsBudgetExceeded;
+  return distances_to(g, dst, in_links(g, opts))[src];
 }
 
 }  // namespace reference
 
-/// Route, failure class and hop count of one query, under both routers.
+/// Route and hop count of one query, under both routers.
 void expect_matches_reference(const Graph& g, DeviceId src, DeviceId dst,
                               const RouteOptions& opts) {
-  RouteDiag got_diag;
-  RouteDiag want_diag;
-  const auto got = shortest_route(g, src, dst, opts, &got_diag);
-  const auto want = reference::shortest_route(g, src, dst, opts, &want_diag);
+  const auto got = shortest_route(g, src, dst, opts);
+  const auto want = reference::shortest_route(g, src, dst, opts);
   ASSERT_EQ(got.has_value(), want.has_value()) << src << "->" << dst;
   if (want.has_value()) {
     EXPECT_EQ(*got, *want) << src << "->" << dst;
   }
-  EXPECT_EQ(got_diag.failure, want_diag.failure) << src << "->" << dst;
   EXPECT_EQ(hop_distance(g, src, dst, opts), reference::hop_distance(g, src, dst, opts))
       << src << "->" << dst;
 }
 
 TEST(RoutingOracle, RandomGraphsMatchReverseSearch) {
-  // One-way links, parallel links, several disconnected parts, random link
-  // filters and hop budgets below the shortest distance.
+  // One-way links, parallel links, several disconnected parts and random
+  // link filters.
   Rng rng(2024);
   int routed = 0;
   int unreachable = 0;
-  int over_budget = 0;
   for (int trial = 0; trial < 500; ++trial) {
     Graph g;
     const int n = 2 + static_cast<int>(rng.uniform_int(15));
@@ -297,20 +239,10 @@ TEST(RoutingOracle, RandomGraphsMatchReverseSearch) {
     }
     for (DeviceId src = 0; src < g.device_count(); ++src) {
       for (DeviceId dst = 0; dst < g.device_count(); ++dst) {
-        opts.max_hops = 64;
         const int hops = reference::hop_distance(g, src, dst, opts);
         expect_matches_reference(g, src, dst, opts);
         if (hops == kHopsUnreachable) ++unreachable;
-        if (hops <= 0) continue;
-        ++routed;
-        // A budget below the distance fails with kHopBudget; one equal to
-        // it still routes.
-        opts.max_hops = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(hops)));
-        EXPECT_EQ(hop_distance(g, src, dst, opts), kHopsBudgetExceeded);
-        expect_matches_reference(g, src, dst, opts);
-        over_budget += opts.max_hops > 0 ? 1 : 0;
-        opts.max_hops = hops;
-        expect_matches_reference(g, src, dst, opts);
+        if (hops > 0) ++routed;
       }
     }
     if (HasFailure()) return;
@@ -318,7 +250,6 @@ TEST(RoutingOracle, RandomGraphsMatchReverseSearch) {
   // The generator exercises every outcome.
   EXPECT_GT(routed, 5000);
   EXPECT_GT(unreachable, 5000);
-  EXPECT_GT(over_budget, 2000);
 }
 
 // Downs every listed link; all else nominal.
@@ -358,11 +289,11 @@ TEST(RoutingOracle, SameNodeGpuPairsMatchReverseSearch) {
           if (a == b) continue;
           cluster.set_faults(nullptr);
           const Route nominal = cluster.intra_node_route(a, b);
-          EXPECT_EQ(nominal, reference::shortest_route(g, src, dst, fabric, nullptr).value());
+          EXPECT_EQ(nominal, reference::shortest_route(g, src, dst, fabric).value());
           cluster.set_faults(&faults);
           const Route degraded = cluster.intra_node_route(a, b);
           EXPECT_EQ(degraded,
-                    reference::shortest_route(g, src, dst, faulted, nullptr).value_or(Route{}));
+                    reference::shortest_route(g, src, dst, faulted).value_or(Route{}));
           if (degraded != nominal) ++rerouted;
         }
       }
