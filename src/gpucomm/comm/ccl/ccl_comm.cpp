@@ -138,9 +138,24 @@ void CclComm::coll_transfer(int src, int dst, Bytes bytes, double simple_eff_int
   if (!eff_.gdr_ok) pre += p.gdr_disabled_latency;
   const Route route = cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu);
   // The net proxy pipelines chunks across peers; no per-segment ramp.
-  post_flow(route, bytes, inter_efficiency(false), 0, pre, std::move(done), tag,
+  post_flow(route, bytes, inter_efficiency(false), 0, pre,
+            count_nic_message(s, d, bytes, std::move(done)), tag,
             [this, s, d] { return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu); },
             recovery_cost());
+}
+
+EventFn CclComm::count_nic_message(const Rank& s, const Rank& d, Bytes bytes, EventFn done) {
+  telemetry::Sink* sink = telemetry();
+  if (sink == nullptr) return done;
+  sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
+                    engine().now() + nic_message_overhead(sys().nic, /*send=*/true));
+  return [this, dst_nic = d.nic_dev, bytes, done = std::move(done)] {
+    if (telemetry::Sink* sink = telemetry()) {
+      sink->nic_message(dst_nic, /*send=*/false, bytes, engine().now(),
+                        engine().now() + nic_message_overhead(sys().nic, /*send=*/false));
+    }
+    done();
+  };
 }
 
 void CclComm::coll_message(int src, int dst, Bytes bytes, Bytes op_bytes,
@@ -178,13 +193,10 @@ void CclComm::send(int src, int dst, Bytes bytes, EventFn done) {
   if (!eff_.gdr_ok) pre += p.gdr_disabled_latency;
   double eff = p.net_p2p_efficiency * sys().nic.protocol_efficiency;
   if (!eff_.gdr_ok) eff *= p.gdr_disabled_bw_factor;
-  if (telemetry::Sink* sink = telemetry()) {
-    sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
-                      engine().now() + nic_message_overhead(sys().nic, /*send=*/true));
-  }
   const Route route = cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu);
   const FlowShape fs = shape(bytes, 0, eff, sys().nic.rate);
-  post_flow(route, bytes, fs.efficiency, fs.rate_cap, pre, std::move(done), tag,
+  post_flow(route, bytes, fs.efficiency, fs.rate_cap, pre,
+            count_nic_message(s, d, bytes, std::move(done)), tag,
             [this, s, d] { return cluster_.inter_node_route(s.gpu_dev, s.gpu, d.gpu_dev, d.gpu); },
             recovery_cost());
 }

@@ -135,6 +135,34 @@ void SlotProblem::end_flow(Bandwidth rate_cap) {
   cap.push_back(rate_cap);
 }
 
+std::size_t SlotProblem::remove_flows(const std::vector<std::uint32_t>& gone) {
+  if (gone.empty()) return 0;
+  std::size_t emptied = 0;
+  // Compact in place from the first removed flow on. offset[i + 1] is read
+  // before the write cursor can reach it.
+  std::uint32_t flows = gone.front();
+  std::uint32_t end_hop = offset[flows];
+  std::uint32_t begin = end_hop;
+  std::size_t g = 0;
+  for (std::uint32_t i = gone.front(); i < flow_count(); ++i) {
+    const std::uint32_t end = offset[i + 1];
+    if (g < gone.size() && gone[g] == i) {
+      ++g;
+      for (std::uint32_t k = begin; k < end; ++k) emptied += --crossings[hops[k]] == 0;
+    } else {
+      std::copy(hops.begin() + begin, hops.begin() + end, hops.begin() + end_hop);
+      end_hop += end - begin;
+      cap[flows] = cap[i];
+      offset[++flows] = end_hop;
+    }
+    begin = end;
+  }
+  hops.resize(end_hop);
+  cap.resize(flows);
+  offset.resize(flows + 1);
+  return emptied;
+}
+
 const std::vector<Bandwidth>& FairshareSolver::solve(
     const std::vector<Bandwidth>& capacity, const std::vector<const Route*>& flows,
     const std::vector<Bandwidth>& caps, FairshareTrace* trace) {

@@ -52,11 +52,15 @@ std::vector<Bandwidth> maxmin_fair_rates(const FairshareProblem& problem,
                                          FairshareTrace* trace = nullptr);
 
 /// A max-min problem whose routes are already translated to dense link
-/// slots: the input of FairshareSolver::fill. Slots are numbered in
-/// first-visit order (flows in order, each route in order), the order
-/// maxmin_fair_rates assigns its dense indices in, so per-link arithmetic is
-/// sequenced identically. Network builds one per component subproblem and
-/// its congestion pass reads the same translation.
+/// slots: the input of FairshareSolver::fill. add_hop numbers slots in
+/// first-visit order (flows in order, each route in order), but no rate
+/// depends on the numbering: the fill takes an exact minimum over slots,
+/// subtracts from each slot in flow order and walks each flow's hops in
+/// route order, so per-link arithmetic is sequenced as in maxmin_fair_rates
+/// under any numbering, and a slot no flow crosses changes nothing
+/// (tests/test_fairshare_fastpath). Network builds one per component
+/// subproblem, its congestion pass reads the same translation, and a kept
+/// whole-set problem loses completed flows in place (remove_flows).
 class SlotProblem {
  public:
   /// Start an empty problem over links below `link_count`. The LinkId ->
@@ -69,6 +73,11 @@ class SlotProblem {
   /// Close the flow being built; `rate_cap` follows FairshareProblem::caps
   /// (infinity = uncapped).
   void end_flow(Bandwidth rate_cap);
+  /// Remove the flows at the ascending indices `gone`: their hops leave and
+  /// their slots' crossings fall. Slots stay numbered as they were, and a
+  /// slot no flow crosses any more stays too. Returns how many slots the
+  /// removal left with no crossing.
+  std::size_t remove_flows(const std::vector<std::uint32_t>& gone);
 
   std::size_t flow_count() const { return cap.size(); }
 

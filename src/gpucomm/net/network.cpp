@@ -25,6 +25,11 @@ constexpr std::uint64_t kKeyDelimiter = UINT64_MAX;
 // more flows), and the bound keeps every entry small.
 constexpr std::size_t kCacheEntries = 128;
 constexpr std::uint32_t kCacheMaxFlows = 32;
+// No slot: drain_list's parent for a seed list, which no enqueued flow
+// drains, and find_on_drained_lists' miss.
+constexpr std::uint32_t kNoSlot = UINT32_MAX;
+// Tree depth of a flow started since the last solve: never a parent.
+constexpr std::uint32_t kUnreached = UINT32_MAX;
 
 std::uint64_t hash_key(const std::vector<std::uint64_t>& key) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a over 64-bit words
@@ -44,9 +49,13 @@ struct Network::SolverCtx {
   FairshareTrace trace;
   // The component's routes translated to dense link slots, read by the fill
   // and the congestion pass; slot_vl[s] is the VL problem.capacity[s] was
-  // computed for.
+  // computed for, and slot_mixed[s] says flows of another VL crossed it
+  // too. emptied counts the slots that removals left with no crossing
+  // since the last fresh translation.
   SlotProblem problem;
   std::vector<int> slot_vl;
+  std::vector<char> slot_mixed;
+  std::size_t emptied = 0;
   std::vector<std::uint64_t> key;
 
   struct CacheEntry {
@@ -197,6 +206,7 @@ std::uint32_t Network::acquire_slot() {
   on_delivered_.emplace_back();
   on_interrupted_.emplace_back();
   slot_mark_.push_back(0);
+  tree_.emplace_back();
   return slot;
 }
 
@@ -319,6 +329,7 @@ FlowId Network::start_flow(FlowSpec spec, std::function<void(SimTime)> on_delive
   bottleneck_[slot] = kInvalidLink;
   on_delivered_[slot] = std::move(on_delivered);
   on_interrupted_[slot] = std::move(spec.on_interrupted);
+  tree_[slot] = {0, 0, kUnreached};
   order_.push_back(slot);
   link_flow_entries(slot);
   pending_new_slots_.push_back(slot);
@@ -327,12 +338,10 @@ FlowId Network::start_flow(FlowSpec spec, std::function<void(SimTime)> on_delive
 }
 
 Network::RemovedFlow Network::extract_flow(std::uint32_t slot) {
-  // A removal can split the whole set, and it leaves a hole in the kept
-  // translation.
-  whole_set_flows_ = 0;
   unlink_flow_entries(slot);
   RemovedFlow f;
   f.id = id_[slot];
+  id_[slot] = 0;  // no tree child takes the freed slot for its parent
   f.route = std::move(route_[slot]);
   f.vl = vl_[slot];
   f.total_bits = total_bits_[slot];
@@ -368,14 +377,30 @@ void Network::advance_residuals() {
 }
 
 void Network::drain_list(const std::vector<std::int32_t>& head, std::vector<std::uint64_t>& mark,
-                         std::uint32_t key) {
+                         std::uint32_t key, std::uint32_t parent) {
   if (mark[key] == mark_epoch_) return;
   mark[key] = mark_epoch_;
-  for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) {
+  std::int32_t e = head[key];
+  if (parent == kNoSlot) {
+    for (std::int32_t f = e; f != -1 && parent == kNoSlot; f = ent_next_[f]) {
+      if (slot_mark_[ent_slot_[f]] == mark_epoch_) parent = ent_slot_[f];
+    }
+    if (parent == kNoSlot) {
+      if (e == -1) return;
+      parent = ent_slot_[e];
+      slot_mark_[parent] = mark_epoch_;
+      comp_slots_.push_back(parent);
+      tree_[parent] = {};
+      e = ent_next_[e];
+    }
+  }
+  const TreeNode child{id_[parent], parent, tree_[parent].depth + 1};
+  for (; e != -1; e = ent_next_[e]) {
     const std::uint32_t s = ent_slot_[e];
     if (slot_mark_[s] != mark_epoch_) {
       slot_mark_[s] = mark_epoch_;
       comp_slots_.push_back(s);
+      tree_[s] = child;
     }
   }
 }
@@ -401,7 +426,7 @@ void Network::close_component(std::size_t start) {
   for (std::size_t i = start; i < comp_slots_.size(); ++i) {
     const std::uint32_t slot = comp_slots_[i];
     for (const LinkId l : route_[slot]) {
-      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l);
+      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l, slot);
     }
     if (!closure_switches_) continue;
     // Congestion couples flows through shared switch buffers even when they
@@ -411,7 +436,7 @@ void Network::close_component(std::size_t start) {
     // links -- and only those: an empty switch-to-switch link must not chain
     // the whole fabric into one component.
     for (std::int32_t e = sw_ent_head_[slot]; e != -1; e = ent_next_flow_[e]) {
-      drain_list(switch_head_, dev_mark_, ent_key_[e]);
+      drain_list(switch_head_, dev_mark_, ent_key_[e], slot);
     }
   }
   const std::size_t size = comp_slots_.size() - start;
@@ -434,6 +459,7 @@ void Network::bfs_component(std::uint32_t seed_slot) {
   const std::size_t start = comp_slots_.size();
   slot_mark_[seed_slot] = mark_epoch_;
   comp_slots_.push_back(seed_slot);
+  tree_[seed_slot] = {};
   close_component(start);
 }
 
@@ -441,34 +467,90 @@ void Network::partition_all() {
   for (const std::uint32_t slot : order_) bfs_component(slot);
 }
 
-bool Network::whole_set_grows() {
-  const std::uint32_t kept = whole_set_flows_;
-  if (kept == 0 || order_.size() == kept || graph_.link_count() != whole_set_links_) {
+template <typename Pred>
+std::uint32_t Network::find_on_drained_lists(std::uint32_t slot, Pred pred) {
+  const auto scan = [this, &pred](const std::vector<std::int32_t>& head, std::uint32_t key) {
+    for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) {
+      if (pred(ent_slot_[e])) return ent_slot_[e];
+    }
+    return kNoSlot;
+  };
+  for (const LinkId l : route_[slot]) {
+    if (!link_needs_drain(l)) continue;
+    if (const std::uint32_t s = scan(link_head_, l); s != kNoSlot) return s;
+  }
+  for (std::int32_t e = sw_ent_head_[slot]; e != -1; e = ent_next_flow_[e]) {
+    if (const std::uint32_t s = scan(switch_head_, ent_key_[e]); s != kNoSlot) return s;
+  }
+  return kNoSlot;
+}
+
+bool Network::whole_set_holds(std::uint32_t& kept) {
+  if (whole_set_flows_ == 0 || graph_.link_count() != whole_set_links_) return false;
+  const auto survivors =
+      static_cast<std::uint32_t>(whole_set_flows_ - whole_set_left_.size());
+  if (whole_set_left_.empty()) {
+    // Nothing changed: the seeded BFS finds no work.
+    if (order_.size() == survivors) return false;
+  } else if (!repair_tree(survivors)) {
     return false;
   }
+  if (!whole_set_grows(survivors)) return false;
+  kept = whole_set_left_.empty() || drop_left_flows(survivors) ? survivors : 0;
+  return true;
+}
+
+bool Network::drop_left_flows(std::uint32_t survivors) {
+  SolverCtx& ctx = *ctx_;
+  SlotProblem& p = ctx.problem;
+  // Below kCacheMaxFlows the solve keys every flow anyway. On a slot that
+  // flows of two VLs cross, the capacity follows the VL of the newest one,
+  // which may be leaving.
+  if (survivors < kCacheMaxFlows) return false;
+  for (const std::uint32_t i : whole_set_left_) {
+    for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
+      if (ctx.slot_mixed[p.hops[k]] != 0) return false;
+    }
+  }
+  ctx.emptied += p.remove_flows(whole_set_left_);
+  // Emptied slots cost the fill a little each; translate afresh before they
+  // outnumber the crossed ones.
+  return 2 * ctx.emptied <= p.link.size();
+}
+
+bool Network::repair_tree(std::uint32_t survivors) {
+  // The survivors must hold exactly one root: the tree's own, not one of
+  // several a seed gather grouped.
+  std::uint32_t roots = 0;
+  for (std::uint32_t i = 0; i < survivors; ++i) roots += tree_[order_[i]].parent == 0;
+  if (roots != 1) return false;
+  // A survivor whose parent left keeps its depth and takes a strictly
+  // shallower parent, which cannot be one of its descendants; so parents
+  // still lead every survivor to the root. Flows started since the last
+  // solve are kUnreached deep and never qualify.
+  for (std::uint32_t i = 0; i < survivors; ++i) {
+    TreeNode& t = tree_[order_[i]];
+    if (t.parent == 0 || id_[t.parent_slot] == t.parent) continue;
+    const std::uint32_t parent = find_on_drained_lists(
+        order_[i], [this, &t](std::uint32_t s) { return tree_[s].depth < t.depth; });
+    if (parent == kNoSlot) return false;
+    t.parent = id_[parent];
+    t.parent_slot = parent;
+  }
+  return true;
+}
+
+bool Network::whole_set_grows(std::uint32_t kept) {
+  if (order_.size() == kept) return true;
   // Lists are push-front, so a walk passes the started flows' entries first
   // and stops at the first entry of a flow the kept subproblem holds.
   const FlowId first_new = id_[order_[kept]];
-  const auto holds_kept = [this, first_new](const std::vector<std::int32_t>& head,
-                                            std::uint32_t key) {
-    for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) {
-      if (id_[ent_slot_[e]] < first_new) return true;
-    }
-    return false;
-  };
   for (std::size_t i = kept; i < order_.size(); ++i) {
     const std::uint32_t slot = order_[i];
-    bool joins = false;
-    for (const LinkId l : route_[slot]) {
-      if (link_needs_drain(l) && holds_kept(link_head_, l)) {
-        joins = true;
-        break;
-      }
-    }
-    for (std::int32_t e = sw_ent_head_[slot]; e != -1 && !joins; e = ent_next_flow_[e]) {
-      joins = holds_kept(switch_head_, ent_key_[e]);
-    }
-    if (!joins) return false;
+    const std::uint32_t parent = find_on_drained_lists(
+        slot, [this, first_new](std::uint32_t s) { return id_[s] < first_new; });
+    if (parent == kNoSlot) return false;
+    tree_[slot] = {id_[parent], parent, tree_[parent].depth + 1};
   }
   return true;
 }
@@ -484,6 +566,8 @@ void Network::reallocate_and_schedule() {
   if (order_.empty()) {
     pending_new_slots_.clear();
     pending_seed_links_.clear();
+    whole_set_left_.clear();
+    whole_set_flows_ = 0;
     return;
   }
   ensure_tables();
@@ -519,14 +603,13 @@ void Network::reallocate_and_schedule() {
       case FullReason::kConfig: ++stats_.fallback_config; break;
       case FullReason::kNone: break;
     }
-  } else if (pending_seed_links_.empty() && whole_set_grows()) {
-    // Only starts since the whole active set was solved as one subproblem,
-    // and each started flow shares a drained list with a flow of it: the
-    // seeded BFS below would find order_ as one component and book a
-    // threshold fallback. Skip it, and extend the kept translation.
+  } else if (whole_set_holds(kept)) {
+    // The whole active set was solved as one subproblem, its survivors are
+    // still connected, and each started flow shares a drained list with one
+    // of them: the seeded BFS below would find order_ as one component and
+    // book a threshold fallback. Skip it.
     comp_slots_.assign(order_.begin(), order_.end());
     comp_offset_.push_back(static_cast<std::uint32_t>(order_.size()));
-    kept = whole_set_flows_;
     ++stats_.full_solves;
     ++stats_.fallback_threshold;
   } else {
@@ -539,10 +622,12 @@ void Network::reallocate_and_schedule() {
     // remaining flow couples the two endpoints any more.
     for (const LinkId l : pending_seed_links_) {
       const std::size_t start = comp_slots_.size();
-      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l);
+      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l, kNoSlot);
       if (closure_switches_) {
         const Link& lk = graph_.link(l);
-        for (const DeviceId d : {lk.src, lk.dst}) drain_list(switch_head_, dev_mark_, d);
+        for (const DeviceId d : {lk.src, lk.dst}) {
+          drain_list(switch_head_, dev_mark_, d, kNoSlot);
+        }
       }
       close_component(start);
     }
@@ -560,6 +645,7 @@ void Network::reallocate_and_schedule() {
   }
   pending_new_slots_.clear();
   pending_seed_links_.clear();
+  whole_set_left_.clear();
   full_reason_ = FullReason::kNone;
 
   solve_components(kept);
@@ -618,6 +704,8 @@ void Network::solve_component(std::uint32_t begin, std::uint32_t end, std::uint3
   if (kept == 0) {
     p.reset(graph_.link_count());
     ctx.slot_vl.clear();
+    ctx.slot_mixed.clear();
+    ctx.emptied = 0;
   }
   ctx.key.clear();
   if (cached) {
@@ -637,8 +725,12 @@ void Network::solve_component(std::uint32_t begin, std::uint32_t end, std::uint3
     for (const LinkId l : route_[slot]) {
       bool fresh;
       const std::uint32_t ls = p.add_hop(l, fresh);
-      if (fresh) ctx.slot_vl.push_back(vl);
+      if (fresh) {
+        ctx.slot_vl.push_back(vl);
+        ctx.slot_mixed.push_back(0);
+      }
       if (fresh || ctx.slot_vl[ls] != vl) {
+        if (!fresh) ctx.slot_mixed[ls] = 1;
         ctx.slot_vl[ls] = vl;
         p.capacity[ls] = effective_capacity(l, vl);
       }
@@ -879,8 +971,11 @@ void Network::on_completion_event() {
     const std::uint32_t slot = order_[i];
     if (residual_bits_[slot] <= kEpsilonBits) {
       // The vacated links are next event's seeds: the completed flow's share
-      // redistributes to whatever still crosses them.
+      // redistributes to whatever still crosses them. Only flows of the last
+      // solve have run, so with a kept whole set the flow is one of its
+      // first whole_set_flows_ and leaves a hole at its position there.
       for (const LinkId l : route_[slot]) pending_seed_links_.push_back(l);
+      if (whole_set_flows_ != 0) whole_set_left_.push_back(static_cast<std::uint32_t>(i));
       removed_scratch_.push_back(extract_flow(slot));
     } else {
       order_[keep++] = slot;

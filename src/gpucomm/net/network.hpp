@@ -19,14 +19,18 @@
 // links, plus shared switches when congestion coupling is enabled), solves
 // each component as an independent subproblem, and splices the rates back.
 // Events that cannot be localized (link state changes, noise epochs, model
-// rewiring) fall back to a full partitioned solve. When the last solve held
-// every active flow in one subproblem and flows have only started since,
-// each sharing a list with a flow of that subproblem, the active set is one
-// component again: the partition is skipped and the started flows' routes
-// are appended to the kept translation. Components are solved one
-// after another in discovery order; because they share no links and the
-// allocation cache is exact-compare, the resulting rates are byte-identical
-// to the kFullResolve reference mode (docs/PERFORMANCE.md, tests/test_network).
+// rewiring) fall back to a full partitioned solve. The partition keeps a
+// spanning tree over each component it closes. When the last solve held
+// every active flow in one subproblem, the flows that completed since were
+// its own, the survivors repair the tree (each whose parent left takes a
+// strictly shallower flow on a shared list as its parent) and every started
+// flow shares a list with a survivor, the active set is provably one
+// component again: the partition is skipped, the completed flows are
+// dropped from the kept translation and the started ones appended.
+// Components are solved one after another in discovery order; because they
+// share no links and the allocation cache is exact-compare, the resulting
+// rates are byte-identical to the kFullResolve reference mode outside the
+// one corner SolverMode names (docs/PERFORMANCE.md, tests/test_network).
 #pragma once
 
 #include <cstdint>
@@ -112,8 +116,16 @@ enum class SolverMode {
   /// Re-partition and re-solve every component from scratch on every event:
   /// the pre-PR-7 cost model (O(network) per event) with the per-component
   /// subproblem decomposition. Reference mode for the differential tests —
-  /// provably bit-identical to kIncremental because untouched components
-  /// re-solve the same subproblem the incremental mode skips. (A literal
+  /// bit-identical to kIncremental wherever both solve the same subproblems,
+  /// because untouched components re-solve the same subproblem the
+  /// incremental mode skips. One corner differs: under the congestion
+  /// closure a vacated link gathers the flows on both its switch endpoints
+  /// into one subproblem even when nothing couples them any more, and the
+  /// fill's 1e-12 freeze tolerance can then let one group's level capture a
+  /// flow of the other (a capped flow got exactly 5e10 b/s here and
+  /// 50000000000.044998 b/s in kFullResolve). No paper output reaches it,
+  /// ROADMAP item 6 closes it, and the whole-set repair never certifies a
+  /// subproblem the gather only groups, which holds a root per group. (A literal
   /// whole-set-as-one-subproblem solve is NOT bit-stable against any
   /// decomposition: the fairshare solver's 1e-12 freeze tolerance lets one
   /// component's fill level capture a flow in another whose own share ties
@@ -231,9 +243,12 @@ class Network {
   /// visited this epoch) to comp_slots_ / comp_offset_, sorted by FlowId.
   void bfs_component(std::uint32_t seed_slot);
   /// Enqueue the unvisited flows of one link's (or, with `head` =
-  /// switch_head_, one switch's) entry list, unless it was drained already.
+  /// switch_head_, one switch's) entry list, unless it was drained already,
+  /// as tree children of `parent`. A seed list (`parent` = kNoSlot) hangs
+  /// them under a flow of the list already enqueued, else under its first
+  /// new flow, which becomes a root.
   void drain_list(const std::vector<std::int32_t>& head, std::vector<std::uint64_t>& mark,
-                  std::uint32_t key);
+                  std::uint32_t key, std::uint32_t parent);
   /// Whether closing a component must drain link `l`'s own list: always
   /// without the congestion closure, and under it only when neither
   /// endpoint is a switch (whose list already holds every flow on `l`).
@@ -245,15 +260,32 @@ class Network {
   void close_component(std::size_t start);
   /// Partition every active flow into components (order_ walk).
   void partition_all();
-  /// Whether only starts happened since a whole-set solve (whole_set_flows_)
-  /// and every started flow shares a drained list with a flow of that solve:
-  /// the active set is then one component again, order_.
-  bool whole_set_grows();
+  /// The first flow satisfying `pred` on a list `slot`'s flow is on that the
+  /// partition drains: its route links' lists where link_needs_drain holds,
+  /// then its switch lists. kNoSlot when there is none.
+  template <typename Pred>
+  std::uint32_t find_on_drained_lists(std::uint32_t slot, Pred pred);
+  /// Whether the active set is provably still the one component of the last
+  /// whole-set solve (whole_set_flows_): its surviving flows stay connected
+  /// (repair_tree) and every started flow joins them (whole_set_grows).
+  /// Sets `kept` to the leading flows ctx_->problem still translates.
+  bool whole_set_holds(std::uint32_t& kept);
+  /// Re-parent each of the first `survivors` flows of order_ whose tree
+  /// parent left to a strictly shallower flow on one of its drained lists.
+  /// False when one finds none or the survivors hold other than one root.
+  bool repair_tree(std::uint32_t survivors);
+  /// Whether every started flow, order_[kept..], shares a drained list with
+  /// one of the first `kept` flows; each takes that flow as tree parent.
+  bool whole_set_grows(std::uint32_t kept);
+  /// Remove whole_set_left_'s flows from ctx_->problem, leaving it the
+  /// translation of order_'s first `survivors` flows. False when a fresh
+  /// translation is needed instead.
+  bool drop_left_flows(std::uint32_t survivors);
 
   // --- solving ---
   /// Solve every comp_offset_ range in order and write rates (and telemetry
   /// trace state) back to the slots. The first range's leading `kept` flows
-  /// are still translated in ctx_->problem.
+  /// are still translated in ctx_->problem (kept = 0: translate afresh).
   void solve_components(std::uint32_t kept);
   void solve_component(std::uint32_t begin, std::uint32_t end, std::uint32_t kept);
   /// Post-allocation congestion coupling for one component: degrade flows
@@ -327,11 +359,24 @@ class Network {
   std::uint64_t noise_version_seen_ = 0;
   // When the last reallocation solved the whole active set as one subproblem
   // (of at least kCacheMaxFlows flows), its flow count: ctx_->problem still
-  // holds the translation of order_'s first whole_set_flows_ flows, for
-  // graph_ at whole_set_links_ links. 0 once a flow leaves or a full solve
-  // is requested.
+  // holds the translation of those flows, for graph_ at whole_set_links_
+  // links. 0 once a full solve is requested. whole_set_left_ holds the
+  // positions in that subproblem of the flows that completed since.
   std::uint32_t whole_set_flows_ = 0;
   std::size_t whole_set_links_ = 0;
+  std::vector<std::uint32_t> whole_set_left_;
+  // Spanning tree over each component the partition closes, per slot: a
+  // flow it shares a drained list with (parent; 0 for a root) and its depth,
+  // strictly greater than the parent's, so parents lead every flow to a
+  // root. parent is compared with id_[parent_slot], which extract_flow
+  // clears, so a freed or recycled slot never passes for a live parent.
+  // Flows started since the last solve have depth kUnreached.
+  struct TreeNode {
+    FlowId parent = 0;
+    std::uint32_t parent_slot = 0;
+    std::uint32_t depth = 0;
+  };
+  std::vector<TreeNode> tree_;
 
   // --- solving state ---
   SolverMode mode_ = SolverMode::kIncremental;

@@ -7,6 +7,7 @@
 // reallocation's input is unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <random>
 
@@ -37,15 +38,18 @@ void expect_identical(const FairshareProblem& p, FairshareSolver& solver) {
   EXPECT_EQ(got_trace.saturated, want_trace.saturated);
 }
 
-TEST(FairshareFastpath, MatchesReferenceOnRandomizedProblems) {
+/// 200 seeded problems: up to 64 links (5% of them at zero capacity) and 96
+/// flows of 1-6 distinct links (5% empty), a quarter of them capped, and
+/// no caps at all in 30% of the problems.
+std::vector<FairshareProblem> randomized_problems() {
   std::mt19937_64 rng(20260807);
   std::uniform_real_distribution<double> cap_dist(1e9, 400e9);
   std::uniform_int_distribution<int> pct(0, 99);
-  FairshareSolver solver;  // shared across problems: scratch reuse must not leak
+  std::vector<FairshareProblem> problems;
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t links = 1 + rng() % 64;
     const std::size_t flows = rng() % 96;
-    FairshareProblem p;
+    FairshareProblem& p = problems.emplace_back();
     p.capacity.resize(links);
     for (Bandwidth& c : p.capacity) c = pct(rng) < 5 ? 0.0 : cap_dist(rng);
     p.flows.resize(flows);
@@ -62,7 +66,71 @@ TEST(FairshareFastpath, MatchesReferenceOnRandomizedProblems) {
       if (pct(rng) < 25) p.caps[i] = cap_dist(rng) / 8;
     }
     if (pct(rng) < 30) p.caps.clear();  // caps are optional
-    expect_identical(p, solver);
+  }
+  return problems;
+}
+
+TEST(FairshareFastpath, MatchesReferenceOnRandomizedProblems) {
+  FairshareSolver solver;  // shared across problems: scratch reuse must not leak
+  for (const FairshareProblem& p : randomized_problems()) expect_identical(p, solver);
+}
+
+TEST(FairshareFastpath, SlotNumberingAndEmptySlotsAreInvisible) {
+  // Network edits a kept SlotProblem when flows leave: their slots keep
+  // their numbers, and a slot no flow crosses any more stays in the table.
+  // The fill takes an exact minimum over slots and walks each flow's hops in
+  // route order, so neither may move a bit: slots here are numbered by a
+  // random permutation, with zero-crossing slots mixed in.
+  std::mt19937_64 rng(20261020);
+  FairshareSolver solver;
+  for (const FairshareProblem& p : randomized_problems()) {
+    // Each used link once, plus up to 8 slots no flow crosses (on link ids
+    // past the problem's, with any capacity, zero included).
+    std::vector<LinkId> links;
+    for (const Route& route : p.flows) {
+      for (const LinkId l : route) {
+        if (std::find(links.begin(), links.end(), l) == links.end()) links.push_back(l);
+      }
+    }
+    const std::size_t used = links.size();
+    const std::size_t padding = rng() % 9;
+    for (std::size_t k = 0; k < padding; ++k) {
+      links.push_back(static_cast<LinkId>(p.capacity.size() + k));
+    }
+    std::vector<std::uint32_t> slot_of(links.size());
+    for (std::uint32_t s = 0; s < slot_of.size(); ++s) slot_of[s] = s;
+    std::shuffle(slot_of.begin(), slot_of.end(), rng);
+
+    SlotProblem sp;
+    sp.link.assign(links.size(), kInvalidLink);
+    sp.capacity.assign(links.size(), 0);
+    sp.crossings.assign(links.size(), 0);
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      const std::uint32_t s = slot_of[k];
+      sp.link[s] = links[k];
+      sp.capacity[s] = k < used ? p.capacity[links[k]] : (rng() % 2 == 0 ? 0.0 : gbps(100));
+    }
+    sp.offset.assign(1, 0);
+    for (std::size_t i = 0; i < p.flows.size(); ++i) {
+      for (const LinkId l : p.flows[i]) {
+        const auto k = static_cast<std::size_t>(
+            std::find(links.begin(), links.end(), l) - links.begin());
+        sp.hops.push_back(slot_of[k]);
+        ++sp.crossings[slot_of[k]];
+      }
+      sp.offset.push_back(static_cast<std::uint32_t>(sp.hops.size()));
+      sp.cap.push_back(p.caps.empty() ? kInf : p.caps[i]);
+    }
+
+    FairshareTrace want_trace, got_trace;
+    const std::vector<Bandwidth> want = maxmin_fair_rates(p, &want_trace);
+    const std::vector<Bandwidth> got = solver.fill(sp, &got_trace);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got_trace.bottleneck, want_trace.bottleneck);
+    // Saturated links are listed in slot order: compare them as a set.
+    std::sort(want_trace.saturated.begin(), want_trace.saturated.end());
+    std::sort(got_trace.saturated.begin(), got_trace.saturated.end());
+    EXPECT_EQ(got_trace.saturated, want_trace.saturated);
   }
 }
 

@@ -254,6 +254,33 @@ struct DiffReplay {
     bool operator==(const Result&) const = default;
   };
 
+  /// What each wave starts.
+  enum class Waves {
+    /// 1-5 intra- and cross-leaf flows of 1 KiB to 2 MiB.
+    kChurn,
+    /// Grow one giant component: 6-9 cross-leaf flows of 256 KiB to 2 MiB,
+    /// which outlive the next wave, so most waves only add flows to a
+    /// whole-set subproblem of 32 flows or more.
+    kGrow,
+    /// kGrow's waves for the first third of the run, then none: the whole
+    /// set of about 150 flows loses them one completion at a time.
+    kShrink,
+    /// kGrow's waves in two halves that share no link or switch (leaf 0 to
+    /// leaf 1 over spine 0, leaf 2 to leaf 3 over spine 1). Every other wave
+    /// also starts a 4 KiB bridge from leaf 0 to leaf 3, whose completion
+    /// splits the whole set.
+    kSplit,
+    /// Every flow crosses leaf 0 to spine 0, the one bottleneck: 40 flows of
+    /// 256 KiB to 2 MiB, the first of them 16 KiB, then 2-4 flows of 16 KiB
+    /// per wave, which finish first. The partition roots its tree at the
+    /// oldest flow, then at the newest one on a vacated link, and either
+    /// leaves soon.
+    kRootLeaves,
+    // Under the last three, flows on VL 1 start only in waves 1 to 7, so
+    // completions meet slots that two VLs cross and, later, only slots of
+    // one.
+  };
+
   struct Options {
     SolverMode mode = SolverMode::kIncremental;
     bool faults = false;
@@ -261,10 +288,7 @@ struct DiffReplay {
     bool noise = false;
     /// Attach an AllocationRecorder and return its stream in Result::telemetry.
     bool telemetry = false;
-    /// Grow one giant component: every wave starts 6-9 cross-leaf flows of
-    /// 256 KiB to 2 MiB, which outlive the next wave, so most waves only add
-    /// flows to a whole-set subproblem of 32 flows or more.
-    bool grow = false;
+    Waves waves = Waves::kChurn;
     /// When set, receives the network's final solver counters.
     net::SolverStats* stats_out = nullptr;
     std::uint64_t seed = 1;
@@ -347,26 +371,48 @@ struct DiffReplay {
 
     Rng rng(o.seed);
     constexpr int kWaves = 60;
+    const bool churn = o.waves == Waves::kChurn;
     for (int w = 0; w < kWaves; ++w) {
       const SimTime t = microseconds(static_cast<double>(w) * 25.0);
-      // 1-5 new flows per wave (6-9 cross-leaf ones under `grow`): mixed
-      // intra-leaf and cross-leaf, two VLs, an occasional private rate cap.
-      const int count = o.grow ? 6 + static_cast<int>(rng.uniform_int(4))
-                               : 1 + static_cast<int>(rng.uniform_int(5));
+      // Two VLs and an occasional private rate cap throughout.
+      int count = 0;
+      switch (o.waves) {
+        case Waves::kChurn: count = 1 + static_cast<int>(rng.uniform_int(5)); break;
+        case Waves::kGrow:
+        case Waves::kSplit: count = 6 + static_cast<int>(rng.uniform_int(4)); break;
+        case Waves::kShrink:
+          count = w < kWaves / 3 ? 6 + static_cast<int>(rng.uniform_int(4)) : 0;
+          break;
+        case Waves::kRootLeaves:
+          count = w == 0 ? 40 : 2 + static_cast<int>(rng.uniform_int(3));
+          break;
+      }
       std::vector<Start> starts;
       for (int i = 0; i < count; ++i) {
-        const int sl = static_cast<int>(rng.uniform_int(kLeaves));
+        int sl = static_cast<int>(rng.uniform_int(kLeaves));
         const int sg = static_cast<int>(rng.uniform_int(kGpusPerLeaf));
-        int dl = o.grow ? (sl + 1 + static_cast<int>(rng.uniform_int(kLeaves - 1))) % kLeaves
-                        : static_cast<int>(rng.uniform_int(kLeaves));
+        int dl = churn ? static_cast<int>(rng.uniform_int(kLeaves))
+                       : (sl + 1 + static_cast<int>(rng.uniform_int(kLeaves - 1))) % kLeaves;
         int dg = static_cast<int>(rng.uniform_int(kGpusPerLeaf));
+        int s = static_cast<int>(rng.uniform_int(kSpines));
+        Bytes bytes = churn ? static_cast<Bytes>(1_KiB << rng.uniform_int(12))   // 1 KiB .. 2 MiB
+                            : static_cast<Bytes>(256_KiB << rng.uniform_int(4));  // 256 KiB .. 2 MiB
+        if (o.waves == Waves::kSplit) {
+          const bool bridge = i == 0 && w % 2 == 0;
+          sl = bridge ? 0 : 2 * s;
+          dl = bridge ? 3 : 2 * s + 1;
+          if (bridge) bytes = 4_KiB;
+        } else if (o.waves == Waves::kRootLeaves) {
+          dl = (dl - sl + kLeaves) % kLeaves;
+          sl = 0;
+          s = 0;
+          if (w > 0 || i == 0) bytes = 16_KiB;
+        }
         if (dl == sl && dg == sg) dg = (dg + 1) % kGpusPerLeaf;
-        const int s = static_cast<int>(rng.uniform_int(kSpines));
         Start st;
         st.route = route(sl, sg, dl, dg, s);
-        st.bytes = o.grow ? static_cast<Bytes>(256_KiB << rng.uniform_int(4))   // 256 KiB .. 2 MiB
-                          : static_cast<Bytes>(1_KiB << rng.uniform_int(12));  // 1 KiB .. 2 MiB
-        st.vl = rng.bernoulli(0.3) ? 1 : 0;
+        st.bytes = bytes;
+        st.vl = rng.bernoulli(0.3) && (o.waves <= Waves::kGrow || (w > 0 && w < 8)) ? 1 : 0;
         st.cap = rng.bernoulli(0.2) ? gbps(rng.uniform(5.0, 60.0)) : 0;
         starts.push_back(std::move(st));
       }
@@ -471,15 +517,16 @@ TEST(NetworkDifferential, CombinedChurnFaultsCongestionNoise) {
   expect_differential_identity(o);
 }
 
-TEST(NetworkDifferential, GrowingWholeSetBitIdentity) {
-  // Start-only events on a whole-set subproblem of 32 flows or more extend
-  // its kept translation instead of re-partitioning. Plain; under the
-  // congestion closure; with noise, where a started flow on the other VL
-  // must refresh a shared trunk's capacity; and traced.
+/// `waves` replayed four ways against kFullResolve: plain; under the
+/// congestion closure; with noise, where the flows' two VLs share the
+/// trunks, so a flow can change a kept slot's capacity; and traced. Each
+/// replay must reach the regime: more than 100 subproblems of 32 flows or
+/// more, and more than 100 whole-set threshold fallbacks.
+void expect_whole_set_identity(DiffReplay::Waves waves, std::uint64_t seed) {
   for (int variant = 0; variant < 4; ++variant) {
     DiffReplay::Options o;
-    o.grow = true;
-    o.seed = 300 + static_cast<std::uint64_t>(variant);
+    o.waves = waves;
+    o.seed = seed + static_cast<std::uint64_t>(variant);
     o.congestion = variant == 1;
     o.noise = variant == 2;
     o.telemetry = variant == 3;
@@ -487,15 +534,37 @@ TEST(NetworkDifferential, GrowingWholeSetBitIdentity) {
     o.stats_out = &stats;
     SCOPED_TRACE(variant);
     expect_differential_identity(o);
-    // The replay reaches the regime: subproblems of 32 flows or more, most
-    // of them whole-set threshold fallbacks.
-    std::uint64_t giant = 0;
+    std::uint64_t solves = 0;
     for (std::size_t b = 5; b < stats.component_size_log2.size(); ++b) {
-      giant += stats.component_size_log2[b];
+      solves += stats.component_size_log2[b];
     }
-    EXPECT_GT(giant, 100u);
+    EXPECT_GT(solves, 100u);
     EXPECT_GT(stats.fallback_threshold, 100u);
   }
+}
+
+TEST(NetworkDifferential, GrowingWholeSetBitIdentity) {
+  // Start-only events on a whole-set subproblem of 32 flows or more extend
+  // its kept translation instead of re-partitioning.
+  expect_whole_set_identity(DiffReplay::Waves::kGrow, 300);
+}
+
+TEST(NetworkDifferential, ShrinkingWholeSetBitIdentity) {
+  // Completions that leave a whole set of 32 flows or more connected repair
+  // its spanning tree and drop their flows from the kept translation.
+  expect_whole_set_identity(DiffReplay::Waves::kShrink, 400);
+}
+
+TEST(NetworkDifferential, SplittingWholeSetBitIdentity) {
+  // A bridge's completion splits the whole set: the children it leaves find
+  // no shallower flow, and the seeded partition runs.
+  expect_whole_set_identity(DiffReplay::Waves::kSplit, 500);
+}
+
+TEST(NetworkDifferential, RootLeavingWholeSetBitIdentity) {
+  // The tree's root completes: the survivors hold no root, and the seeded
+  // partition runs.
+  expect_whole_set_identity(DiffReplay::Waves::kRootLeaves, 600);
 }
 
 TEST(NetworkDifferential, CacheHitsRestoreTraceState) {
@@ -700,6 +769,130 @@ TEST(NetworkComponents, AWholeSetThatDrainsAtOnceIsNotExtended) {
   EXPECT_EQ(active_before, 0u);
   ASSERT_EQ(rates.size(), 40u);
   for (const Bandwidth r : rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 40);
+}
+
+TEST(NetworkComponents, CompletionsKeepAWholeSetOnlyWhileItStaysConnected) {
+  // 18 trunk flows, and 16 flows from GPU 1 to GPU 0 of switch 1. A 1 KiB
+  // trunk flow into GPU 0 ties the two groups together, and the partition
+  // reaches the 16 through it. When it completes, a spare flow on the same
+  // route keeps the set one component: 1 subproblem, every flow at a 17th
+  // of 100 Gb/s. Without the spare, the set splits into the 17 trunk flows
+  // and the 16: 2 subproblems. Under the congestion closure, switch 1 keeps
+  // both groups together either way.
+  for (const bool congestion : {false, true}) {
+    for (const bool spare : {true, false}) {
+      SwitchFixture f(congestion);
+      const Route bridge{f.trunk, f.up[1][0] + 1};
+      std::vector<FlowId> trunk_flows, group;
+      for (int i = 0; i < 16; ++i) {
+        trunk_flows.push_back(f.net->start_flow({{f.trunk}, 1_MiB, 0, 0}, nullptr));
+      }
+      const FlowId kept = f.net->start_flow({spare ? bridge : Route{f.trunk}, 1_MiB, 0, 0}, nullptr);
+      f.net->start_flow({bridge, 1_KiB, 0, 0}, nullptr);
+      for (int i = 0; i < 16; ++i) {
+        group.push_back(f.net->start_flow({f.via_switch(1, 1, 0), 1_MiB, 0, 0}, nullptr));
+      }
+      net::SolverStats before, after;
+      std::vector<Bandwidth> trunk_rates, group_rates;
+      f.engine.after(nanoseconds(10), [&] { before = f.net->solver_stats(); });
+      f.engine.after(microseconds(100), [&] {
+        after = f.net->solver_stats();
+        for (const FlowId id : trunk_flows) trunk_rates.push_back(f.net->flow_rate(id));
+        trunk_rates.push_back(f.net->flow_rate(kept));
+        for (const FlowId id : group) group_rates.push_back(f.net->flow_rate(id));
+      });
+      f.engine.run();
+      SCOPED_TRACE(testing::Message() << "congestion=" << congestion << " spare=" << spare);
+      ASSERT_EQ(after.reallocations - before.reallocations, 1u);
+      EXPECT_EQ(after.full_solves - before.full_solves, 1u);
+      EXPECT_EQ(after.component_solves - before.component_solves,
+                !spare && !congestion ? 2u : 1u);
+      for (const Bandwidth r : trunk_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 17);
+      for (const Bandwidth r : group_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / (spare ? 17 : 16));
+    }
+  }
+}
+
+TEST(NetworkComponents, AWholeSetWithTwoRootsIsNotRepaired) {
+  // Under the congestion closure, a 1 KiB trunk flow couples 16 flows
+  // through switch 0 and 16 through switch 1. It is the partition's root;
+  // when it completes, the vacated trunk gathers both switches' flows into
+  // one whole-set subproblem with a root in each. Then the shortest flow
+  // through switch 0 completes: the survivors hold two roots, so the seeded
+  // partition runs and re-solves only the 15 flows of switch 0.
+  SwitchFixture f(/*congestion=*/true);
+  f.net->start_flow({{f.trunk}, 1_KiB, 0, 0}, nullptr);
+  f.net->start_flow({f.via_switch(0, 0, 1), 512_KiB, 0, 0}, nullptr);
+  std::vector<FlowId> left, right;
+  for (int i = 0; i < 15; ++i) {
+    left.push_back(f.net->start_flow({f.via_switch(0, 0, 1), 1_MiB, 0, 0}, nullptr));
+  }
+  for (int i = 0; i < 16; ++i) {
+    right.push_back(f.net->start_flow({f.via_switch(1, 2, 3), 1_MiB, 0, 0}, nullptr));
+  }
+  // The trunk flow takes about 82 ns, the 512 KiB flow about 671 us.
+  net::SolverStats first, gathered, after;
+  std::vector<Bandwidth> left_rates, right_rates;
+  f.engine.after(nanoseconds(10), [&] { first = f.net->solver_stats(); });
+  f.engine.after(microseconds(1), [&] { gathered = f.net->solver_stats(); });
+  f.engine.after(microseconds(1000), [&] {
+    after = f.net->solver_stats();
+    for (const FlowId id : left) left_rates.push_back(f.net->flow_rate(id));
+    for (const FlowId id : right) right_rates.push_back(f.net->flow_rate(id));
+  });
+  f.engine.run();
+  ASSERT_EQ(gathered.reallocations - first.reallocations, 1u);
+  EXPECT_EQ(gathered.component_solves - first.component_solves, 1u);
+  EXPECT_EQ(gathered.component_size_log2[5] - first.component_size_log2[5], 1u);
+  ASSERT_EQ(after.reallocations - gathered.reallocations, 1u);
+  EXPECT_EQ(after.incremental_events - gathered.incremental_events, 1u);
+  EXPECT_EQ(after.component_solves - gathered.component_solves, 1u);
+  EXPECT_EQ(after.component_size_log2[3] - gathered.component_size_log2[3], 1u);
+  for (const Bandwidth r : left_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 15);
+  for (const Bandwidth r : right_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 16);
+}
+
+TEST(NetworkComponents, AStartThatRecyclesACompletedFlowsSlotIsNoParent) {
+  // One switch, links without latency, so a delivery callback runs in the
+  // completion's event. 32 flows from GPU 0 to GPU 1, four from GPU 2 to
+  // GPU 3, and a 1 KiB flow from GPU 0 to GPU 3 that ties the two groups
+  // together; the partition reaches the four through it. Its delivery
+  // starts a flow from GPU 0 to GPU 4, which takes over its slot. The four
+  // must not take that flow for their parent: the set splits into the 33
+  // flows through GPU 0 and the four, 2 subproblems.
+  Graph g;
+  const DeviceId sw = g.add_device({DeviceKind::kSwitch, -1, 0, "switch"});
+  std::vector<LinkId> up;
+  for (int k = 0; k < 5; ++k) {
+    const DeviceId d = g.add_device({DeviceKind::kGpu, 0, k, "gpu"});
+    up.push_back(g.add_duplex_link(d, sw, gbps(100), SimTime::zero(), LinkType::kNvLink));
+  }
+  Engine engine;
+  Network net(engine, g);
+  std::vector<FlowId> wide, narrow;
+  for (int i = 0; i < 32; ++i) {
+    wide.push_back(net.start_flow({{up[0], up[1] + 1}, 1_MiB, 0, 0}, nullptr));
+  }
+  for (int i = 0; i < 4; ++i) {
+    narrow.push_back(net.start_flow({{up[2], up[3] + 1}, 1_MiB, 0, 0}, nullptr));
+  }
+  net.start_flow({{up[0], up[3] + 1}, 1_KiB, 0, 0}, [&](SimTime) {
+    wide.push_back(net.start_flow({{up[0], up[4] + 1}, 1_MiB, 0, 0}, nullptr));
+  });
+  net::SolverStats before, after;
+  std::vector<Bandwidth> wide_rates, narrow_rates;
+  engine.after(nanoseconds(10), [&] { before = net.solver_stats(); });
+  engine.after(microseconds(100), [&] {
+    after = net.solver_stats();
+    for (const FlowId id : wide) wide_rates.push_back(net.flow_rate(id));
+    for (const FlowId id : narrow) narrow_rates.push_back(net.flow_rate(id));
+  });
+  engine.run();
+  ASSERT_EQ(after.reallocations - before.reallocations, 1u);
+  EXPECT_EQ(after.component_solves - before.component_solves, 2u);
+  ASSERT_EQ(wide_rates.size(), 33u);
+  for (const Bandwidth r : wide_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 33);
+  for (const Bandwidth r : narrow_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 4);
 }
 
 // ---------------------------------------------------------------------------

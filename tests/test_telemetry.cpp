@@ -244,6 +244,35 @@ TEST(TelemetryNic, MpiRdmaAttributesNicMessages) {
   EXPECT_GT(overhead.ps, 0);
 }
 
+TEST(TelemetryNic, CclCountsEachInterNodeMessageAtBothNics) {
+  // A cross-node ping-pong and a ring allreduce over two Leonardo nodes:
+  // every message the proxy sends is received at the peer's NIC.
+  const SystemConfig cfg = leonardo_config();
+  for (const bool allreduce : {false, true}) {
+    Cluster cluster(cfg, {.nodes = 2});
+    telemetry::CounterSet counters(cluster.graph());
+    cluster.set_telemetry(&counters);
+    CommOptions opt;
+    opt.env = cfg.tuned_env();
+    CclComm ccl(cluster, first_n_gpus(cluster, 8), opt);
+    if (allreduce) {
+      ccl.time_allreduce(1_MiB);
+    } else {
+      ccl.time_pingpong(0, 7, 1_MiB);
+    }
+    counters.finalize(cluster.engine().now());
+
+    std::uint64_t tx = 0, rx = 0;
+    for (const auto& [nic, c] : counters.nics()) {
+      (void)nic;
+      tx += c.msgs_tx;
+      rx += c.msgs_rx;
+    }
+    EXPECT_GT(tx, 0u) << "allreduce=" << allreduce;
+    EXPECT_EQ(tx, rx) << "allreduce=" << allreduce;
+  }
+}
+
 TEST(TelemetryReport, TablesCoverActiveLinksOnly) {
   NetFixture f;
   telemetry::CounterSet counters(f.g);
