@@ -1,6 +1,7 @@
 #include "gpucomm/net/fairshare.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -183,6 +184,7 @@ const std::vector<Bandwidth>& FairshareSolver::fill(const SlotProblem& p,
                                                     FairshareTrace* trace) {
   const std::size_t n = p.flow_count();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNoFlow = std::numeric_limits<double>::quiet_NaN();
   rate_.assign(n, 0.0);
   if (trace) {
     trace->bottleneck.assign(n, kInvalidLink);
@@ -190,80 +192,168 @@ const std::vector<Bandwidth>& FairshareSolver::fill(const SlotProblem& p,
   }
   if (n == 0) return rate_;
 
-  remaining_.resize(p.capacity.size());
-  for (std::size_t slot = 0; slot < remaining_.size(); ++slot) {
-    remaining_[slot] = std::max(p.capacity[slot], 0.0);
-  }
+  const std::size_t slots = p.capacity.size();
+  remaining_.resize(slots);
   unfrozen_count_.assign(p.crossings.begin(), p.crossings.end());
+  share_.resize(slots);
+  marked_round_.resize(slots, 0);
+  live_slots_.resize(slots);
+  live_pos_.resize(slots);
+  std::uint32_t live = 0;
+  // slot_begin_[s + 1] starts as slot s's first index into slot_flows_ and
+  // ends, once the flows are placed below, as its end (counting sort).
+  slot_begin_.resize(slots + 1);
+  slot_begin_[0] = 0;
+  std::uint32_t placed = 0;
+  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+    remaining_[slot] = std::max(p.capacity[slot], 0.0);
+    const int count = p.crossings[slot];
+    slot_begin_[slot + 1] = placed;
+    placed += static_cast<std::uint32_t>(count);
+    if (count > 0) {
+      share_[slot] = remaining_[slot] / count;
+      live_pos_[slot] = live;
+      live_slots_[live++] = slot;
+    } else {
+      share_[slot] = kNoFlow;
+    }
+  }
+  live_slots_.resize(live);
+  assert(placed == p.hops.size());
+  slot_flows_.resize(placed);
 
-  unfrozen_.clear();
+  const std::size_t words = (n + 63) / 64;
+  unfrozen_.assign(words, 0);
+  candidates_.assign(words, 0);
+  capped_.clear();
   std::size_t frozen_total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::uint32_t i = 0; i < n; ++i) {
     if (p.offset[i] == p.offset[i + 1]) {
       // No link constraint: the flow runs at its cap (callers bound pure
       // local transfers by device limits via the cap).
       rate_[i] = std::isfinite(p.cap[i]) ? p.cap[i] : 0.0;
       ++frozen_total;
-    } else {
-      unfrozen_.push_back(static_cast<std::uint32_t>(i));
+      continue;
     }
-  }
-  live_slots_.resize(remaining_.size());
-  for (std::size_t s = 0; s < live_slots_.size(); ++s) {
-    live_slots_[s] = static_cast<std::uint32_t>(s);
+    unfrozen_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    if (p.cap[i] < kInf) capped_.push_back(i);
+    for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
+      slot_flows_[slot_begin_[p.hops[k] + 1]++] = i;
+    }
   }
 
-  // Progressive filling, as in maxmin_fair_rates, except that frozen flows
-  // and fully-frozen links are compacted out of their scan lists (stable, so
-  // the freeze order — and therefore every FP operation — is unchanged).
+  // Progressive filling, as in maxmin_fair_rates, but each round tests only
+  // its candidates: the unfrozen flows on slots whose share is within the
+  // tolerance of the round's level s (tight slots), and the capped flows
+  // whose cap is. Every freeze of a round subtracts min(s, cap) <= s, and
+  // subtracting at most s from a slot whose share exceeds s cannot lower the
+  // share in exact arithmetic, so a slot that was not tight when the round
+  // started becomes tight only through rounding; the guard below then marks
+  // its later flows. Each candidate, visited in ascending order, gets the
+  // reference's test against the shares as they stand, so the freeze set,
+  // the freeze order and every subtraction are the reference's.
   while (frozen_total < n) {
+    // The exact minimum share over live slots, collecting the slots within
+    // the tolerance of the running minimum (filtered again once s is known).
     double link_share = kInf;
-    std::size_t live = 0;
+    double bound = kInf;
+    tight_.clear();
     for (const std::uint32_t slot : live_slots_) {
-      if (unfrozen_count_[slot] <= 0) continue;
-      live_slots_[live++] = slot;
-      link_share = std::min(link_share, remaining_[slot] / unfrozen_count_[slot]);
+      const double share = share_[slot];
+      if (!(share <= bound)) continue;
+      if (share < link_share) {
+        link_share = share;
+        bound = share * (1.0 + 1e-12);
+        std::size_t keep = 0;
+        for (const std::uint32_t t : tight_) {
+          if (share_[t] <= bound) tight_[keep++] = t;
+        }
+        tight_.resize(keep);
+      }
+      tight_.push_back(slot);
     }
-    live_slots_.resize(live);
     double cap_min = kInf;
-    for (const std::uint32_t i : unfrozen_) cap_min = std::min(cap_min, p.cap[i]);
+    std::size_t capped = 0;
+    for (const std::uint32_t i : capped_) {
+      if (((unfrozen_[i >> 6] >> (i & 63)) & 1) == 0) continue;
+      capped_[capped++] = i;
+      cap_min = std::min(cap_min, p.cap[i]);
+    }
+    capped_.resize(capped);
     const double s = std::max(0.0, std::min(link_share, cap_min));
     if (!std::isfinite(s)) break;  // remaining flows are unconstrained
+    const double level = s * (1.0 + 1e-12);
+
+    ++round_;
+    for (const std::uint32_t slot : tight_) {
+      if (!(share_[slot] <= level)) continue;
+      marked_round_[slot] = round_;
+      for (std::uint32_t k = slot_begin_[slot]; k < slot_begin_[slot + 1]; ++k) {
+        mark(slot_flows_[k]);
+      }
+    }
+    if (cap_min <= level) {
+      for (const std::uint32_t i : capped_) {
+        if (p.cap[i] <= level) mark(i);
+      }
+    }
+    // A level whose tolerance overflows passes every flow's cap test.
+    if (level == kInf) candidates_ = unfrozen_;
 
     bool froze_any = false;
-    std::size_t keep = 0;
-    for (const std::uint32_t i : unfrozen_) {
-      const double cap = p.cap[i];
-      // kInvalidLink marks a private-cap freeze (not a network bottleneck).
-      LinkId bottleneck = kInvalidLink;
-      bool at_bottleneck = cap <= s * (1.0 + 1e-12);
-      if (!at_bottleneck) {
+    for (std::size_t w = 0; w < words; ++w) {
+      // Re-read the word after each flow: the guard may mark later flows.
+      while (const std::uint64_t bits = candidates_[w] & unfrozen_[w]) {
+        candidates_[w] = bits & (bits - 1);
+        const auto i = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        const double cap = p.cap[i];
+        // kInvalidLink marks a private-cap freeze (not a network bottleneck).
+        LinkId bottleneck = kInvalidLink;
+        bool at_bottleneck = cap <= level;
+        if (!at_bottleneck) {
+          for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
+            const std::uint32_t slot = p.hops[k];
+            if (share_[slot] <= level) {
+              at_bottleneck = true;
+              bottleneck = p.link[slot];
+              break;
+            }
+          }
+        }
+        if (!at_bottleneck) continue;
+        if (trace) trace->bottleneck[i] = bottleneck;
+        const double r = std::min(s, cap);
+        rate_[i] = r;
+        unfrozen_[w] &= ~(std::uint64_t{1} << (i & 63));
+        ++frozen_total;
+        froze_any = true;
         for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
           const std::uint32_t slot = p.hops[k];
-          if (unfrozen_count_[slot] > 0 &&
-              remaining_[slot] / unfrozen_count_[slot] <= s * (1.0 + 1e-12)) {
-            at_bottleneck = true;
-            bottleneck = p.link[slot];
-            break;
+          remaining_[slot] = std::max(0.0, remaining_[slot] - r);
+          const int left = --unfrozen_count_[slot];
+          if (left == 0) {
+            // The slot's last unfrozen flow: the slot leaves the share scan.
+            share_[slot] = kNoFlow;
+            const std::uint32_t moved = live_slots_.back();
+            live_slots_[live_pos_[slot]] = moved;
+            live_pos_[moved] = live_pos_[slot];
+            live_slots_.pop_back();
+            continue;
+          }
+          const double share = remaining_[slot] / left;
+          share_[slot] = share;
+          if (share <= level && marked_round_[slot] != round_) {
+            // Rounding guard: the slot reached the level mid-round, so its
+            // flows after i may freeze on it in this round.
+            marked_round_[slot] = round_;
+            const auto first = slot_flows_.begin() + slot_begin_[slot];
+            const auto last = slot_flows_.begin() + slot_begin_[slot + 1];
+            for (auto f = std::upper_bound(first, last, i); f != last; ++f) mark(*f);
           }
         }
       }
-      if (!at_bottleneck) {
-        unfrozen_[keep++] = i;
-        continue;
-      }
-      if (trace) trace->bottleneck[i] = bottleneck;
-      const double r = std::min(s, cap);
-      rate_[i] = r;
-      ++frozen_total;
-      froze_any = true;
-      for (std::uint32_t k = p.offset[i]; k < p.offset[i + 1]; ++k) {
-        const std::uint32_t slot = p.hops[k];
-        remaining_[slot] = std::max(0.0, remaining_[slot] - r);
-        --unfrozen_count_[slot];
-      }
+      candidates_[w] = 0;
     }
-    unfrozen_.resize(keep);
     assert(froze_any && "progressive filling must make progress");
     if (!froze_any) break;
   }

@@ -119,9 +119,11 @@ inline std::uint32_t SlotProblem::add_hop(LinkId l, bool& fresh) {
 /// floating-point operation sequence — but:
 ///  - it fills a SlotProblem, whose routes are translated to dense slots
 ///    once up front (flat array, no hashing in the filling loop),
-///  - frozen flows leave the scan entirely (ordered compaction) instead of
-///    being skipped by an O(n) rescan every filling round, and likewise
-///    saturated links leave the per-round share scan,
+///  - each round tests only the flows that can freeze in it (a tight-set
+///    round): the unfrozen flows on slots whose cached share is within the
+///    freeze tolerance of the round's level, plus capped flows when their
+///    cap binds, in ascending flow order; saturated links leave the
+///    per-round share scan,
 ///  - every vector is owned by the solver and reused across solves.
 class FairshareSolver {
  public:
@@ -139,13 +141,30 @@ class FairshareSolver {
                                       FairshareTrace* trace = nullptr);
 
  private:
+  // Set flow i's bit in candidates_.
+  void mark(std::uint32_t i) { candidates_[i >> 6] |= std::uint64_t{1} << (i & 63); }
+
   SlotProblem problem_;  // solve()'s translation
   // Per slot.
   std::vector<Bandwidth> remaining_;
   std::vector<int> unfrozen_count_;
+  // remaining_ / unfrozen_count_, or NaN once no unfrozen flow crosses the
+  // slot (NaN passes no share test, as the reference skips such a slot).
+  std::vector<double> share_;
+  std::vector<std::uint64_t> marked_round_;  // last round that marked its flows
+  // The flows crossing slot s, ascending: slot_flows_[slot_begin_[s] ..
+  // slot_begin_[s + 1]).
+  std::vector<std::uint32_t> slot_begin_;
+  std::vector<std::uint32_t> slot_flows_;
   std::vector<std::uint32_t> live_slots_;  // slots with unfrozen flows left
-  std::vector<std::uint32_t> unfrozen_;    // unfrozen flow ids, ascending
+  std::vector<std::uint32_t> live_pos_;    // slot -> index in live_slots_
+  std::vector<std::uint32_t> tight_;       // a round's slots at its level
+  // Per flow, one bit each.
+  std::vector<std::uint64_t> unfrozen_;
+  std::vector<std::uint64_t> candidates_;  // flows the round still tests
+  std::vector<std::uint32_t> capped_;      // unfrozen flows with a finite cap
   std::vector<Bandwidth> rate_;
+  std::uint64_t round_ = 0;  // filling rounds across fills, for marked_round_
 };
 
 }  // namespace gpucomm
