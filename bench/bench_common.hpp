@@ -3,11 +3,12 @@
 // Every binary regenerates one table/figure of the paper: it prints the
 // series as an aligned table (annotated with the paper's qualitative
 // expectation) and drops a CSV next to it, mirroring the artifact's data/
-// layout. Binaries take no required arguments so `for b in build/bench/*`
-// reproduces the full evaluation. Pass `--json <path>` (after calling
-// bench::init) to additionally dump every emitted table as one
-// machine-readable JSON document — the format BENCH_perf.json's documents
-// use.
+// layout (emit). The wall-clock benches only print theirs (show): data/
+// holds only what a run reproduces. Binaries take no required arguments so
+// `for b in build/bench/*` reproduces the full evaluation. Pass
+// `--json <path>` (after calling bench::init) to additionally dump every
+// emitted table as one machine-readable JSON document — the format
+// BENCH_perf.json's documents use.
 #pragma once
 
 #include <cstdio>
@@ -180,12 +181,17 @@ inline std::string data_dir() {
   return dir;
 }
 
-inline void emit(const Table& table, const std::string& csv_name) {
+/// Print `table` and capture it for --json under `name`. The wall-clock
+/// benches (perf_wallclock, perf_server) stop here: no run reproduces their
+/// readings, so they stay out of data/.
+inline void show(const Table& table, const std::string& name) {
   table.print(std::cout);
-  if (!detail::capture().path.empty()) {
-    detail::capture().tables.emplace_back(
-        std::filesystem::path(csv_name).stem().string(), table);
-  }
+  if (!detail::capture().path.empty()) detail::capture().tables.emplace_back(name, table);
+}
+
+/// show() the table under its CSV stem, then write it to data/.
+inline void emit(const Table& table, const std::string& csv_name) {
+  show(table, std::filesystem::path(csv_name).stem().string());
   const std::string path = data_dir() + "/" + csv_name;
   table.write_csv(path);
   std::cout << "\n[csv] " << path << "\n";

@@ -248,8 +248,8 @@ int main(int argc, char** argv) {
   lat_row("soak8", sock_result);
 #endif
 
-  emit(t, "perf_server.csv");
-  emit(lt, "perf_server_latency.csv");
+  show(t, "perf_server");
+  show(lt, "perf_server_latency");
   std::cout << "(responses byte-identical across passes; "
             << hits << " response-cache hits)\n";
   return 0;

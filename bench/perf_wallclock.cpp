@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
                "(identical completions) ---\n";
   Table replay({"links", "flows", "full_ms", "incremental_ms", "speedup"});
   replay_section(replay);
-  emit(replay, "perf_incremental.csv");
+  show(replay, "perf_incremental");
 
   return 0;
 }

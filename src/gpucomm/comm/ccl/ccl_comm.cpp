@@ -144,20 +144,6 @@ void CclComm::coll_transfer(int src, int dst, Bytes bytes, double simple_eff_int
             recovery_cost());
 }
 
-EventFn CclComm::count_nic_message(const Rank& s, const Rank& d, Bytes bytes, EventFn done) {
-  telemetry::Sink* sink = telemetry();
-  if (sink == nullptr) return done;
-  sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
-                    engine().now() + nic_message_overhead(sys().nic, /*send=*/true));
-  return [this, dst_nic = d.nic_dev, bytes, done = std::move(done)] {
-    if (telemetry::Sink* sink = telemetry()) {
-      sink->nic_message(dst_nic, /*send=*/false, bytes, engine().now(),
-                        engine().now() + nic_message_overhead(sys().nic, /*send=*/false));
-    }
-    done();
-  };
-}
-
 void CclComm::coll_message(int src, int dst, Bytes bytes, Bytes op_bytes,
                            const CollContext& ctx, EventFn done) {
   coll_transfer(src, dst, bytes, coll_intra_eff(op_bytes), SimTime::zero(), ctx,

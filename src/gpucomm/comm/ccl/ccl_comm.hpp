@@ -66,11 +66,6 @@ class CclComm final : public Communicator {
   /// Simple-protocol intra-node efficiency for a collective of this size.
   double coll_intra_eff(Bytes buffer) const;
 
-  /// Record an inter-node message at `s`'s NIC now, and return `done`
-  /// wrapped to record it at `d`'s NIC on delivery, as nic_send does. With
-  /// no sink attached, `done` comes back as it is.
-  EventFn count_nic_message(const Rank& s, const Rank& d, Bytes bytes, EventFn done);
-
   bool multi_node() const;
   double inter_efficiency(bool allreduce) const;
 

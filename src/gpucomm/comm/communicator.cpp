@@ -198,10 +198,9 @@ void Communicator::nic_send(int src, int dst, MemSpace space, Bytes bytes, doubl
   tag.round = ctx.round;
   const Rank& s = ranks_[src];
   const Rank& d = ranks_[dst];
-  if (telemetry::Sink* sink = telemetry()) {
-    sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
-                      engine().now() + nic_message_overhead(nic, /*send=*/true));
-  }
+  EventFn counted = count_nic_message(
+      s, d, bytes,
+      [this, post, done = std::move(done)]() mutable { engine().after(post, std::move(done)); });
   const DeviceId from = host ? s.numa_dev : s.gpu_dev;
   const DeviceId to = host ? d.numa_dev : d.gpu_dev;
   RouteFn reroute = [this, from, to, sg = s.gpu, dg = d.gpu] {
@@ -209,15 +208,23 @@ void Communicator::nic_send(int src, int dst, MemSpace space, Bytes bytes, doubl
   };
   const Route route = reroute();
   post_flow(route, bytes, efficiency * nic.protocol_efficiency, /*rate_cap=*/0, pre,
-            [this, post, dst_nic = d.nic_dev, bytes, done = std::move(done)]() mutable {
-              if (telemetry::Sink* sink = telemetry()) {
-                sink->nic_message(dst_nic, /*send=*/false, bytes, engine().now(),
-                                  engine().now() +
-                                      nic_message_overhead(sys().nic, /*send=*/false));
-              }
-              engine().after(post, std::move(done));
-            },
-            tag, std::move(reroute), host ? sys().recovery.host_retry : recovery_cost());
+            std::move(counted), tag, std::move(reroute),
+            host ? sys().recovery.host_retry : recovery_cost());
+}
+
+EventFn Communicator::count_nic_message(const Rank& s, const Rank& d, Bytes bytes,
+                                        EventFn done) {
+  telemetry::Sink* sink = telemetry();
+  if (sink == nullptr) return done;
+  sink->nic_message(s.nic_dev, /*send=*/true, bytes, engine().now(),
+                    engine().now() + nic_message_overhead(sys().nic, /*send=*/true));
+  return [this, dst_nic = d.nic_dev, bytes, done = std::move(done)] {
+    if (telemetry::Sink* sink = telemetry()) {
+      sink->nic_message(dst_nic, /*send=*/false, bytes, engine().now(),
+                        engine().now() + nic_message_overhead(sys().nic, /*send=*/false));
+    }
+    done();
+  };
 }
 
 SimTime Communicator::straggle(SimTime launch) const {

@@ -195,6 +195,11 @@ class Communicator {
   void nic_send(int src, int dst, MemSpace space, Bytes bytes, double efficiency,
                 const CollContext& ctx, EventFn done);
 
+  /// Record an inter-node message at `s`'s NIC now, and return `done`
+  /// wrapped to record it at `d`'s NIC on delivery. With no sink attached,
+  /// `done` comes back as it is.
+  EventFn count_nic_message(const Rank& s, const Rank& d, Bytes bytes, EventFn done);
+
   /// Launch delay inflated by the worst straggler factor among this
   /// communicator's GPUs (fault injection; identity without a provider).
   SimTime straggle(SimTime launch) const;

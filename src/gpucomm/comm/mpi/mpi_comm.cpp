@@ -148,9 +148,10 @@ void MpiComm::allreduce(Bytes buffer, EventFn done) {
     allreduce_host_staged(buffer, std::move(done));
     return;
   }
-  if (plan(CollectiveOp::kAllreduce, buffer).front().algorithm ==
-      sched::Algorithm::kRecursiveDoublingAllreduce) {
-    allreduce_recursive_doubling(buffer, std::move(done));
+  sched::Schedule s = plan(CollectiveOp::kAllreduce, buffer).front();
+  if (s.algorithm == sched::Algorithm::kRecursiveDoublingAllreduce) {
+    // Each step is one collective transfer (coll_message); no launch stage.
+    run_coll_schedule(std::move(s), buffer, std::nullopt, std::move(done));
     return;
   }
   if (sys().mpi.host_staged_allreduce) {
@@ -188,18 +189,6 @@ void MpiComm::allreduce_gpu_staged(Bytes buffer, EventFn done) {
   };
   hooks.reduce_time = [this](Bytes b) { return copy_.reduce_time(b); };
   sched::execute(sched::ring_allreduce(size(), buffer), hooks, std::move(done));
-}
-
-void MpiComm::allreduce_recursive_doubling(Bytes buffer, EventFn done) {
-  sched::ExecHooks hooks = exec_hooks();
-  hooks.message = [this, buffer](const sched::Step& step, const sched::StepCtx& ctx,
-                                 EventFn msg_done) {
-    transfer(step.src, step.dst, step.bytes, /*collective=*/true, buffer, coll_ctx(ctx),
-             std::move(msg_done));
-  };
-  hooks.reduce_time = [this](Bytes b) { return copy_.reduce_time(b); };
-  sched::execute(sched::recursive_doubling_allreduce(size(), buffer), hooks,
-                 std::move(done));
 }
 
 void MpiComm::allreduce_host_staged(Bytes buffer, EventFn done) {

@@ -48,8 +48,6 @@ class MpiComm final : public Communicator {
 
   /// Cray MPICH GPU-staged ring allreduce.
   void allreduce_gpu_staged(Bytes buffer, EventFn done);
-  /// Recursive-doubling allreduce for small vectors (latency-optimal).
-  void allreduce_recursive_doubling(Bytes buffer, EventFn done);
   /// Open MPI host-staged allreduce: D2H, host ring allreduce, H2D.
   void allreduce_host_staged(Bytes buffer, EventFn done);
 

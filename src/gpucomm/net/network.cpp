@@ -25,8 +25,7 @@ constexpr std::uint64_t kKeyDelimiter = UINT64_MAX;
 // more flows), and the bound keeps every entry small.
 constexpr std::size_t kCacheEntries = 128;
 constexpr std::uint32_t kCacheMaxFlows = 32;
-// No slot: drain_list's parent for a seed list, which no enqueued flow
-// drains, and find_on_drained_lists' miss.
+// No slot: find_on_drained_lists' miss.
 constexpr std::uint32_t kNoSlot = UINT32_MAX;
 // Tree depth of a flow started since the last solve: never a parent.
 constexpr std::uint32_t kUnreached = UINT32_MAX;
@@ -380,22 +379,8 @@ void Network::drain_list(const std::vector<std::int32_t>& head, std::vector<std:
                          std::uint32_t key, std::uint32_t parent) {
   if (mark[key] == mark_epoch_) return;
   mark[key] = mark_epoch_;
-  std::int32_t e = head[key];
-  if (parent == kNoSlot) {
-    for (std::int32_t f = e; f != -1 && parent == kNoSlot; f = ent_next_[f]) {
-      if (slot_mark_[ent_slot_[f]] == mark_epoch_) parent = ent_slot_[f];
-    }
-    if (parent == kNoSlot) {
-      if (e == -1) return;
-      parent = ent_slot_[e];
-      slot_mark_[parent] = mark_epoch_;
-      comp_slots_.push_back(parent);
-      tree_[parent] = {};
-      e = ent_next_[e];
-    }
-  }
   const TreeNode child{id_[parent], parent, tree_[parent].depth + 1};
-  for (; e != -1; e = ent_next_[e]) {
+  for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) {
     const std::uint32_t s = ent_slot_[e];
     if (slot_mark_[s] != mark_epoch_) {
       slot_mark_[s] = mark_epoch_;
@@ -419,7 +404,12 @@ bool Network::link_needs_drain(LinkId l) {
   return kind == 1;
 }
 
-void Network::close_component(std::size_t start) {
+void Network::bfs_component(std::uint32_t seed_slot) {
+  if (slot_mark_[seed_slot] == mark_epoch_) return;
+  const std::size_t start = comp_slots_.size();
+  slot_mark_[seed_slot] = mark_epoch_;
+  comp_slots_.push_back(seed_slot);
+  tree_[seed_slot] = {};
   // Frontier drain: each discovered slot drains the lists of its route's
   // links, which enqueue further slots. Index-based because comp_slots_
   // grows in place.
@@ -440,7 +430,6 @@ void Network::close_component(std::size_t start) {
     }
   }
   const std::size_t size = comp_slots_.size() - start;
-  if (size == 0) return;
   // Component members solve in ascending FlowId order so every per-link
   // subtraction sequence matches the whole-set solver it replaced, bit for
   // bit. order_ already holds the whole active set in that order.
@@ -452,15 +441,6 @@ void Network::close_component(std::size_t start) {
               [this](std::uint32_t a, std::uint32_t b) { return id_[a] < id_[b]; });
   }
   comp_offset_.push_back(static_cast<std::uint32_t>(comp_slots_.size()));
-}
-
-void Network::bfs_component(std::uint32_t seed_slot) {
-  if (slot_mark_[seed_slot] == mark_epoch_) return;
-  const std::size_t start = comp_slots_.size();
-  slot_mark_[seed_slot] = mark_epoch_;
-  comp_slots_.push_back(seed_slot);
-  tree_[seed_slot] = {};
-  close_component(start);
 }
 
 void Network::partition_all() {
@@ -519,11 +499,12 @@ bool Network::drop_left_flows(std::uint32_t survivors) {
 }
 
 bool Network::repair_tree(std::uint32_t survivors) {
-  // The survivors must hold exactly one root: the tree's own, not one of
-  // several a seed gather grouped.
-  std::uint32_t roots = 0;
-  for (std::uint32_t i = 0; i < survivors; ++i) roots += tree_[order_[i]].parent == 0;
-  if (roots != 1) return false;
+  // Every subproblem is one component with one tree root. When the root
+  // left, the loop below fails at the shallowest survivor; stop here first.
+  if (std::none_of(order_.begin(), order_.begin() + survivors,
+                   [this](std::uint32_t s) { return tree_[s].parent == 0; })) {
+    return false;
+  }
   // A survivor whose parent left keeps its depth and takes a strictly
   // shallower parent, which cannot be one of its descendants; so parents
   // still lead every survivor to the root. Flows started since the last
@@ -617,19 +598,21 @@ void Network::reallocate_and_schedule() {
     // flows started since the last reallocation, and the links a completed
     // or interrupted flow vacated (its bandwidth redistributes there).
     for (const std::uint32_t slot : pending_new_slots_) bfs_component(slot);
-    // A vacated link gathers the flows on it and, under the congestion
-    // closure, on its switch endpoints into one subproblem, even when no
-    // remaining flow couples the two endpoints any more.
+    // Each flow left on a vacated link's list, or under the congestion
+    // closure on one of its switch endpoints' lists, seeds its own
+    // component: the flow that left may have been all that coupled them. A
+    // list this epoch drained already holds only placed flows.
+    const auto seed_list = [this](const std::vector<std::int32_t>& head,
+                                  const std::vector<std::uint64_t>& mark, std::uint32_t key) {
+      if (mark[key] == mark_epoch_) return;
+      for (std::int32_t e = head[key]; e != -1; e = ent_next_[e]) bfs_component(ent_slot_[e]);
+    };
     for (const LinkId l : pending_seed_links_) {
-      const std::size_t start = comp_slots_.size();
-      if (link_needs_drain(l)) drain_list(link_head_, link_mark_, l, kNoSlot);
+      if (link_needs_drain(l)) seed_list(link_head_, link_mark_, l);
       if (closure_switches_) {
         const Link& lk = graph_.link(l);
-        for (const DeviceId d : {lk.src, lk.dst}) {
-          drain_list(switch_head_, dev_mark_, d, kNoSlot);
-        }
+        for (const DeviceId d : {lk.src, lk.dst}) seed_list(switch_head_, dev_mark_, d);
       }
-      close_component(start);
     }
     if (4 * comp_slots_.size() >= 3 * order_.size()) {
       // Affected set close to the whole network: partition the rest too and
@@ -811,7 +794,7 @@ void Network::apply_congestion_component(const std::uint32_t* slots, std::uint32
   // the congesting flows traverse (credit/PFC backpressure), so flows of the
   // same VL crossing any of those switches lose rate. All coupling stays
   // inside the component: flows sharing a link share its component, and the
-  // switch closure (close_component) merges components whose flows share a
+  // switch closure (bfs_component) merges components whose flows share a
   // switch, so a per-component pass reproduces the global computation.
   SolverCtx& ctx = *ctx_;
   const SlotProblem& p = ctx.problem;

@@ -27,10 +27,11 @@
 // flow shares a list with a survivor, the active set is provably one
 // component again: the partition is skipped, the completed flows are
 // dropped from the kept translation and the started ones appended.
+// Every subproblem is one connected component with one tree root.
 // Components are solved one after another in discovery order; because they
 // share no links and the allocation cache is exact-compare, the resulting
-// rates are byte-identical to the kFullResolve reference mode outside the
-// one corner SolverMode names (docs/PERFORMANCE.md, tests/test_network).
+// rates are byte-identical to the kFullResolve reference mode
+// (docs/PERFORMANCE.md § Determinism contract, tests/test_network).
 #pragma once
 
 #include <cstdint>
@@ -116,21 +117,14 @@ enum class SolverMode {
   /// Re-partition and re-solve every component from scratch on every event:
   /// the pre-PR-7 cost model (O(network) per event) with the per-component
   /// subproblem decomposition. Reference mode for the differential tests —
-  /// bit-identical to kIncremental wherever both solve the same subproblems,
-  /// because untouched components re-solve the same subproblem the
-  /// incremental mode skips. One corner differs: under the congestion
-  /// closure a vacated link gathers the flows on both its switch endpoints
-  /// into one subproblem even when nothing couples them any more, and the
-  /// fill's 1e-12 freeze tolerance can then let one group's level capture a
-  /// flow of the other (a capped flow got exactly 5e10 b/s here and
-  /// 50000000000.044998 b/s in kFullResolve). No paper output reaches it,
-  /// ROADMAP item 6 closes it, and the whole-set repair never certifies a
-  /// subproblem the gather only groups, which holds a root per group. (A literal
-  /// whole-set-as-one-subproblem solve is NOT bit-stable against any
-  /// decomposition: the fairshare solver's 1e-12 freeze tolerance lets one
-  /// component's fill level capture a flow in another whose own share ties
-  /// within an ulp. The 45 pinned regression timings pin the per-component
-  /// result to the PR 6 whole-set behavior on every real scenario.)
+  /// bit-identical to kIncremental, because both solve only connected
+  /// components and untouched components re-solve the same subproblem the
+  /// incremental mode skips. (A literal whole-set-as-one-subproblem solve is
+  /// NOT bit-stable against any decomposition: the fairshare solver's 1e-12
+  /// freeze tolerance lets one component's fill level capture a flow in
+  /// another whose own share ties within an ulp. The 45 pinned regression
+  /// timings pin the per-component result to the PR 6 whole-set behavior on
+  /// every real scenario.)
   kFullResolve,
 };
 
@@ -239,25 +233,21 @@ class Network {
   void request_full_solve(FullReason reason);
 
   // --- partitioning ---
-  /// Append the connected component containing `slot` (nothing if already
-  /// visited this epoch) to comp_slots_ / comp_offset_, sorted by FlowId.
+  /// Append the connected component containing `seed_slot` (nothing if
+  /// already visited this epoch) to comp_slots_ / comp_offset_, sorted by
+  /// FlowId, with `seed_slot` as its tree root: drain the lists of every
+  /// link and (under congestion closure) every switch its flows touch,
+  /// until no flow is added.
   void bfs_component(std::uint32_t seed_slot);
   /// Enqueue the unvisited flows of one link's (or, with `head` =
   /// switch_head_, one switch's) entry list, unless it was drained already,
-  /// as tree children of `parent`. A seed list (`parent` = kNoSlot) hangs
-  /// them under a flow of the list already enqueued, else under its first
-  /// new flow, which becomes a root.
+  /// as tree children of `parent`.
   void drain_list(const std::vector<std::int32_t>& head, std::vector<std::uint64_t>& mark,
                   std::uint32_t key, std::uint32_t parent);
   /// Whether closing a component must drain link `l`'s own list: always
   /// without the congestion closure, and under it only when neither
   /// endpoint is a switch (whose list already holds every flow on `l`).
   bool link_needs_drain(LinkId l);
-  /// Drain the lists of every link and (under congestion closure) every
-  /// switch the flows comp_slots_[start..] touch, until no flow is added;
-  /// then put the new range in FlowId order and close it as one subproblem
-  /// (none when the range is empty).
-  void close_component(std::size_t start);
   /// Partition every active flow into components (order_ walk).
   void partition_all();
   /// The first flow satisfying `pred` on a list `slot`'s flow is on that the
@@ -272,7 +262,7 @@ class Network {
   bool whole_set_holds(std::uint32_t& kept);
   /// Re-parent each of the first `survivors` flows of order_ whose tree
   /// parent left to a strictly shallower flow on one of its drained lists.
-  /// False when one finds none or the survivors hold other than one root.
+  /// False when one finds none or the tree's root left.
   bool repair_tree(std::uint32_t survivors);
   /// Whether every started flow, order_[kept..], shares a drained list with
   /// one of the first `kept` flows; each takes that flow as tree parent.

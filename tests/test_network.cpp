@@ -4,8 +4,12 @@
 #include <cstdint>
 #include <tuple>
 
+#include "gpucomm/cluster/cluster.hpp"
+#include "gpucomm/cluster/placement.hpp"
+#include "gpucomm/comm/communicator.hpp"
 #include "gpucomm/net/network.hpp"
 #include "gpucomm/sim/random.hpp"
+#include "gpucomm/systems/registry.hpp"
 #include "gpucomm/telemetry/sink.hpp"
 
 namespace gpucomm {
@@ -592,6 +596,57 @@ TEST(NetworkDifferential, CacheHitsRestoreTraceState) {
   }
 }
 
+/// One exact-sim cell of a paper bench.
+struct PaperCell {
+  const char* system;
+  Mechanism mechanism;
+  bool alltoall;  // else allreduce
+  Bytes bytes;
+  int gpus;
+};
+
+/// Runs `cell` in `mode`, built as bench/scalability.hpp builds it (scatter
+/// placement, tuned environment), for two iterations with a noise epoch
+/// between them; returns each iteration's time in ps.
+std::vector<std::int64_t> paper_cell_ps(const PaperCell& cell, SolverMode mode) {
+  const SystemConfig cfg = system_by_name(cell.system);
+  ClusterOptions copt;
+  copt.nodes = cell.gpus / cfg.gpus_per_node;
+  copt.placement = Placement::kScatterSwitches;
+  Cluster cluster(cfg, copt);
+  cluster.network().set_solver_mode(mode);
+  CommOptions opt;
+  opt.env = cfg.tuned_env();
+  auto comm = make_comm(cell.mechanism, cluster, first_n_gpus(cluster, cell.gpus), opt);
+  std::vector<std::int64_t> ps;
+  for (int iter = 0; iter < 2; ++iter) {
+    if (iter > 0 && cluster.noise_field() != nullptr) cluster.noise_field()->resample();
+    ps.push_back((cell.alltoall ? comm->time_alltoall(cell.bytes)
+                                : comm->time_allreduce(cell.bytes))
+                     .ps);
+  }
+  return ps;
+}
+
+TEST(NetworkDifferential, PaperCellsMatchFullResolve) {
+  // Real fabrics under the congestion closure, which the synthetic replays
+  // above do not build: the LUMI cell books nearly every reallocation as a
+  // threshold full solve, so the whole-set paths run, and Leonardo's noise
+  // epochs force full solves.
+  const PaperCell cells[] = {
+      {"lumi", Mechanism::kMpi, true, 2_MiB, 32},
+      {"alps", Mechanism::kCcl, true, 2_MiB, 16},
+      {"leonardo", Mechanism::kMpi, true, 2_MiB, 16},
+      {"leonardo", Mechanism::kCcl, false, 64_MiB, 16},
+  };
+  for (const PaperCell& cell : cells) {
+    SCOPED_TRACE(testing::Message() << cell.system << " " << to_string(cell.mechanism) << " "
+                                    << (cell.alltoall ? "alltoall" : "allreduce"));
+    EXPECT_EQ(paper_cell_ps(cell, SolverMode::kIncremental),
+              paper_cell_ps(cell, SolverMode::kFullResolve));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Component grouping. The differential suite compares two modes that share
 // one partitioner, so it cannot see which flows end up in one subproblem.
@@ -661,14 +716,14 @@ TEST(NetworkComponents, SharedSwitchCouplesOnlyUnderCongestion) {
   }
 }
 
-TEST(NetworkComponents, VacatedTrunkGathersBothSwitchesIntoOneSubproblem) {
+TEST(NetworkComponents, VacatedTrunkReSolvesEachSwitchApart) {
   // A short flow on the trunk couples a flow through switch 0 and a flow
   // through switch 1 into one closure component. When it completes, nothing
-  // couples the two any more, yet the vacated trunk's two switch endpoints
-  // gather both flows into one subproblem of that incremental event. Three
-  // unrelated flows keep the event under the full-solve threshold. Without
-  // congestion coupling the trunk flow was alone, and its completion leaves
-  // nothing to re-solve.
+  // couples the two any more: each flow on the vacated trunk's switch lists
+  // seeds its own component, and the incremental event solves two 1-flow
+  // subproblems. Three unrelated flows keep the event under the full-solve
+  // threshold. Without congestion coupling the trunk flow was alone, and its
+  // completion leaves nothing to re-solve.
   for (const bool congestion : {true, false}) {
     SwitchFixture f(congestion);
     f.net->start_flow({{f.trunk}, 1_KiB, 0, 0}, nullptr);
@@ -683,13 +738,101 @@ TEST(NetworkComponents, VacatedTrunkGathersBothSwitchesIntoOneSubproblem) {
     ASSERT_EQ(after.reallocations - before.reallocations, 1u) << "congestion=" << congestion;
     if (congestion) {
       EXPECT_EQ(after.incremental_events - before.incremental_events, 1u);
-      EXPECT_EQ(after.component_solves - before.component_solves, 1u);
-      EXPECT_EQ(after.component_size_log2[1] - before.component_size_log2[1], 1u);
+      EXPECT_EQ(after.component_solves - before.component_solves, 2u);
+      EXPECT_EQ(after.component_size_log2[0] - before.component_size_log2[0], 2u);
     } else {
       EXPECT_EQ(after.no_work_events - before.no_work_events, 1u);
       EXPECT_EQ(after.component_solves - before.component_solves, 0u);
     }
   }
+}
+
+/// Rates as raw bits, for bit-for-bit comparison.
+std::vector<std::uint64_t> raw_bits(const std::vector<Bandwidth>& rates) {
+  std::vector<std::uint64_t> bits;
+  for (const Bandwidth r : rates) bits.push_back(std::bit_cast<std::uint64_t>(r));
+  return bits;
+}
+
+TEST(NetworkDifferential, VacatedTrunkWithATieAcrossSwitches) {
+  // A 1 KiB trunk flow couples two flows that share a GPU link at switch 0
+  // (50 Gb/s each) with a flow through switch 1, capped within the fill's
+  // 1e-12 freeze tolerance above that level. Three direct flows keep the
+  // trunk's completion under the full-solve threshold. After it nothing
+  // couples the switches, so the capped flow runs at its cap, as in
+  // kFullResolve, instead of freezing at switch 0's level.
+  const Bandwidth cap = gbps(50) * (1 + 9e-13);
+  const auto run = [cap](SolverMode mode) {
+    SwitchFixture f(/*congestion=*/true);
+    f.net->set_solver_mode(mode);
+    f.net->start_flow({{f.trunk}, 1_KiB, 0, 0}, nullptr);
+    std::vector<FlowId> ids;
+    for (int i = 0; i < 2; ++i) {
+      ids.push_back(f.net->start_flow({f.via_switch(0, 0, 1), 1_MiB, 0, 0}, nullptr));
+    }
+    ids.push_back(f.net->start_flow({f.via_switch(1, 2, 3), 1_MiB, 0, cap}, nullptr));
+    for (const LinkId l : f.direct) ids.push_back(f.net->start_flow({{l}, 1_MiB, 0, 0}, nullptr));
+    // The trunk flow serializes 1 KiB at 100 Gb/s in about 82 ns.
+    std::vector<Bandwidth> rates;
+    f.engine.after(microseconds(1), [&] {
+      for (const FlowId id : ids) rates.push_back(f.net->flow_rate(id));
+    });
+    f.engine.run();
+    return rates;
+  };
+  const std::vector<Bandwidth> ref = run(SolverMode::kFullResolve);
+  ASSERT_EQ(ref.size(), 6u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[2]), std::bit_cast<std::uint64_t>(cap));
+  EXPECT_EQ(raw_bits(run(SolverMode::kIncremental)), raw_bits(ref));
+}
+
+TEST(NetworkDifferential, StartAfterVacatedTrunkWithATieAcrossSwitches) {
+  // A 1 KiB trunk flow couples 16 flows through switch 0 and 16 through
+  // switch 1 into one whole set. One switch-1 flow is capped within the
+  // fill's freeze tolerance above a 17th of 100 Gb/s, the level a 17th
+  // switch-0 flow sets. The trunk's completion leaves two components, so
+  // that flow's start at 1 us re-solves only switch 0's, as one 17-flow
+  // incremental subproblem, and the capped flow keeps its cap, as in
+  // kFullResolve.
+  const Bandwidth cap = gbps(100) / 17 * (1 + 9e-13);
+  struct Run {
+    std::vector<Bandwidth> rates;
+    net::SolverStats before, after;
+  };
+  const auto run = [cap](SolverMode mode) {
+    SwitchFixture f(/*congestion=*/true);
+    f.net->set_solver_mode(mode);
+    f.net->start_flow({{f.trunk}, 1_KiB, 0, 0}, nullptr);
+    std::vector<FlowId> ids;
+    for (int i = 0; i < 16; ++i) {
+      ids.push_back(f.net->start_flow({f.via_switch(0, 0, 1), 1_MiB, 0, 0}, nullptr));
+    }
+    for (int i = 0; i < 16; ++i) {
+      ids.push_back(
+          f.net->start_flow({f.via_switch(1, 2, 3), 1_MiB, 0, i == 0 ? cap : 0}, nullptr));
+    }
+    Run r;
+    f.engine.after(microseconds(1), [&] {
+      r.before = f.net->solver_stats();
+      ids.push_back(f.net->start_flow({f.via_switch(0, 0, 1), 1_MiB, 0, 0}, nullptr));
+    });
+    f.engine.after(microseconds(2), [&] {
+      r.after = f.net->solver_stats();
+      for (const FlowId id : ids) r.rates.push_back(f.net->flow_rate(id));
+    });
+    f.engine.run();
+    return r;
+  };
+  const Run ref = run(SolverMode::kFullResolve);
+  ASSERT_EQ(ref.rates.size(), 33u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.rates[16]), std::bit_cast<std::uint64_t>(cap));
+  EXPECT_EQ(ref.after.component_solves - ref.before.component_solves, 2u);
+  const Run got = run(SolverMode::kIncremental);
+  EXPECT_EQ(raw_bits(got.rates), raw_bits(ref.rates));
+  ASSERT_EQ(got.after.reallocations - got.before.reallocations, 1u);
+  EXPECT_EQ(got.after.incremental_events - got.before.incremental_events, 1u);
+  EXPECT_EQ(got.after.component_solves - got.before.component_solves, 1u);
+  EXPECT_EQ(got.after.component_size_log2[4] - got.before.component_size_log2[4], 1u);
 }
 
 TEST(NetworkComponents, SharedLinkCouplesUnderTheClosure) {
@@ -813,13 +956,13 @@ TEST(NetworkComponents, CompletionsKeepAWholeSetOnlyWhileItStaysConnected) {
   }
 }
 
-TEST(NetworkComponents, AWholeSetWithTwoRootsIsNotRepaired) {
+TEST(NetworkComponents, AVacatedTrunkSplitsAWholeSetAtItsSwitches) {
   // Under the congestion closure, a 1 KiB trunk flow couples 16 flows
-  // through switch 0 and 16 through switch 1. It is the partition's root;
-  // when it completes, the vacated trunk gathers both switches' flows into
-  // one whole-set subproblem with a root in each. Then the shortest flow
-  // through switch 0 completes: the survivors hold two roots, so the seeded
-  // partition runs and re-solves only the 15 flows of switch 0.
+  // through switch 0 and 16 through switch 1 into one whole set, whose
+  // root it is. When it completes, the root has left, and the flows on the
+  // vacated trunk's switch lists seed two 16-flow subproblems: no whole set
+  // is kept. Then the shortest flow through switch 0 completes, and the
+  // seeded partition re-solves only the 15 flows of switch 0.
   SwitchFixture f(/*congestion=*/true);
   f.net->start_flow({{f.trunk}, 1_KiB, 0, 0}, nullptr);
   f.net->start_flow({f.via_switch(0, 0, 1), 512_KiB, 0, 0}, nullptr);
@@ -831,23 +974,23 @@ TEST(NetworkComponents, AWholeSetWithTwoRootsIsNotRepaired) {
     right.push_back(f.net->start_flow({f.via_switch(1, 2, 3), 1_MiB, 0, 0}, nullptr));
   }
   // The trunk flow takes about 82 ns, the 512 KiB flow about 671 us.
-  net::SolverStats first, gathered, after;
+  net::SolverStats first, split, after;
   std::vector<Bandwidth> left_rates, right_rates;
   f.engine.after(nanoseconds(10), [&] { first = f.net->solver_stats(); });
-  f.engine.after(microseconds(1), [&] { gathered = f.net->solver_stats(); });
+  f.engine.after(microseconds(1), [&] { split = f.net->solver_stats(); });
   f.engine.after(microseconds(1000), [&] {
     after = f.net->solver_stats();
     for (const FlowId id : left) left_rates.push_back(f.net->flow_rate(id));
     for (const FlowId id : right) right_rates.push_back(f.net->flow_rate(id));
   });
   f.engine.run();
-  ASSERT_EQ(gathered.reallocations - first.reallocations, 1u);
-  EXPECT_EQ(gathered.component_solves - first.component_solves, 1u);
-  EXPECT_EQ(gathered.component_size_log2[5] - first.component_size_log2[5], 1u);
-  ASSERT_EQ(after.reallocations - gathered.reallocations, 1u);
-  EXPECT_EQ(after.incremental_events - gathered.incremental_events, 1u);
-  EXPECT_EQ(after.component_solves - gathered.component_solves, 1u);
-  EXPECT_EQ(after.component_size_log2[3] - gathered.component_size_log2[3], 1u);
+  ASSERT_EQ(split.reallocations - first.reallocations, 1u);
+  EXPECT_EQ(split.component_solves - first.component_solves, 2u);
+  EXPECT_EQ(split.component_size_log2[4] - first.component_size_log2[4], 2u);
+  ASSERT_EQ(after.reallocations - split.reallocations, 1u);
+  EXPECT_EQ(after.incremental_events - split.incremental_events, 1u);
+  EXPECT_EQ(after.component_solves - split.component_solves, 1u);
+  EXPECT_EQ(after.component_size_log2[3] - split.component_size_log2[3], 1u);
   for (const Bandwidth r : left_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 15);
   for (const Bandwidth r : right_rates) EXPECT_DOUBLE_EQ(r, gbps(100) / 16);
 }
